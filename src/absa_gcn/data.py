@@ -98,7 +98,11 @@ _REQUIRED_FIELDS = ("tokens", "heads", "aspect_from", "aspect_to", "label")
 
 
 def parse_corpus(path) -> list[Example]:
-    """Load a JSON Lines corpus, failing on the first malformed line."""
+    """Load a JSON Lines corpus, failing on the first malformed line.
+
+    A file without a single line fails too: no command can train on or
+    evaluate an empty corpus.
+    """
     examples = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -125,6 +129,8 @@ def parse_corpus(path) -> list[Example]:
                 )
             except (TypeError, ValueError) as err:
                 raise LoadError(str(err), line=lineno) from None
+    if not examples:
+        raise LoadError("no examples")
     return examples
 
 
@@ -239,10 +245,11 @@ def load_embeddings(path, trainable: bool = True) -> EmbeddingTable:
     """Read a text embedding file: one ``word v1 ... vd`` per line.
 
     Vocabulary order follows the file; an unknown-word row equal to the
-    component-wise mean of all loaded vectors is appended at the end.
+    component-wise mean of all loaded vectors is appended at the end. A
+    non-numeric or non-finite entry fails the load with its line number.
     """
     words: dict[str, int] = {}
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -253,9 +260,11 @@ def load_embeddings(path, trainable: bool = True) -> EmbeddingTable:
             if word in words:
                 raise LoadError(f"duplicate word {word!r}", line=lineno)
             try:
-                vec = [float(v) for v in parts[1:]]
+                vec = np.array(parts[1:], dtype=np.float64)
             except ValueError:
                 raise LoadError("non-numeric vector entry", line=lineno) from None
+            if not np.isfinite(vec).all():
+                raise LoadError("non-finite vector entry", line=lineno)
             if dim is None:
                 dim = len(vec)
             elif len(vec) != dim:
@@ -264,13 +273,14 @@ def load_embeddings(path, trainable: bool = True) -> EmbeddingTable:
             rows.append(vec)
     if not rows:
         raise LoadError("no vectors")
-    matrix = np.asarray(rows, dtype=np.float64)
-    matrix = np.vstack([matrix, matrix.mean(axis=0)])
+    matrix = np.empty((len(rows) + 1, dim))
+    np.stack(rows, out=matrix[:-1])
+    matrix[-1] = matrix[:-1].mean(axis=0)
     return EmbeddingTable(
         vocabulary=words,
         vectors=Tensor(matrix, trainable=trainable),
         dim=dim,
-        unk_index=len(rows),
+        unk_index=len(words),
     )
 
 

@@ -42,10 +42,21 @@ def adam_step(params: Iterable[tuple[str, Tensor]], state: AdamState) -> None:
         g = p.grad
         m = state.first_moment.setdefault(name, np.zeros_like(p.data))
         v = state.second_moment.setdefault(name, np.zeros_like(p.data))
+        # m_hat = m / bias1, v_hat = v / bias2 and
+        # p -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in that order in
+        # two scratch arrays instead of one temporary per operation.
+        a = np.empty_like(p.data)
+        b = np.empty_like(p.data)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=a)
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        np.multiply(g, 1.0 - b2, out=a)
+        a *= g
+        v += a
+        np.divide(m, bias1, out=a)
+        a *= state.learning_rate
+        np.divide(v, bias2, out=b)
+        np.sqrt(b, out=b)
+        b += state.epsilon
+        a /= b
+        p.data -= a

@@ -6,6 +6,13 @@ reachable from a root into an order where inputs always precede the
 operations consuming them, and ``backward`` walks that tape once in reverse,
 accumulating gradients into trainable leaves.
 
+One operation writes into a leaf's gradient itself: ``gather_rows`` on a
+leaf adds the gradient of the rows it gathered straight into that leaf's
+``grad`` (nothing for a frozen leaf) and hands the tape nothing to add, so a
+lookup into a large embedding table costs work in proportion to the rows it
+touched, not to the table. Every other operation, including ``gather_rows``
+on an operation's output, returns dense gradients for the tape to add.
+
 Supported shapes are scalars ``()``, vectors ``(n,)`` and matrices ``(n, d)``.
 The only broadcasting rule is a vector combined row-wise with a matrix; this
 keeps every backward rule small enough to audit by hand.
@@ -26,7 +33,9 @@ class Tensor:
     """A dense float64 array plus the bookkeeping needed for backprop.
 
     ``grad`` is allocated eagerly for trainable tensors so that parameters
-    never touched by a backward pass still report an all-zero gradient.
+    never touched by a backward pass still report an all-zero gradient. It
+    comes from ``np.zeros``, whose pages stay unmapped until first written,
+    so a model that is only evaluated keeps no resident gradient memory.
     ``tape_id`` is assigned when the tensor is recorded on a tape and orders
     the operations topologically.
     """
@@ -38,7 +47,7 @@ class Tensor:
         if data.size == 0:
             raise DimensionError("tensor must be non-empty, got shape %r" % (data.shape,))
         self.data = data
-        self.grad = np.zeros_like(data) if trainable else None
+        self.grad = np.zeros(data.shape) if trainable else None
         self.trainable = trainable
         self.tape_id: int | None = None
         self.op: str | None = None
@@ -74,7 +83,11 @@ class Tape:
 
     ``entries`` lists operation outputs in an order where every operation's
     inputs appear earlier; the backward pass visits each entry exactly once
-    in reverse.
+    in reverse. A backward closure returns one gradient per parent, or
+    ``None`` for a parent it has nothing to add to: the tape adds a returned
+    gradient into a pending buffer (operation outputs) or into ``grad``
+    (trainable leaves). ``gather_rows`` on a leaf returns ``None`` because it
+    has already added its rows into the leaf's ``grad`` itself.
     """
 
     def __init__(self, entries: list[Tensor]):
@@ -319,7 +332,16 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
-    """Select rows of a matrix; gradients scatter-add back to the source."""
+    """Select rows of a matrix; gradients scatter-add back to the source.
+
+    On a leaf the backward pass sums the gradients of repeated indices into
+    one row each, adds those rows into ``a.grad`` (and does nothing for a
+    frozen leaf), and returns no gradient for the tape. The sums run in
+    index order, as a dense ``np.add.at`` would, so ``a.grad`` ends up
+    bit-identical to adding a dense scatter of the whole table (but for the
+    sign of a zero in an untouched row, which adding ``+0.0`` would clear).
+    On an operation's output it returns that dense scatter.
+    """
     if a.data.ndim != 2:
         raise DimensionError(f"gather_rows needs a matrix, got shape {a.shape}")
     idx = list(int(i) for i in indices)
@@ -329,10 +351,23 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
         if not 0 <= i < a.shape[0]:
             raise ValueError(f"row index {i} out of range for {a.shape[0]} rows")
 
-    def back(g):
-        grad = np.zeros_like(a.data)
-        np.add.at(grad, idx, g)
-        return (grad,)
+    if a.op is None:
+
+        def back(g):
+            if a.trainable:
+                slot: dict[int, int] = {}
+                inverse = [slot.setdefault(i, len(slot)) for i in idx]
+                summed = np.zeros((len(slot), g.shape[1]))
+                np.add.at(summed, inverse, g)
+                a.grad[list(slot)] += summed
+            return (None,)
+
+    else:
+
+        def back(g):
+            grad = np.zeros_like(a.data)
+            np.add.at(grad, idx, g)
+            return (grad,)
 
     return _record(a.data[idx], "gather_rows", (a,), back)
 

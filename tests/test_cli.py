@@ -121,6 +121,21 @@ def test_train_malformed_line_reports_line_and_exit_3(tmp_path, capsys):
     assert "line 7" in capsys.readouterr().err
 
 
+def test_train_on_empty_corpus_is_exit_3(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["train", "--train", str(empty), "--out", str(tmp_path), "--epochs", "1"]) == EXIT_DATA
+    assert capsys.readouterr().err == "data error: no examples\n"
+
+
+def test_eval_on_empty_corpus_is_exit_3(tmp_path, capsys):
+    checkpoint, _ = _overfit_checkpoint(tmp_path)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["eval", "--checkpoint", checkpoint, "--test", str(empty)]) == EXIT_DATA
+    assert capsys.readouterr().err == "data error: no examples\n"
+
+
 def test_train_determinism_byte_identical_outputs(tmp_path):
     outs = []
     for name in ("one", "two"):

@@ -275,6 +275,39 @@ def test_load_embeddings_errors(tmp_path):
     with pytest.raises(LoadError, match="duplicate"):
         load_embeddings(dup)
 
+    bad_value = tmp_path / "bad_value.txt"
+    bad_value.write_text("a 1.0 2.0\nb 1.0 x\n")
+    with pytest.raises(LoadError, match="line 2: non-numeric"):
+        load_embeddings(bad_value)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-Infinity", "1e400"])
+def test_load_embeddings_rejects_non_finite_entries(tmp_path, entry):
+    path = tmp_path / "vec.txt"
+    path.write_text(f"a 1.0 2.0\nb 0.5 {entry}\nc 3.0 4.0\n")
+    with pytest.raises(LoadError, match="line 2: non-finite vector entry"):
+        load_embeddings(path)
+
+
+def test_load_embeddings_matches_python_float_parse(tmp_path):
+    rng = np.random.default_rng(2)
+    values = rng.normal(size=(6, 4)) * 10.0 ** rng.integers(-300, 300, size=(6, 4))
+    lines = [f"w{i} " + " ".join(repr(float(x)) for x in row) for i, row in enumerate(values)]
+    lines.append("u 1_000 -0.0 .5 1E3")
+    path = tmp_path / "vec.txt"
+    path.write_text("\n".join(lines) + "\n")
+    rows = np.array([[float(x) for x in line.split()[1:]] for line in lines])
+    table = load_embeddings(path)
+    expected = np.vstack([rows, rows.mean(axis=0)])
+    assert table.vectors.data.tobytes() == expected.tobytes()
+
+
+def test_parse_corpus_rejects_empty_file(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    with pytest.raises(LoadError, match="no examples"):
+        parse_corpus(path)
+
 
 def test_load_embeddings_deterministic(tmp_path):
     path = tmp_path / "vec.txt"

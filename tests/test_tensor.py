@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from absa_gcn.data import EmbeddingTable, Example, embed_example
 from absa_gcn.tensor import (
     DimensionError,
     Tape,
@@ -230,6 +233,70 @@ def test_gather_rows_duplicate_indices_accumulate():
     t = Tensor([[1.0, 2.0], [3.0, 4.0]], trainable=True)
     backward(sum_all(gather_rows(t, [0, 0, 1])))
     npt.assert_array_equal(t.grad, [[2.0, 2.0], [1.0, 1.0]])
+
+
+def test_gather_rows_leaf_grad_is_byte_equal_to_dense_scatter():
+    rng = np.random.default_rng(11)
+    table = rng.normal(size=(9, 4))
+    first, second = [7, 2, 7, 0, 2, 7], [5, 2, 2, 8, 0]
+    w1, w2 = rng.normal(size=(6, 4)), rng.normal(size=(5, 4))
+
+    t = Tensor(table.copy(), trainable=True)
+    t.grad[...] = rng.normal(size=(9, 4))  # gradient already accumulated
+    start = t.grad.copy()
+    loss = add(
+        sum_all(mul(gather_rows(t, first), Tensor(w1))),
+        sum_all(mul(gather_rows(t, second), Tensor(w2))),
+    )
+    backward(loss)
+
+    # Reference rule: each gather scatters into a dense zero table with
+    # np.add.at, and the tape adds that table into the gradient, the later
+    # gather first (the tape runs in reverse).
+    expected = start.copy()
+    for idx, w in ((second, w2), (first, w1)):
+        dense = np.zeros_like(table)
+        np.add.at(dense, idx, w)
+        expected += dense
+    assert t.grad.tobytes() == expected.tobytes()
+
+
+def test_gather_rows_frozen_leaf_gets_no_gradient():
+    t = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    x = Tensor([1.0, 1.0], trainable=True)
+    backward(sum_all(mul(gather_rows(t, [1, 0, 1]), x)))
+    assert t.grad is None
+    npt.assert_array_equal(x.grad, [7.0, 10.0])
+
+
+def test_gather_rows_on_operation_output_still_flows_back():
+    t = Tensor([[1.0, 2.0], [3.0, 4.0]], trainable=True)
+    backward(sum_all(gather_rows(scale(t, 3.0), [1, 1])))
+    npt.assert_array_equal(t.grad, [[0.0, 0.0], [6.0, 6.0]])
+
+
+def test_embedding_backward_does_no_table_sized_work():
+    rng = np.random.default_rng(3)
+    table = EmbeddingTable(
+        vocabulary={f"w{i}": i for i in range(20_000)},
+        vectors=Tensor(rng.normal(size=(20_001, 50)), trainable=True),
+        dim=50,
+        unk_index=20_000,
+    )
+    ex = Example(
+        tokens=["w5", "w19999", "w5", "oov", "w7"], heads=[-1, 0, 0, 1, 1],
+        aspect_from=1, aspect_to=3, label="neutral",
+    )
+    E = embed_example(ex, table)
+    loss = sum_all(add(mean_rows(gather_rows(E, [1, 2])), mean_rows(E)))
+    tracemalloc.start()
+    try:
+        backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table.vectors.data.nbytes / 4
+    assert np.count_nonzero(table.vectors.grad.any(axis=1)) == 4
 
 
 def test_segment_mean_rows_matches_composed_ops():

@@ -113,6 +113,21 @@ def test_train_rejects_empty_training_set():
         train([], config=TrainConfig(epochs=1))
 
 
+def test_frozen_table_is_untouched_by_training():
+    corpus = _tiny_corpus()
+    hp = HyperParams(hidden=6, layers=2)
+    table = build_random_table(corpus, dim=6, seed=1, trainable=False)
+    before = table.vectors.data.copy()
+    initial = init_model_state(table, hp, seed=1)
+    weights = initial.w_sent.data.copy()
+    config = TrainConfig(epochs=2, batch_size=4, learning_rate=0.01, seed=1, hyperparams=hp)
+    model, _ = train(corpus, None, config, initial_state=initial)
+    assert model.table.vectors is table.vectors
+    assert table.vectors.data.tobytes() == before.tobytes()
+    assert table.vectors.grad is None
+    assert not np.array_equal(model.w_sent.data, weights)  # the rest did train
+
+
 def test_epoch_zero_loss_matches_independent_oracle():
     corpus = _tiny_corpus()
     hp = HyperParams(hidden=6, layers=2)
