@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .data import LABELS, LoadError, convert_conllu, load_embeddings, parse_corpus, write_corpus
+from .data import LABELS, LoadError, convert_conllu, load_embeddings, parse_corpus, write_atomically, write_corpus
 from .gradcheck import run_model_gradient_check
 from .model import CheckpointError, HyperParams, load_checkpoint, save_checkpoint, total_loss
 from .trainer import TrainConfig, evaluate, run_ablations, train
@@ -206,7 +206,7 @@ def _load_table(settings: dict):
 
 
 def _write_metrics_log(path: str, log: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomically(path) as fh:
         for entry in log:
             fh.write(json.dumps(entry))
             fh.write("\n")

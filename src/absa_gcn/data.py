@@ -13,7 +13,9 @@ number; silently dropping lines would corrupt dataset-count checks.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -132,6 +134,25 @@ def parse_corpus(path) -> list[Example]:
     if not examples:
         raise LoadError("no examples")
     return examples
+
+
+@contextlib.contextmanager
+def write_atomically(path):
+    """A text file that replaces ``path`` only once it is completely written.
+
+    The text goes to a temporary file beside ``path``, which is renamed over
+    it on success and removed on failure, so a reader finds the old file or
+    the new one, never a part of one.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_corpus(examples, path) -> None:

@@ -13,16 +13,24 @@ score the sentence three ways:
   polarity).
 
 Total objective: ``div + alpha * const + beta * pred``.
+
+A mini-batch runs as one graph, the disjoint union of its examples' trees:
+their token rows are stacked into one matrix and their trees joined into one
+forest with offset node ids (see ``Batch``), so each layer is one operation
+per batch. Quantities with one value per example (aspect vectors, gates,
+pooled vectors, class probabilities) are matrices with one row per example,
+and each token reaches its example's row through ``Batch.owner``. The loss
+terms are summed over the batch's examples; the training loss is their mean.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import LABELS, DependencyTree, EmbeddingTable, Example, build_tree, embed_example, syntax_scores
+from .data import LABELS, DependencyTree, EmbeddingTable, Example, build_tree, syntax_scores, write_atomically
 from .tensor import (
     DimensionError,
     Tensor,
@@ -34,15 +42,16 @@ from .tensor import (
     gather_rows,
     log,
     matmul,
-    matvec,
     maxpool_rows,
-    mean_rows,
     mul,
+    pick,
+    reciprocal,
     relu,
     scale,
     segment_mean_rows,
+    segment_softmax,
     sigmoid,
-    softmax,
+    softmax_rows,
     sqrt,
     sum_all,
     tanh,
@@ -83,16 +92,66 @@ class HyperParams:
 
 @dataclass
 class LossTerms:
+    """Loss terms summed over the examples of a forward pass."""
+
     div: float
     const: float
     pred: float
     total: float
 
 
+@dataclass(frozen=True)
+class Batch:
+    """Examples laid end to end: one token matrix, one forest.
+
+    Example ``e`` owns rows ``starts[e]`` up to the next start, and
+    ``owner[i]`` is the example of row ``i``. ``tree`` is the disjoint union
+    of the examples' trees with node ids offset by ``starts``; ``syn`` holds
+    each example's tree-based importance scores in that example's rows.
+    """
+
+    examples: tuple[Example, ...]
+    starts: np.ndarray
+    owner: np.ndarray
+    tree: DependencyTree
+    syn: np.ndarray
+
+
+def make_batch(examples, include_self_loop: bool = True) -> Batch:
+    """Lay the examples end to end in the order given."""
+    if not examples:
+        raise ValueError("a batch needs at least one example")
+    trees = [build_tree(ex, include_self_loop=include_self_loop) for ex in examples]
+    lengths = [tree.n for tree in trees]
+    starts = np.cumsum([0] + lengths[:-1])
+    neighbor_sets: list[tuple[int, ...]] = []
+    distances: list[int] = []
+    for start, tree in zip(starts.tolist(), trees):
+        neighbor_sets.extend(tuple(j + start for j in nb) for nb in tree.neighbor_sets)
+        distances.extend(tree.path_len_to_aspect)
+    return Batch(
+        examples=tuple(examples),
+        starts=starts,
+        owner=np.repeat(np.arange(len(trees)), lengths),
+        tree=DependencyTree(
+            n=len(distances), neighbor_sets=tuple(neighbor_sets), path_len_to_aspect=tuple(distances)
+        ),
+        syn=np.concatenate([syntax_scores(tree) for tree in trees]),
+    )
+
+
 @dataclass
 class ForwardTrace:
-    """Every intermediate of one example's forward pass, for tests and dumps."""
+    """Every intermediate of a forward pass, for tests and dumps.
 
+    The shapes below are those of the trace ``total_loss`` returns for one
+    example, whose per-example vectors are constants holding the rows of its
+    batch of one: gradients flow from the loss only. A batch's trace stacks
+    the examples' token rows (``n`` becomes the batch's token count) and
+    gives each per-example vector one row per example.
+    """
+
+    batch: Batch | None = None
     embeddings: Tensor | None = None          # (n, d)
     aspect_vec: Tensor | None = None          # (d,)
     sentence_vec: Tensor | None = None        # (hidden,)
@@ -225,12 +284,13 @@ class ModelState:
 # forward building blocks
 
 
-def encode(ex: Example, table: EmbeddingTable, params: ModelState):
-    """Token embeddings, mean aspect-span vector and pooled sentence vector."""
-    E = embed_example(ex, table)
-    span = list(range(ex.aspect_from, ex.aspect_to))
-    aspect_vec = mean_rows(gather_rows(E, span))
-    sentence_vec = tanh(add(matvec(params.w_sent, maxpool_rows(E)), params.b_sent))
+def encode(batch: Batch, table: EmbeddingTable, params: ModelState):
+    """Token embeddings, mean aspect-span vectors and pooled sentence vectors."""
+    E = gather_rows(table.vectors, [table.row_index(tok) for ex in batch.examples for tok in ex.tokens])
+    starts = batch.starts.tolist()
+    spans = [range(s + ex.aspect_from, s + ex.aspect_to) for s, ex in zip(starts, batch.examples)]
+    aspect_vec = segment_mean_rows(E, spans)
+    sentence_vec = tanh(add(matmul(maxpool_rows(E, batch.starts), transpose(params.w_sent)), params.b_sent))
     return E, aspect_vec, sentence_vec
 
 
@@ -243,29 +303,34 @@ def gcn_layer(h_prev: Tensor, tree: DependencyTree, w: Tensor, b: Tensor) -> Ten
 
 
 def compute_gate(aspect_vec: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Per-layer sigmoid gate computed from the aspect representation."""
-    return sigmoid(add(matvec(w, aspect_vec), b))
+    """Per-layer sigmoid gates computed from the aspect representations."""
+    return sigmoid(add(matmul(aspect_vec, transpose(w)), b))
 
 
-def regulate(hidden: Tensor, gate: Tensor) -> Tensor:
-    """Multiply every row of a layer's hidden vectors by the gate."""
-    return mul(hidden, gate)
+def regulate(hidden: Tensor, gate: Tensor, owner) -> Tensor:
+    """Multiply every token's hidden vector by its example's gate (row ``owner[i]``)."""
+    return mul(hidden, gather_rows(gate, owner))
 
 
 def _pair_similarity(a: Tensor, b: Tensor, normalize: bool) -> Tensor:
     if not normalize:
         return dot(a, b)
-    norms = mul(sqrt(sum_all(mul(a, a))), sqrt(sum_all(mul(b, b))))
-    return mul(dot(a, b), _reciprocal(clamp_min(norms, PROB_FLOOR)))
+    norms = mul(sqrt(dot(a, a)), sqrt(dot(b, b)))
+    return mul(dot(a, b), reciprocal(clamp_min(norms, PROB_FLOOR)))
 
 
-def _reciprocal(t: Tensor) -> Tensor:
-    from .tensor import _record
-
-    if np.any(t.data <= 0):
-        raise ValueError("reciprocal requires positive entries")
-    out = 1.0 / t.data
-    return _record(out, "reciprocal", (t,), lambda g: (-g * out * out,))
+def _mean_over_layer_pairs(own: list[Tensor], other, normalize: bool) -> Tensor:
+    """Sum over examples of the mean similarity of ``own[l]`` and ``other(l, lp)``."""
+    n_layers = len(own)
+    if n_layers < 2:
+        return Tensor(np.zeros(()))
+    terms = [
+        _pair_similarity(own[l], other(l, lp), normalize)
+        for l in range(n_layers)
+        for lp in range(n_layers)
+        if lp != l
+    ]
+    return scale(sum_all(add_n(terms)), 1.0 / (n_layers * (n_layers - 1)))
 
 
 def diversity_loss(trace: ForwardTrace, normalize: bool = False) -> Tensor:
@@ -273,40 +338,25 @@ def diversity_loss(trace: ForwardTrace, normalize: bool = False) -> Tensor:
 
     With a single layer there are no pairs and the loss is zero.
     """
-    n_layers = len(trace.pooled_regulated)
-    if n_layers < 2:
-        return Tensor(np.zeros(()))
-    terms = []
-    for l in range(n_layers):
-        for lp in range(n_layers):
-            if lp == l:
-                continue
-            terms.append(_pair_similarity(trace.pooled_regulated[l], trace.pooled_cross[(l, lp)], normalize))
-    return scale(add_n(terms), 1.0 / (n_layers * (n_layers - 1)))
+    cross = trace.pooled_cross
+    return _mean_over_layer_pairs(trace.pooled_regulated, lambda l, lp: cross[(l, lp)], normalize)
 
 
 def gatediv_baseline_loss(gates: list[Tensor], normalize: bool = False) -> Tensor:
     """Diversity measured directly between the gate vectors themselves."""
-    n_layers = len(gates)
-    if n_layers < 2:
-        return Tensor(np.zeros(()))
-    terms = []
-    for l in range(n_layers):
-        for lp in range(n_layers):
-            if lp == l:
-                continue
-            terms.append(_pair_similarity(gates[l], gates[lp], normalize))
-    return scale(add_n(terms), 1.0 / (n_layers * (n_layers - 1)))
+    return _mean_over_layer_pairs(gates, lambda l, lp: gates[lp], normalize)
 
 
 def model_scores(trace: ForwardTrace, params: ModelState) -> Tensor:
-    """Model-side token importances: softmax of transformed-vector dot products."""
-    overall_sig = sigmoid(add(matvec(params.w_score_overall, trace.overall), params.b_score_overall))
+    """Model-side token importances: per-example softmax of transformed-vector dot products."""
+    overall_sig = sigmoid(
+        add(matmul(trace.overall, transpose(params.w_score_overall)), params.b_score_overall)
+    )
     token_sig = sigmoid(
         add(matmul(trace.regulated[-1], transpose(params.w_score_token)), params.b_score_token)
     )
-    raw = matvec(token_sig, overall_sig)
-    return softmax(raw)
+    raw = dot(token_sig, gather_rows(overall_sig, trace.batch.owner))
+    return segment_softmax(raw, trace.batch.starts)
 
 
 def consistency_loss(syn, mod: Tensor) -> Tensor:
@@ -314,7 +364,9 @@ def consistency_loss(syn, mod: Tensor) -> Tensor:
 
     The tree-based distribution is a constant target: gradients flow only
     into ``mod``. Model probabilities are floored at 1e-12 before the log so
-    saturated softmax outputs cannot produce infinities.
+    saturated softmax outputs cannot produce infinities. Given a batch's
+    scores, one distribution per example laid end to end, the result is the
+    sum of the examples' divergences.
     """
     syn_values = np.asarray(syn.data if isinstance(syn, Tensor) else syn, dtype=np.float64)
     if syn_values.shape != mod.shape:
@@ -326,42 +378,60 @@ def consistency_loss(syn, mod: Tensor) -> Tensor:
 
 
 def predict(overall: Tensor, params: ModelState) -> Tensor:
-    """Class probabilities from the overall representation vector."""
-    hidden = relu(add(matvec(params.w_cls_hidden, overall), params.b_cls_hidden))
-    logits = add(matvec(params.w_cls_out, hidden), params.b_cls_out)
-    return softmax(logits)
+    """Class probabilities, one row per row of the overall representations."""
+    hidden = relu(add(matmul(overall, transpose(params.w_cls_hidden)), params.b_cls_hidden))
+    return softmax_rows(add(matmul(hidden, transpose(params.w_cls_out)), params.b_cls_out))
 
 
-def prediction_loss(class_probs: Tensor, gold_index: int) -> Tensor:
-    onehot = np.zeros(N_CLASSES)
-    onehot[gold_index] = 1.0
-    picked = dot(class_probs, Tensor(onehot))
-    return scale(log(clamp_min(picked, PROB_FLOOR)), -1.0)
+def prediction_loss(class_probs: Tensor, gold_index) -> Tensor:
+    """Negative log-likelihood of the gold classes, summed over the rows."""
+    picked = pick(class_probs, gold_index)
+    return scale(sum_all(log(clamp_min(picked, PROB_FLOOR))), -1.0)
 
 
 # ---------------------------------------------------------------------------
 # full objective
 
 
-def total_loss(ex: Example, params: ModelState, hp: HyperParams | None = None):
-    """Run the full pipeline on one example.
+def _first_example(trace: ForwardTrace) -> ForwardTrace:
+    """A batch-of-one trace with each per-example row given as that example's vector."""
+    row = lambda t: Tensor(t.data[0])
+    return replace(
+        trace,
+        aspect_vec=row(trace.aspect_vec),
+        sentence_vec=row(trace.sentence_vec),
+        gates=[row(g) for g in trace.gates],
+        pooled_regulated=[row(p) for p in trace.pooled_regulated],
+        pooled_cross={k: row(v) for k, v in trace.pooled_cross.items()},
+        overall=row(trace.overall),
+        class_probs=row(trace.class_probs),
+    )
 
-    Returns ``(loss, trace)`` where ``loss`` is a scalar tensor ready for
-    ``backward`` and ``trace`` records every intermediate. Ablation switches:
-    ``gate_on=False`` replaces gates with constant ones (which also disables
-    the diversity term), ``div_on``/``con_on`` drop their terms, and
-    ``gatediv_baseline`` swaps the diversity term for gate-vector products.
+
+def total_loss(examples, params: ModelState, hp: HyperParams | None = None):
+    """Run the full pipeline on a mini-batch of examples, or on one example.
+
+    Returns ``(loss, trace)``: ``loss`` is the mean objective over the
+    examples, a scalar tensor ready for ``backward``, and ``trace`` records
+    every intermediate with the loss terms summed over the examples. One
+    ``Example`` runs as the batch of one, and its trace has that example's
+    shapes. Ablation switches: ``gate_on=False`` replaces gates with constant
+    ones (which also disables the diversity term), ``div_on``/``con_on`` drop
+    their terms, and ``gatediv_baseline`` swaps the diversity term for
+    gate-vector products.
     """
     hp = hp if hp is not None else params.hp
-    trace = ForwardTrace()
-    tree = build_tree(ex, include_self_loop=hp.include_self_loop)
+    single = isinstance(examples, Example)
+    batch = make_batch([examples] if single else examples, include_self_loop=hp.include_self_loop)
+    count = len(batch.examples)
+    trace = ForwardTrace(batch=batch)
 
-    E, aspect_vec, sentence_vec = encode(ex, params.table, params)
+    E, aspect_vec, sentence_vec = encode(batch, params.table, params)
     trace.embeddings, trace.aspect_vec, trace.sentence_vec = E, aspect_vec, sentence_vec
 
     h = E
     for l in range(hp.layers):
-        h = gcn_layer(h, tree, params.w_gcn[l], params.b_gcn[l])
+        h = gcn_layer(h, batch.tree, params.w_gcn[l], params.b_gcn[l])
         trace.hidden_layers.append(h)
 
     if hp.gate_on:
@@ -369,21 +439,21 @@ def total_loss(ex: Example, params: ModelState, hp: HyperParams | None = None):
             compute_gate(aspect_vec, params.w_gate[l], params.b_gate[l]) for l in range(hp.layers)
         ]
     else:
-        trace.gates = [Tensor(np.ones(hp.hidden)) for _ in range(hp.layers)]
+        trace.gates = [Tensor(np.ones((count, hp.hidden))) for _ in range(hp.layers)]
 
-    trace.regulated = [regulate(h, g) for h, g in zip(trace.hidden_layers, trace.gates)]
-    trace.pooled_regulated = [maxpool_rows(r) for r in trace.regulated]
+    trace.regulated = [regulate(h, g, batch.owner) for h, g in zip(trace.hidden_layers, trace.gates)]
+    trace.pooled_regulated = [maxpool_rows(r, batch.starts) for r in trace.regulated]
 
     div_active = hp.div_on and hp.gate_on and hp.layers >= 2
     if div_active and not hp.gatediv_baseline:
         for l in range(hp.layers):
             for lp in range(hp.layers):
                 if lp != l:
-                    cross = regulate(trace.hidden_layers[l], trace.gates[lp])
-                    trace.pooled_cross[(l, lp)] = maxpool_rows(cross)
+                    cross = regulate(trace.hidden_layers[l], trace.gates[lp], batch.owner)
+                    trace.pooled_cross[(l, lp)] = maxpool_rows(cross, batch.starts)
 
     trace.overall = concat(sentence_vec, trace.pooled_regulated[-1])
-    trace.syn = syntax_scores(tree)
+    trace.syn = batch.syn
     trace.mod = model_scores(trace, params)
     trace.class_probs = predict(trace.overall, params)
 
@@ -396,57 +466,66 @@ def total_loss(ex: Example, params: ModelState, hp: HyperParams | None = None):
         l_div = Tensor(np.zeros(()))
 
     l_const = consistency_loss(trace.syn, trace.mod) if hp.con_on else Tensor(np.zeros(()))
-    l_pred = prediction_loss(trace.class_probs, ex.label_index)
+    l_pred = prediction_loss(trace.class_probs, [ex.label_index for ex in batch.examples])
 
-    loss = add(add(l_div, scale(l_const, hp.alpha)), scale(l_pred, hp.beta))
+    total = add(add(l_div, scale(l_const, hp.alpha)), scale(l_pred, hp.beta))
     trace.losses = LossTerms(
-        div=l_div.item(), const=l_const.item(), pred=l_pred.item(), total=loss.item()
+        div=l_div.item(), const=l_const.item(), pred=l_pred.item(), total=total.item()
     )
-    return loss, trace
+    loss = scale(total, 1.0 / count)
+    return loss, (_first_example(trace) if single else trace)
 
 
 # ---------------------------------------------------------------------------
 # checkpointing
 
 _CHECKPOINT_FORMAT = "absa-gcn-checkpoint"
+_VALUES_BLOCK = 65536  # floats per json.dumps call when writing a tensor
+
+
+def _write_tensor(fh, t: Tensor) -> None:
+    """``{"shape": [...], "values": [...]}`` as ``json.dump`` writes it.
+
+    The values are encoded one block at a time, so the text of only one block
+    is held in memory, and each block goes through the C encoder.
+    """
+    fh.write(f'{{"shape": {json.dumps(list(t.shape))}, "values": [')
+    flat = t.data.ravel()
+    for start in range(0, flat.size, _VALUES_BLOCK):
+        if start:
+            fh.write(", ")
+        fh.write(json.dumps(flat[start : start + _VALUES_BLOCK].tolist())[1:-1])
+    fh.write("]}")
 
 
 def save_checkpoint(path, params: ModelState) -> None:
-    """Write hyperparameters, vocabulary and all tensors as one JSON file."""
+    """Write hyperparameters, vocabulary and all tensors as one JSON file.
+
+    The text is that of ``json.dump`` of the whole payload. The file is
+    written beside ``path`` and renamed over it, so a reader never sees a
+    half-written checkpoint.
+    """
     vocab_rows = [None] * len(params.table.vocabulary)
     for word, idx in params.table.vocabulary.items():
         vocab_rows[idx] = word
-    payload = {
+    header = {
         "format": _CHECKPOINT_FORMAT,
         "version": 1,
-        "hyperparams": {
-            "hidden": params.hp.hidden,
-            "layers": params.hp.layers,
-            "alpha": params.hp.alpha,
-            "beta": params.hp.beta,
-            "include_self_loop": params.hp.include_self_loop,
-            "gate_on": params.hp.gate_on,
-            "div_on": params.hp.div_on,
-            "con_on": params.hp.con_on,
-            "gatediv_baseline": params.hp.gatediv_baseline,
-            "normalize_div": params.hp.normalize_div,
-        },
+        "hyperparams": asdict(params.hp),
         "embedding_dim": params.table.dim,
         "unk_index": params.table.unk_index,
         "embeddings_trainable": params.table.vectors.trainable,
         "vocabulary": vocab_rows,
-        "embeddings": {
-            "shape": list(params.table.vectors.shape),
-            "values": params.table.vectors.data.ravel().tolist(),
-        },
-        "parameters": {
-            name: {"shape": list(t.shape), "values": t.data.ravel().tolist()}
-            for name, t in params.named_tensors()
-        },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    with write_atomically(path) as fh:
+        fh.write(json.dumps(header)[:-1])
+        fh.write(', "embeddings": ')
+        _write_tensor(fh, params.table.vectors)
+        fh.write(', "parameters": {')
+        for i, (name, t) in enumerate(params.named_tensors()):
+            fh.write(f"{', ' if i else ''}{json.dumps(name)}: ")
+            _write_tensor(fh, t)
+        fh.write("}}\n")
 
 
 def _tensor_from_payload(name: str, entry, trainable: bool) -> Tensor:

@@ -12,7 +12,11 @@ from .tensor import Tensor
 
 @dataclass
 class AdamState:
-    """Per-parameter moment accumulators plus the shared step counter."""
+    """Per-parameter moment accumulators plus the shared step counter.
+
+    ``scratch`` holds the two work arrays of an update, kept across steps and
+    sized to the largest parameter seen so far.
+    """
 
     learning_rate: float = 0.001
     beta1: float = 0.9
@@ -21,6 +25,7 @@ class AdamState:
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)))
 
 
 def adam_step(params: Iterable[tuple[str, Tensor]], state: AdamState) -> None:
@@ -44,9 +49,10 @@ def adam_step(params: Iterable[tuple[str, Tensor]], state: AdamState) -> None:
         v = state.second_moment.setdefault(name, np.zeros_like(p.data))
         # m_hat = m / bias1, v_hat = v / bias2 and
         # p -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in that order in
-        # two scratch arrays instead of one temporary per operation.
-        a = np.empty_like(p.data)
-        b = np.empty_like(p.data)
+        # the two scratch arrays instead of one temporary per operation.
+        if state.scratch.shape[1] < p.data.size:
+            state.scratch = np.empty((2, p.data.size))
+        a, b = (row[: p.data.size].reshape(p.data.shape) for row in state.scratch)
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=a)
         v *= b2

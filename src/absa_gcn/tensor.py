@@ -16,10 +16,20 @@ on an operation's output, returns dense gradients for the tape to add.
 Supported shapes are scalars ``()``, vectors ``(n,)`` and matrices ``(n, d)``.
 The only broadcasting rule is a vector combined row-wise with a matrix; this
 keeps every backward rule small enough to audit by hand.
+
+A mini-batch of sentences runs as one matrix whose rows are split into
+contiguous segments, one per sentence, given by their first rows
+(``starts``). The segment operations reduce within each segment:
+``maxpool_rows`` (column-wise maximum), ``segment_softmax`` (softmax of a
+vector's entries) and, over arbitrary row groups, ``segment_mean_rows``.
+``dot`` and ``concat`` work along the last axis, so on matrices they act row
+by row; ``softmax_rows`` normalises each row and ``pick`` takes one entry per
+row, such as each example's gold-class probability.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -160,16 +170,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.data + b.data, "add", (a, b), back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape == b.shape:
-        back = lambda g: (g, -g)
-    elif _row_broadcastable(a, b):
-        back = lambda g: (g, -g.sum(axis=0))
-    else:
-        raise DimensionError(f"cannot subtract shapes {a.shape} and {b.shape}")
-    return _record(a.data - b.data, "sub", (a, b), back)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape == b.shape:
         back = lambda g: (g * b.data, g * a.data)
@@ -236,6 +236,13 @@ def sqrt(a: Tensor) -> Tensor:
     return _record(out, "sqrt", (a,), lambda g: (g / (2.0 * out),))
 
 
+def reciprocal(a: Tensor) -> Tensor:
+    if np.any(a.data <= 0):
+        raise ValueError("reciprocal requires positive entries")
+    out = 1.0 / a.data
+    return _record(out, "reciprocal", (a,), lambda g: (-g * out * out,))
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -245,13 +252,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul needs (m,k) x (k,n), got {a.shape} and {b.shape}")
     back = lambda g: (g @ b.data.T, a.data.T @ g)
     return _record(a.data @ b.data, "matmul", (a, b), back)
-
-
-def matvec(a: Tensor, x: Tensor) -> Tensor:
-    if a.data.ndim != 2 or x.data.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise DimensionError(f"matvec needs (m,k) x (k,), got {a.shape} and {x.shape}")
-    back = lambda g: (np.outer(g, x.data), a.data.T @ g)
-    return _record(a.data @ x.data, "matvec", (a, x), back)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -278,35 +278,63 @@ def softmax(a: Tensor) -> Tensor:
     return _record(out, "softmax", (a,), back)
 
 
-def maxpool_rows(a: Tensor) -> Tensor:
-    """Column-wise maximum over the rows of a matrix.
+def softmax_rows(a: Tensor) -> Tensor:
+    """Each row of a matrix turned into a probability vector, as ``softmax`` does."""
+    if a.data.ndim != 2:
+        raise DimensionError(f"softmax_rows needs a matrix, got shape {a.shape}")
+    e = np.exp(a.data - a.data.max(axis=1, keepdims=True))
+    out = e / e.sum(axis=1, keepdims=True)
 
-    The backward pass routes each column's gradient to the first row
-    attaining the maximum, which makes tie handling deterministic.
+    def back(g):
+        return (out * (g - (g * out).sum(axis=1, keepdims=True)),)
+
+    return _record(out, "softmax_rows", (a,), back)
+
+
+def _segments(rows: int, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Checked segment starts and the segment each of ``rows`` rows belongs to."""
+    starts = np.asarray(starts, dtype=np.intp)
+    rising = starts.ndim == 1 and starts.size and starts[0] == 0 and np.all(np.diff(starts) > 0)
+    if not rising or starts[-1] >= rows:
+        raise ValueError(f"segment starts must rise from 0 and stay below {rows}, got {starts.tolist()}")
+    return starts, np.repeat(np.arange(starts.size), np.diff(starts, append=rows))
+
+
+def maxpool_rows(a: Tensor, starts: Sequence[int]) -> Tensor:
+    """Column-wise maximum over each segment of a matrix's rows.
+
+    Row ``s`` of the result pools rows ``starts[s]`` up to the next start.
+    The backward pass routes each column's gradient to the first row of the
+    segment attaining the maximum, which makes tie handling deterministic.
     """
     if a.data.ndim != 2:
         raise DimensionError(f"maxpool_rows needs a matrix, got shape {a.shape}")
+    starts, owner = _segments(a.shape[0], starts)
+    out = np.maximum.reduceat(a.data, starts, axis=0)
+    rows = np.arange(a.shape[0])[:, None]
+    first = np.minimum.reduceat(np.where(a.data < out[owner], a.shape[0], rows), starts, axis=0)
     cols = np.arange(a.shape[1])
-    argmax = np.argmax(a.data, axis=0)
-    out = a.data[argmax, cols]
 
     def back(g):
         grad = np.zeros_like(a.data)
-        grad[argmax, cols] = g
+        grad[first, cols] = g
         return (grad,)
 
     return _record(out, "maxpool_rows", (a,), back)
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"mean_rows needs a matrix, got shape {a.shape}")
-    n = a.shape[0]
+def segment_softmax(a: Tensor, starts: Sequence[int]) -> Tensor:
+    """Softmax of a vector's entries within each segment, max-shifted per segment."""
+    if a.data.ndim != 1:
+        raise DimensionError(f"segment_softmax needs a vector, got shape {a.shape}")
+    starts, owner = _segments(a.shape[0], starts)
+    e = np.exp(a.data - np.maximum.reduceat(a.data, starts)[owner])
+    out = e / np.add.reduceat(e, starts)[owner]
 
     def back(g):
-        return (np.tile(g / n, (n, 1)),)
+        return (out * (g - np.add.reduceat(g * out, starts)[owner]),)
 
-    return _record(a.data.mean(axis=0), "mean_rows", (a,), back)
+    return _record(out, "segment_softmax", (a,), back)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -317,18 +345,45 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
-        raise DimensionError(f"dot needs equal-length vectors, got {a.shape} and {b.shape}")
-    back = lambda g: (g * b.data, g * a.data)
-    return _record(np.asarray(a.data @ b.data), "dot", (a, b), back)
+    """Inner product along the last axis: a scalar for two vectors, one value per row for two matrices."""
+    if a.shape != b.shape or a.data.ndim not in (1, 2):
+        raise DimensionError(f"dot needs equal-shape vectors or matrices, got {a.shape} and {b.shape}")
+    back = lambda g: (g[..., None] * b.data, g[..., None] * a.data)
+    return _record(np.einsum("...i,...i->...", a.data, b.data), "dot", (a, b), back)
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise DimensionError(f"concat needs vectors, got {a.shape} and {b.shape}")
-    split = a.shape[0]
-    back = lambda g: (g[:split], g[split:])
-    return _record(np.concatenate([a.data, b.data]), "concat", (a, b), back)
+    """Two vectors, or two matrices with the same rows, joined along the last axis."""
+    if a.data.ndim != b.data.ndim or a.data.ndim not in (1, 2) or a.shape[:-1] != b.shape[:-1]:
+        raise DimensionError(f"concat needs vectors or matrices with equal rows, got {a.shape} and {b.shape}")
+    split = a.shape[-1]
+    back = lambda g: (g[..., :split], g[..., split:])
+    return _record(np.concatenate([a.data, b.data], axis=-1), "concat", (a, b), back)
+
+
+def pick(a: Tensor, index) -> Tensor:
+    """Entry ``index`` along the last axis: a scalar from a vector, or one entry per row of a matrix."""
+    at = np.asarray(index, dtype=np.intp)
+    if a.data.ndim not in (1, 2) or at.shape != a.shape[:-1]:
+        raise DimensionError(f"pick needs one index per row of {a.shape}, got shape {at.shape}")
+    if np.any(at < 0) or np.any(at >= a.shape[-1]):
+        raise ValueError(f"pick index out of range for {a.shape[-1]} columns")
+    at = at[..., None]
+
+    def back(g):
+        grad = np.zeros_like(a.data)
+        np.put_along_axis(grad, at, np.asarray(g)[..., None], axis=-1)
+        return (grad,)
+
+    return _record(np.take_along_axis(a.data, at, axis=-1)[..., 0], "pick", (a,), back)
+
+
+def _scatter_sums(idx: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``idx`` and, for each, the sum of the rows of ``g`` it indexes."""
+    order = np.argsort(idx, kind="stable")
+    ranked = idx[order]
+    firsts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    return ranked[firsts], np.add.reduceat(g[order], firsts, axis=0)
 
 
 def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
@@ -344,19 +399,19 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     """
     if a.data.ndim != 2:
         raise DimensionError(f"gather_rows needs a matrix, got shape {a.shape}")
-    idx = list(int(i) for i in indices)
-    if not idx:
-        raise ValueError("gather_rows needs at least one row index")
-    for i in idx:
-        if not 0 <= i < a.shape[0]:
-            raise ValueError(f"row index {i} out of range for {a.shape[0]} rows")
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ValueError("gather_rows needs a non-empty list of row indices")
+    outside = (idx < 0) | (idx >= a.shape[0])
+    if outside.any():
+        raise ValueError(f"row index {idx[outside][0]} out of range for {a.shape[0]} rows")
 
     if a.op is None:
 
         def back(g):
             if a.trainable:
                 slot: dict[int, int] = {}
-                inverse = [slot.setdefault(i, len(slot)) for i in idx]
+                inverse = [slot.setdefault(i, len(slot)) for i in idx.tolist()]
                 summed = np.zeros((len(slot), g.shape[1]))
                 np.add.at(summed, inverse, g)
                 a.grad[list(slot)] += summed
@@ -366,92 +421,36 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
 
         def back(g):
             grad = np.zeros_like(a.data)
-            np.add.at(grad, idx, g)
+            rows, sums = _scatter_sums(idx, g)
+            grad[rows] = sums
             return (grad,)
 
     return _record(a.data[idx], "gather_rows", (a,), back)
 
 
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix."""
-    if not rows:
-        raise ValueError("stack_rows needs at least one row")
-    width = rows[0].shape
-    for r in rows:
-        if r.data.ndim != 1 or r.shape != width:
-            raise DimensionError(f"stack_rows rows must share shape {width}, got {r.shape}")
-    n = len(rows)
-
-    def back(g):
-        return tuple(g[i] for i in range(n))
-
-    return _record(np.stack([r.data for r in rows]), "stack_rows", rows, back)
-
-
 def segment_mean_rows(a: Tensor, groups: Sequence[Sequence[int]]) -> Tensor:
     """Row i of the result is the mean of a's rows named by ``groups[i]``.
 
-    Equivalent to stacking ``mean_rows(gather_rows(a, g))`` per group, fused
-    into one operation: groups are flattened to an edge list once and both
-    passes run as a single gather plus scatter-add.
+    Groups are flattened to an edge list once, so both passes run as a
+    single gather plus a sum per group.
     """
     if a.data.ndim != 2:
         raise DimensionError(f"segment_mean_rows needs a matrix, got shape {a.shape}")
     if not groups:
         raise ValueError("segment_mean_rows needs at least one group")
-    counts = np.empty(len(groups), dtype=np.float64)
-    flat: list[int] = []
-    for i, group in enumerate(groups):
-        if len(group) == 0:
-            raise ValueError(f"group {i} is empty")
-        counts[i] = len(group)
-        flat.extend(group)
-    members = np.asarray(flat, dtype=np.intp)
+    counts = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    if counts.min() == 0:
+        raise ValueError(f"group {int(np.argmin(counts))} is empty")
+    members = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp, count=int(counts.sum()))
     if members.min() < 0 or members.max() >= a.shape[0]:
         raise ValueError(f"row index out of range for {a.shape[0]} rows")
-    owners = np.repeat(np.arange(len(groups), dtype=np.intp), counts.astype(np.intp))
-
-    out = np.zeros((len(groups), a.shape[1]))
-    np.add.at(out, owners, a.data[members])
-    out /= counts[:, None]
+    owners = np.repeat(np.arange(len(groups)), counts)
+    out = np.add.reduceat(a.data[members], np.cumsum(counts) - counts, axis=0) / counts[:, None]
 
     def back(g):
         grad = np.zeros_like(a.data)
-        np.add.at(grad, members, (g / counts[:, None])[owners])
+        rows, sums = _scatter_sums(members, (g / counts[:, None])[owners])
+        grad[rows] = sums
         return (grad,)
 
     return _record(out, "segment_mean_rows", (a,), back)
-
-
-# ---------------------------------------------------------------------------
-# kind-dispatching wrappers
-
-_ELEMENTWISE_BINARY = {"add": add, "mul": mul, "sub": sub}
-_ELEMENTWISE_UNARY = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh, "log": log}
-
-
-def elementwise(kind: str, a: Tensor, b: Tensor | None = None) -> Tensor:
-    """Dispatch an elementwise operation by kind name."""
-    if kind in _ELEMENTWISE_BINARY:
-        if b is None:
-            raise ValueError(f"elementwise {kind!r} needs two operands")
-        return _ELEMENTWISE_BINARY[kind](a, b)
-    if kind in _ELEMENTWISE_UNARY:
-        if b is not None:
-            raise ValueError(f"elementwise {kind!r} takes one operand")
-        return _ELEMENTWISE_UNARY[kind](a)
-    raise ValueError(f"unknown elementwise kind {kind!r}")
-
-
-def reduce(kind: str, *args) -> Tensor:
-    """Dispatch a reduction/reshaping operation by kind name."""
-    table: dict[str, Callable[..., Tensor]] = {
-        "maxpool_rows": maxpool_rows,
-        "mean_rows": mean_rows,
-        "sum": sum_all,
-        "dot": dot,
-        "concat": concat,
-    }
-    if kind not in table:
-        raise ValueError(f"unknown reduce kind {kind!r}")
-    return table[kind](*args)

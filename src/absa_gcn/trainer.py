@@ -9,7 +9,11 @@ import numpy as np
 from .data import LABELS, EmbeddingTable, Example, build_random_table
 from .model import HyperParams, ModelState, total_loss
 from .optim import AdamState, adam_step
-from .tensor import add_n, backward, scale
+from .tensor import backward
+
+# Examples per forward pass in ``evaluate``: a fixed size bounds the memory
+# one pass's tape holds, however large the data.
+EVAL_CHUNK = 32
 
 
 @dataclass
@@ -75,6 +79,16 @@ def compute_metrics(golds: list[int], preds: list[int], losses=None) -> Metrics:
     )
 
 
+def _tally(trace, golds: list[int], preds: list[int], sums: dict[str, float]) -> None:
+    """Add one forward pass's gold labels, argmax predictions and loss sums."""
+    golds.extend(ex.label_index for ex in trace.batch.examples)
+    preds.extend(np.argmax(trace.class_probs.data, axis=1).tolist())
+    sums["div"] += trace.losses.div
+    sums["const"] += trace.losses.const
+    sums["pred"] += trace.losses.pred
+    sums["total"] += trace.losses.total
+
+
 def evaluate(model: ModelState, data: list[Example], hp: HyperParams | None = None) -> Metrics:
     """Pure function of (model, data): argmax predictions plus mean loss terms."""
     if not data:
@@ -82,14 +96,9 @@ def evaluate(model: ModelState, data: list[Example], hp: HyperParams | None = No
     hp = hp if hp is not None else model.hp
     golds, preds = [], []
     sums = {"div": 0.0, "const": 0.0, "pred": 0.0, "total": 0.0}
-    for ex in data:
-        _, trace = total_loss(ex, model, hp)
-        golds.append(ex.label_index)
-        preds.append(int(np.argmax(trace.class_probs.data)))
-        sums["div"] += trace.losses.div
-        sums["const"] += trace.losses.const
-        sums["pred"] += trace.losses.pred
-        sums["total"] += trace.losses.total
+    for start in range(0, len(data), EVAL_CHUNK):
+        _, trace = total_loss(data[start : start + EVAL_CHUNK], model, hp)
+        _tally(trace, golds, preds, sums)
     means = {k: v / len(data) for k, v in sums.items()}
     return compute_metrics(golds, preds, means)
 
@@ -120,6 +129,9 @@ def train(
     initial_state: ModelState | None = None,
 ):
     """Train with Adam on shuffled mini-batches; batch loss is the mean.
+
+    Each mini-batch is one forward pass over the disjoint union of its
+    examples' trees and one backward pass.
 
     Returns ``(model, log)``. With a dev set the returned model is the one
     from the epoch with the best dev metric (earliest epoch wins ties);
@@ -156,21 +168,11 @@ def train(
         golds, preds = [], []
         sums = {"div": 0.0, "const": 0.0, "pred": 0.0, "total": 0.0}
         for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
+            batch = [train_set[i] for i in order[start : start + config.batch_size]]
             model.zero_grads()
-            losses = []
-            for i in batch:
-                ex = train_set[i]
-                loss, trace = total_loss(ex, model, hp)
-                losses.append(loss)
-                golds.append(ex.label_index)
-                preds.append(int(np.argmax(trace.class_probs.data)))
-                sums["div"] += trace.losses.div
-                sums["const"] += trace.losses.const
-                sums["pred"] += trace.losses.pred
-                sums["total"] += trace.losses.total
-            mean_loss = scale(add_n(losses), 1.0 / len(losses))
-            backward(mean_loss)
+            loss, trace = total_loss(batch, model, hp)
+            _tally(trace, golds, preds, sums)
+            backward(loss)
             adam_step(model.parameters(), adam)
         means = {k: v / len(order) for k, v in sums.items()}
         log.append(_log_entry(epoch, "train", compute_metrics(golds, preds, means)))
@@ -180,6 +182,7 @@ def train(
             score = getattr(dev_metrics, config.dev_metric)
             if score > best_score:
                 best_score = score
+                best_model = None  # free the last copy before making the next
                 best_model = model.clone()
 
     if dev_set and best_model is not None:

@@ -1,0 +1,147 @@
+"""Property tests of the batched forward pass against the per-example oracle.
+
+A mini-batch runs as one graph, the disjoint union of its examples' trees.
+Each example must come out of it as the numpy oracle computes it alone, the
+batch gradient must be the mean of the examples' own gradients, and
+``evaluate`` must not depend on how the data falls into chunks.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from absa_gcn.data import LABELS, Example, build_random_table
+from absa_gcn.model import HyperParams, ModelState, total_loss
+from absa_gcn.tensor import backward
+from absa_gcn.trainer import compute_metrics, evaluate
+from conftest import oracle_losses
+
+WORDS = [f"w{i}" for i in range(8)]
+TERMS = ("div", "const", "pred", "total")
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def pruefer_heads(sequence, n: int, root: int) -> list[int]:
+    """Parent links of the tree with Prüfer ``sequence`` on ``n`` nodes, hung from ``root``."""
+    adjacency = [[] for _ in range(n)]
+    degree = [1] * n
+    for x in sequence:
+        degree[x] += 1
+    for x in sequence:
+        leaf = min(i for i in range(n) if degree[i] == 1)
+        adjacency[leaf].append(x)
+        adjacency[x].append(leaf)
+        degree[leaf] -= 1
+        degree[x] -= 1
+    if n > 1:
+        u, v = (i for i in range(n) if degree[i] == 1)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    heads = [None] * n
+    heads[root] = -1
+    stack = [root]
+    while stack:
+        i = stack.pop()
+        for j in adjacency[i]:
+            if heads[j] is None:
+                heads[j] = i
+                stack.append(j)
+    return heads
+
+
+@st.composite
+def examples(draw, max_tokens: int = 9):
+    n = draw(st.integers(1, max_tokens))
+    sequence = draw(st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    start = draw(st.integers(0, n - 1))
+    # "oov" is missing from the table and falls back to the unknown row
+    tokens = draw(st.lists(st.sampled_from(WORDS + ["oov"]), min_size=n, max_size=n))
+    return Example(
+        tokens=tokens,
+        heads=pruefer_heads(sequence, n, draw(st.integers(0, n - 1))),
+        aspect_from=start,
+        aspect_to=draw(st.integers(start + 1, n)),
+        label=draw(st.sampled_from(LABELS)),
+    )
+
+
+hyperparams = st.builds(
+    HyperParams,
+    hidden=st.just(6),
+    layers=st.integers(1, 3),
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    beta=st.sampled_from([0.5, 1.0, 3.0]),
+    include_self_loop=st.booleans(),
+    gate_on=st.booleans(),
+    div_on=st.booleans(),
+    con_on=st.booleans(),
+    gatediv_baseline=st.booleans(),
+    normalize_div=st.booleans(),
+)
+
+
+def random_state(hp: HyperParams, seed: int) -> ModelState:
+    rng = np.random.default_rng(seed)
+    vocabulary = [Example(tokens=WORDS, heads=[-1] + [0] * 7, aspect_from=0, aspect_to=1, label="neutral")]
+    table = build_random_table(vocabulary, dim=5, seed=rng)
+    return ModelState.initialize(table, hp, rng, weight_scale=0.5, bias_scale=0.3)
+
+
+@PROPERTY
+@given(batch=st.lists(examples(), min_size=1, max_size=6), hp=hyperparams, seed=st.integers(0, 2**32 - 1))
+def test_every_example_of_a_batch_matches_the_oracle(batch, hp, seed):
+    state = random_state(hp, seed)
+    loss, trace = total_loss(batch, state, hp)
+    expected = [oracle_losses(ex, state, hp) for ex in batch]
+    bounds = list(trace.batch.starts) + [trace.batch.tree.n]
+    for e, (ex, want) in enumerate(zip(batch, expected)):
+        rows = slice(bounds[e], bounds[e + 1])
+        np.testing.assert_allclose(trace.class_probs.data[e], want["probs"], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(trace.mod.data[rows], want["mod"], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(trace.syn[rows], want["syn"], rtol=0, atol=1e-10)
+        # the loss terms of one example: the same forward on the batch of one
+        _, alone = total_loss(ex, state, hp)
+        for term in TERMS:
+            assert getattr(alone.losses, term) == pytest.approx(want[term], rel=0, abs=1e-10)
+    # a batch reports its terms summed over the examples, its loss as their mean
+    for term in TERMS:
+        total = sum(want[term] for want in expected)
+        assert getattr(trace.losses, term) == pytest.approx(total, rel=0, abs=1e-10 * len(batch))
+    assert loss.item() == pytest.approx(np.mean([w["total"] for w in expected]), rel=0, abs=1e-10)
+
+
+@PROPERTY
+@given(batch=st.lists(examples(), min_size=1, max_size=6), hp=hyperparams, seed=st.integers(0, 2**32 - 1))
+def test_batch_gradient_is_the_mean_of_the_examples_gradients(batch, hp, seed):
+    state = random_state(hp, seed)
+    state.zero_grads()
+    backward(total_loss(batch, state, hp)[0])
+    together = [p.grad.copy() for _, p in state.parameters()]
+    state.zero_grads()
+    for ex in batch:
+        backward(total_loss(ex, state, hp)[0])
+    means = [p.grad / len(batch) for _, p in state.parameters()]
+    # relative to the whole gradient: a tensor whose true gradient is zero
+    # (a one-token sentence's importance scores) holds only rounding residue
+    size = max(np.abs(mean).max() for mean in means)
+    for (name, _), grad, mean in zip(state.parameters(), together, means):
+        assert np.abs(grad - mean).max() <= 1e-12 * size, name
+
+
+@pytest.mark.parametrize("count", [1, 32, 33, 65])
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data(), hp=hyperparams, seed=st.integers(0, 2**32 - 1))
+def test_evaluate_agrees_with_the_oracle_across_chunk_edges(count, data, hp, seed):
+    corpus = data.draw(st.lists(examples(), min_size=count, max_size=count))
+    state = random_state(hp, seed)
+    expected = [oracle_losses(ex, state, hp) for ex in corpus]
+    want = compute_metrics(
+        [ex.label_index for ex in corpus],
+        [int(np.argmax(e["probs"])) for e in expected],
+        {term: float(np.mean([e[term] for e in expected])) for term in TERMS},
+    )
+    got = evaluate(state, corpus, hp)
+    assert (got.accuracy, got.macro_f1, got.per_class) == (want.accuracy, want.macro_f1, want.per_class)
+    for term in TERMS:
+        assert getattr(got, f"loss_{term}") == pytest.approx(getattr(want, f"loss_{term}"), rel=0, abs=1e-10)

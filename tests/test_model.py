@@ -1,7 +1,13 @@
+import dataclasses
+import io
+import json
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import absa_gcn.model as model_module
 from absa_gcn.data import Example, build_random_table, build_tree
 from absa_gcn.gradcheck import check_model_gradients, numeric_gradient, relative_error
 from absa_gcn.model import (
@@ -16,6 +22,7 @@ from absa_gcn.model import (
     gatediv_baseline_loss,
     gcn_layer,
     load_checkpoint,
+    make_batch,
     model_scores,
     predict,
     regulate,
@@ -30,6 +37,11 @@ from conftest import dense_adjacency, oracle_losses
 
 def _example(tokens, heads, span=(0, 1), label="neutral"):
     return Example(tokens=tokens, heads=heads, aspect_from=span[0], aspect_to=span[1], label=label)
+
+
+def _batch_of_one(n):
+    """The row layout of one n-token sentence."""
+    return make_batch([_example([f"t{i}" for i in range(n)], [-1] + list(range(n - 1)))])
 
 
 def _random_model(seed=0, tokens=("alpha", "beta", "gamma", "delta"), dim=6, hidden=8, layers=2, **hp_kwargs):
@@ -48,16 +60,16 @@ def _random_model(seed=0, tokens=("alpha", "beta", "gamma", "delta"), dim=6, hid
 def test_encode_single_token_aspect_is_embedding_row():
     state, hp = _random_model(tokens=("solo",))
     ex = _example(["solo"], [-1])
-    E, aspect_vec, _ = encode(ex, state.table, state)
-    npt.assert_array_equal(aspect_vec.data, E.data[0])
+    E, aspect_vec, _ = encode(make_batch([ex]), state.table, state)
+    npt.assert_array_equal(aspect_vec.data[0], E.data[0])
 
 
 def test_encode_mean_of_identical_rows():
     state, hp = _random_model(tokens=("twin", "twin"))
     ex = _example(["twin", "twin"], [-1, 0], span=(0, 2))
-    E, aspect_vec, _ = encode(ex, state.table, state)
-    npt.assert_allclose(aspect_vec.data, E.data[0], atol=1e-15)
-    npt.assert_allclose(aspect_vec.data, E.data[1], atol=1e-15)
+    E, aspect_vec, _ = encode(make_batch([ex]), state.table, state)
+    npt.assert_allclose(aspect_vec.data[0], E.data[0], atol=1e-15)
+    npt.assert_allclose(aspect_vec.data[0], E.data[1], atol=1e-15)
 
 
 def test_encode_zero_projection_gives_zero_sentence_vector():
@@ -65,8 +77,8 @@ def test_encode_zero_projection_gives_zero_sentence_vector():
     state.w_sent.data[...] = 0.0
     state.b_sent.data[...] = 0.0
     ex = _example(["alpha", "beta"], [-1, 0])
-    _, _, sentence_vec = encode(ex, state.table, state)
-    npt.assert_array_equal(sentence_vec.data, np.zeros(hp.hidden))
+    _, _, sentence_vec = encode(make_batch([ex]), state.table, state)
+    npt.assert_array_equal(sentence_vec.data, np.zeros((1, hp.hidden)))
 
 
 # ---------------------------------------------------------------------------
@@ -109,26 +121,27 @@ def test_gcn_matches_dense_adjacency_oracle():
 
 
 def test_gate_zero_weights_give_half():
-    gate = compute_gate(Tensor([1.0, -2.0]), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
-    npt.assert_array_equal(gate.data, [0.5, 0.5, 0.5])
+    gate = compute_gate(Tensor([[1.0, -2.0]]), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+    npt.assert_array_equal(gate.data, [[0.5, 0.5, 0.5]])
 
 
 def test_gate_saturates_toward_zero():
-    gate = compute_gate(Tensor([1.0]), Tensor(np.zeros((4, 1))), Tensor(np.full(4, -30.0)))
+    gate = compute_gate(Tensor([[1.0]]), Tensor(np.zeros((4, 1))), Tensor(np.full(4, -30.0)))
     assert np.all(gate.data < 1e-12)
 
 
 def test_gate_zero_input_depends_only_on_bias():
     b = np.array([0.3, -0.7])
-    gate = compute_gate(Tensor([0.0, 0.0, 0.0]), Tensor(np.ones((2, 3))), Tensor(b))
-    npt.assert_allclose(gate.data, 1.0 / (1.0 + np.exp(-b)), atol=1e-15)
+    gate = compute_gate(Tensor([[0.0, 0.0, 0.0]]), Tensor(np.ones((2, 3))), Tensor(b))
+    npt.assert_allclose(gate.data[0], 1.0 / (1.0 + np.exp(-b)), atol=1e-15)
 
 
 def test_regulate_identity_and_annihilator_and_mask():
     h = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    npt.assert_array_equal(regulate(h, Tensor([1.0, 1.0])).data, h.data)
-    npt.assert_array_equal(regulate(h, Tensor([0.0, 0.0])).data, np.zeros((2, 2)))
-    masked = regulate(h, Tensor([0.0, 1.0])).data
+    owner = [0, 0]
+    npt.assert_array_equal(regulate(h, Tensor([[1.0, 1.0]]), owner).data, h.data)
+    npt.assert_array_equal(regulate(h, Tensor([[0.0, 0.0]]), owner).data, np.zeros((2, 2)))
+    masked = regulate(h, Tensor([[0.0, 1.0]]), owner).data
     npt.assert_array_equal(masked, [[0.0, 2.0], [0.0, 4.0]])
 
 
@@ -197,19 +210,19 @@ def test_all_zero_gates_zero_diversity_via_forward():
 
 def test_model_scores_identical_rows_uniform():
     state, hp = _random_model()
-    trace = ForwardTrace()
+    trace = ForwardTrace(batch=_batch_of_one(4))
     row = np.linspace(-1, 1, hp.hidden)
     trace.regulated = [Tensor(np.tile(row, (4, 1)))]
-    trace.overall = Tensor(np.linspace(0, 1, 2 * hp.hidden))
+    trace.overall = Tensor(np.linspace(0, 1, 2 * hp.hidden)[None, :])
     mod = model_scores(trace, state)
     npt.assert_allclose(mod.data, np.full(4, 0.25), atol=1e-12)
 
 
 def test_model_scores_single_token():
     state, hp = _random_model()
-    trace = ForwardTrace()
+    trace = ForwardTrace(batch=_batch_of_one(1))
     trace.regulated = [Tensor(np.random.default_rng(0).uniform(-1, 1, (1, hp.hidden)))]
-    trace.overall = Tensor(np.zeros(2 * hp.hidden))
+    trace.overall = Tensor(np.zeros((1, 2 * hp.hidden)))
     npt.assert_array_equal(model_scores(trace, state).data, [1.0])
 
 
@@ -221,9 +234,9 @@ def test_model_scores_zero_overall_transform_matches_script():
     state.b_score_overall.data[...] = 0.0
     rng = np.random.default_rng(7)
     rows = rng.uniform(-1, 1, (5, hp.hidden))
-    trace = ForwardTrace()
+    trace = ForwardTrace(batch=_batch_of_one(5))
     trace.regulated = [Tensor(rows)]
-    trace.overall = Tensor(rng.uniform(-1, 1, 2 * hp.hidden))
+    trace.overall = Tensor(rng.uniform(-1, 1, (1, 2 * hp.hidden)))
     mod = model_scores(trace, state).data
 
     token_sig = 1.0 / (1.0 + np.exp(-(rows @ state.w_score_token.data.T + state.b_score_token.data)))
@@ -287,15 +300,15 @@ def test_predict_zero_weights_uniform():
     state, hp = _random_model()
     for t in (state.w_cls_hidden, state.b_cls_hidden, state.w_cls_out, state.b_cls_out):
         t.data[...] = 0.0
-    probs = predict(Tensor(np.linspace(-1, 1, 2 * hp.hidden)), state)
-    npt.assert_allclose(probs.data, [1 / 3] * 3, atol=1e-15)
+    probs = predict(Tensor(np.linspace(-1, 1, 2 * hp.hidden)[None, :]), state)
+    npt.assert_allclose(probs.data, [[1 / 3] * 3], atol=1e-15)
 
 
 def test_predict_sums_to_one_on_random_weights():
     state, hp = _random_model(seed=5)
     rng = np.random.default_rng(5)
     for _ in range(20):
-        probs = predict(Tensor(rng.uniform(-2, 2, 2 * hp.hidden)), state)
+        probs = predict(Tensor(rng.uniform(-2, 2, (1, 2 * hp.hidden))), state)
         assert probs.data.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(probs.data > 0)
 
@@ -521,6 +534,58 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         assert loss_a.item() == loss_b.item()
         npt.assert_array_equal(trace_a.class_probs.data, trace_b.class_probs.data)
         npt.assert_array_equal(trace_a.mod.data, trace_b.mod.data)
+
+
+def _json_dump_checkpoint(state) -> str:
+    """The checkpoint text as one json.dump of the whole payload writes it."""
+    payload = {
+        "format": "absa-gcn-checkpoint",
+        "version": 1,
+        "hyperparams": dataclasses.asdict(state.hp),
+        "embedding_dim": state.table.dim,
+        "unk_index": state.table.unk_index,
+        "embeddings_trainable": state.table.vectors.trainable,
+        "vocabulary": sorted(state.table.vocabulary, key=state.table.vocabulary.get),
+        "embeddings": {
+            "shape": list(state.table.vectors.shape),
+            "values": state.table.vectors.data.ravel().tolist(),
+        },
+        "parameters": {
+            name: {"shape": list(t.shape), "values": t.data.ravel().tolist()}
+            for name, t in state.named_tensors()
+        },
+    }
+    out = io.StringIO()
+    json.dump(payload, out)
+    return out.getvalue() + "\n"
+
+
+@pytest.mark.parametrize("block", [1, 7, 65536])
+def test_checkpoint_text_is_one_json_dump_of_the_payload(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(model_module, "_VALUES_BLOCK", block)
+    state, _ = _random_model(seed=78, dim=5)
+    state.w_cls_out.data[0, 0] = 1e-300  # repr edge cases survive the blocks
+    state.b_cls_out.data[1] = -0.0
+    path = tmp_path / "model.json"
+    save_checkpoint(path, state)
+    assert path.read_text(encoding="utf-8") == _json_dump_checkpoint(state)
+
+
+def test_checkpoint_save_replaces_the_file_whole_or_not_at_all(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    old, _ = _random_model(seed=79)
+    save_checkpoint(path, old)
+    before = path.read_bytes()
+
+    def fail(fh, t):
+        fh.write("[partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(model_module, "_write_tensor", fail)
+    with pytest.raises(OSError):
+        save_checkpoint(path, _random_model(seed=80)[0])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.json"]
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -72,23 +72,33 @@ def test_bitwise_equal_to_textbook_formula():
     # evaluation must round exactly as this does, step after step. The
     # parameters start at the scale of one update, so that a last-bit
     # difference in the update is not rounded away when it is subtracted.
+    # Two parameters of different sizes share the scratch arrays, which are
+    # made once, at the larger size, and kept across steps.
     lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
     rng = np.random.default_rng(8)
-    w = Tensor(rng.normal(size=(7, 5)) * lr, trainable=True)
+    shapes = {"b": (3,), "w": (7, 5)}
+    params = [(name, Tensor(rng.normal(size=shape) * lr, trainable=True)) for name, shape in shapes.items()]
     state = AdamState(learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
-    ref_w, m, v = w.data.copy(), np.zeros((7, 5)), np.zeros((7, 5))
+    ref = {name: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)] for name, p in params}
     for t in range(1, 6):
-        g = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-6, 3, size=(7, 5))
-        w.grad[...] = g
-        adam_step([("w", w)], state)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        ref_w = ref_w - lr * m_hat / (np.sqrt(v_hat) + eps)
-        assert w.data.tobytes() == ref_w.tobytes()
-        assert state.first_moment["w"].tobytes() == m.tobytes()
-        assert state.second_moment["w"].tobytes() == v.tobytes()
+        for _, p in params:
+            p.grad[...] = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3, size=p.shape)
+        adam_step(params, state)
+        if t == 1:
+            scratch = state.scratch
+        assert state.scratch is scratch and scratch.shape == (2, 35)
+        for name, p in params:
+            ref_w, m, v = ref[name]
+            g = p.grad
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            ref_w = ref_w - lr * m_hat / (np.sqrt(v_hat) + eps)
+            ref[name] = [ref_w, m, v]
+            assert p.data.tobytes() == ref_w.tobytes()
+            assert state.first_moment[name].tobytes() == m.tobytes()
+            assert state.second_moment[name].tobytes() == v.tobytes()
 
 
 def test_matches_reference_recurrence():
