@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, gather_rows, softmax
+from .tensor import Tensor
 
 LABELS = ("positive", "neutral", "negative")
 
@@ -45,6 +45,10 @@ class Example:
     aspect_from: int
     aspect_to: int
     label: str
+    # {include_self_loop: (tree, tree-based scores)}, set by ``model.make_batch``
+    # the first time the example is batched; None until then, so that making
+    # an example allocates nothing for it.
+    graph_cache: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -88,6 +92,8 @@ def _check_example(tokens, heads, aspect_from, aspect_to, label) -> None:
             steps += 1
             if steps > n:
                 raise ValueError(f"cycle reachable from token {i}")
+    if isinstance(aspect_from, bool) or isinstance(aspect_to, bool):
+        raise ValueError("aspect span bounds must be integers")
     if not (isinstance(aspect_from, int) and isinstance(aspect_to, int)):
         raise ValueError("aspect span bounds must be integers")
     if not 0 <= aspect_from < aspect_to <= n:
@@ -230,7 +236,8 @@ def syntax_scores(tree: DependencyTree) -> np.ndarray:
     The result is a probability vector whose maximum sits on the aspect span.
     """
     raw = -np.asarray(tree.path_len_to_aspect, dtype=np.float64)
-    return softmax(Tensor(raw)).data
+    e = np.exp(raw - raw.max())
+    return e / e.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +333,6 @@ def build_random_table(examples, dim: int, seed, trainable: bool = True) -> Embe
         dim=dim,
         unk_index=len(words),
     )
-
-
-def embed_example(ex: Example, table: EmbeddingTable) -> Tensor:
-    """Row i of the result is the vector for ``ex.tokens[i]``."""
-    indices = [table.row_index(tok) for tok in ex.tokens]
-    return gather_rows(table.vectors, indices)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,8 @@ def make_batch(examples, include_self_loop: bool = True) -> Batch:
     """Lay the examples end to end in the order given."""
     if not examples:
         raise ValueError("a batch needs at least one example")
-    trees = [build_tree(ex, include_self_loop=include_self_loop) for ex in examples]
+    graphs = [_graph(ex, include_self_loop) for ex in examples]
+    trees = [tree for tree, _ in graphs]
     lengths = [tree.n for tree in trees]
     starts = np.cumsum([0] + lengths[:-1])
     neighbor_sets: list[tuple[int, ...]] = []
@@ -136,8 +137,19 @@ def make_batch(examples, include_self_loop: bool = True) -> Batch:
         tree=DependencyTree(
             n=len(distances), neighbor_sets=tuple(neighbor_sets), path_len_to_aspect=tuple(distances)
         ),
-        syn=np.concatenate([syntax_scores(tree) for tree in trees]),
+        syn=np.concatenate([syn for _, syn in graphs]),
     )
+
+
+def _graph(ex: Example, include_self_loop: bool) -> tuple[DependencyTree, np.ndarray]:
+    """The example's tree and tree-based scores, computed on first use and kept on the example."""
+    if ex.graph_cache is None:
+        object.__setattr__(ex, "graph_cache", {})  # a cache, not part of the frozen value
+    graph = ex.graph_cache.get(include_self_loop)
+    if graph is None:
+        tree = build_tree(ex, include_self_loop=include_self_loop)
+        graph = ex.graph_cache[include_self_loop] = (tree, syntax_scores(tree))
+    return graph
 
 
 @dataclass
@@ -171,12 +183,38 @@ class ForwardTrace:
 # parameters
 
 
+def parameter_shapes(hp: HyperParams, dim: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every learnable tensor besides the embedding table.
+
+    The order is that of initialisation, ``ModelState.named_tensors`` and
+    checkpoints; ``dim`` is the embedding dimension.
+    """
+    h = hp.hidden
+    shapes: dict[str, tuple[int, ...]] = {"w_sent": (h, dim), "b_sent": (h,)}
+    for l in range(hp.layers):
+        shapes[f"w_gcn_{l}"] = (h, dim if l == 0 else h)
+        shapes[f"b_gcn_{l}"] = (h,)
+    for l in range(hp.layers):
+        shapes[f"w_gate_{l}"] = (h, dim)
+        shapes[f"b_gate_{l}"] = (h,)
+    shapes["w_score_overall"] = (h, 2 * h)
+    shapes["b_score_overall"] = (h,)
+    shapes["w_score_token"] = (h, h)
+    shapes["b_score_token"] = (h,)
+    shapes["w_cls_hidden"] = (h, 2 * h)
+    shapes["b_cls_hidden"] = (h,)
+    shapes["w_cls_out"] = (N_CLASSES, h)
+    shapes["b_cls_out"] = (N_CLASSES,)
+    return shapes
+
+
 class ModelState:
     """All learnable tensors plus the embedding table they index into."""
 
     def __init__(self, table: EmbeddingTable, hp: HyperParams, tensors: dict[str, Tensor]):
         self.table = table
         self.hp = hp
+        self.tensors = {name: tensors[name] for name in parameter_shapes(hp, table.dim)}
         self.w_sent = tensors["w_sent"]
         self.b_sent = tensors["b_sent"]
         self.w_gcn = [tensors[f"w_gcn_{l}"] for l in range(hp.layers)]
@@ -201,58 +239,24 @@ class ModelState:
         weight_scale: float = 0.1,
         bias_scale: float = 0.0,
     ) -> "ModelState":
-        """Seeded uniform init; zero bias_scale keeps fresh gates at exactly 0.5."""
-        d = table.dim
-        h = hp.hidden
+        """Seeded uniform init; zero bias_scale keeps fresh gates at exactly 0.5.
 
-        def weight(rows, cols):
-            return Tensor(rng.uniform(-weight_scale, weight_scale, size=(rows, cols)), trainable=True)
-
-        def bias(size):
-            if bias_scale == 0.0:
-                return Tensor(np.zeros(size), trainable=True)
-            return Tensor(rng.uniform(-bias_scale, bias_scale, size=size), trainable=True)
-
+        Weights (matrices) and biases (vectors) draw from ``rng`` in the order
+        of ``parameter_shapes``.
+        """
         tensors: dict[str, Tensor] = {}
-        tensors["w_sent"] = weight(h, d)
-        tensors["b_sent"] = bias(h)
-        for l in range(hp.layers):
-            tensors[f"w_gcn_{l}"] = weight(h, d if l == 0 else h)
-            tensors[f"b_gcn_{l}"] = bias(h)
-        for l in range(hp.layers):
-            tensors[f"w_gate_{l}"] = weight(h, d)
-            tensors[f"b_gate_{l}"] = bias(h)
-        tensors["w_score_overall"] = weight(h, 2 * h)
-        tensors["b_score_overall"] = bias(h)
-        tensors["w_score_token"] = weight(h, h)
-        tensors["b_score_token"] = bias(h)
-        tensors["w_cls_hidden"] = weight(h, 2 * h)
-        tensors["b_cls_hidden"] = bias(h)
-        tensors["w_cls_out"] = weight(N_CLASSES, h)
-        tensors["b_cls_out"] = bias(N_CLASSES)
+        for name, shape in parameter_shapes(hp, table.dim).items():
+            if len(shape) == 2:
+                tensors[name] = Tensor(rng.uniform(-weight_scale, weight_scale, size=shape), trainable=True)
+            elif bias_scale == 0.0:
+                tensors[name] = Tensor(np.zeros(shape), trainable=True)
+            else:
+                tensors[name] = Tensor(rng.uniform(-bias_scale, bias_scale, size=shape), trainable=True)
         return cls(table, hp, tensors)
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
-        out = [("w_sent", self.w_sent), ("b_sent", self.b_sent)]
-        for l in range(self.hp.layers):
-            out.append((f"w_gcn_{l}", self.w_gcn[l]))
-            out.append((f"b_gcn_{l}", self.b_gcn[l]))
-        for l in range(self.hp.layers):
-            out.append((f"w_gate_{l}", self.w_gate[l]))
-            out.append((f"b_gate_{l}", self.b_gate[l]))
-        out.extend(
-            [
-                ("w_score_overall", self.w_score_overall),
-                ("b_score_overall", self.b_score_overall),
-                ("w_score_token", self.w_score_token),
-                ("b_score_token", self.b_score_token),
-                ("w_cls_hidden", self.w_cls_hidden),
-                ("b_cls_hidden", self.b_cls_hidden),
-                ("w_cls_out", self.w_cls_out),
-                ("b_cls_out", self.b_cls_out),
-            ]
-        )
-        return out
+        """The tensors besides the embedding table, in ``parameter_shapes`` order."""
+        return list(self.tensors.items())
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Trainable tensors in a fixed order (embeddings first, if trainable)."""
@@ -528,16 +532,26 @@ def save_checkpoint(path, params: ModelState) -> None:
         fh.write("}}\n")
 
 
-def _tensor_from_payload(name: str, entry, trainable: bool) -> Tensor:
+def _tensor_from_payload(name: str, entry, shape: tuple[int, ...], trainable: bool) -> Tensor:
     try:
-        shape = tuple(entry["shape"])
-        values = np.asarray(entry["values"], dtype=np.float64).reshape(shape)
+        values = np.asarray(entry["values"], dtype=np.float64).reshape(tuple(entry["shape"]))
     except (TypeError, KeyError, ValueError) as err:
         raise CheckpointError(f"bad tensor {name!r}: {err}") from None
+    if values.shape != shape:
+        raise CheckpointError(f"tensor {name!r} has shape {values.shape}, expected {shape}")
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"tensor {name!r} holds a non-finite value")
     return Tensor(values, trainable=trainable)
 
 
 def load_checkpoint(path) -> ModelState:
+    """Read a checkpoint written by ``save_checkpoint``, validating it first.
+
+    The tensors must be exactly those ``parameter_shapes`` names for the
+    stored hyperparameters and embedding dimension, with those shapes; the
+    table must have one row per vocabulary word plus the unknown row; every
+    value must be finite. Anything else raises ``CheckpointError``.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -548,23 +562,22 @@ def load_checkpoint(path) -> ModelState:
     try:
         hp = HyperParams(**payload["hyperparams"])
         vocab_rows = payload["vocabulary"]
+        dim = payload["embedding_dim"]
+        shapes = parameter_shapes(hp, dim)
+        entries = payload["parameters"]
+        if set(entries) != set(shapes):
+            raise CheckpointError(f"parameter names {sorted(entries)} do not match the model's {sorted(shapes)}")
         table = EmbeddingTable(
             vocabulary={word: idx for idx, word in enumerate(vocab_rows)},
             vectors=_tensor_from_payload(
-                "embeddings", payload["embeddings"], payload["embeddings_trainable"]
+                "embeddings", payload["embeddings"], (len(vocab_rows) + 1, dim), payload["embeddings_trainable"]
             ),
-            dim=payload["embedding_dim"],
+            dim=dim,
             unk_index=payload["unk_index"],
         )
-        tensors = {
-            name: _tensor_from_payload(name, entry, trainable=True)
-            for name, entry in payload["parameters"].items()
-        }
-        state = ModelState(table, hp, tensors)
+        tensors = {name: _tensor_from_payload(name, entries[name], shape, True) for name, shape in shapes.items()}
+        return ModelState(table, hp, tensors)
     except CheckpointError:
         raise
     except (TypeError, KeyError, ValueError) as err:
         raise CheckpointError(f"incomplete checkpoint: {err}") from None
-    if table.vectors.shape[0] != len(vocab_rows) + 1:
-        raise CheckpointError("embedding rows do not match vocabulary size")
-    return state

@@ -264,22 +264,8 @@ def transpose(a: Tensor) -> Tensor:
 # reductions and reshaping
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Probability vector via max-shifted exponentials (overflow-safe)."""
-    if a.data.ndim != 1:
-        raise DimensionError(f"softmax needs a vector, got shape {a.shape}")
-    z = a.data - a.data.max()
-    e = np.exp(z)
-    out = e / e.sum()
-
-    def back(g):
-        return (out * (g - float(g @ out)),)
-
-    return _record(out, "softmax", (a,), back)
-
-
 def softmax_rows(a: Tensor) -> Tensor:
-    """Each row of a matrix turned into a probability vector, as ``softmax`` does."""
+    """Each row of a matrix turned into a probability vector via max-shifted exponentials."""
     if a.data.ndim != 2:
         raise DimensionError(f"softmax_rows needs a matrix, got shape {a.shape}")
     e = np.exp(a.data - a.data.max(axis=1, keepdims=True))

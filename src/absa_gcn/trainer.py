@@ -31,8 +31,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ValueError("learning_rate must be positive and finite")
         if self.dev_metric not in ("accuracy", "macro_f1"):
             raise ValueError("dev_metric must be 'accuracy' or 'macro_f1'")
 
@@ -97,8 +97,10 @@ def evaluate(model: ModelState, data: list[Example], hp: HyperParams | None = No
     golds, preds = [], []
     sums = {"div": 0.0, "const": 0.0, "pred": 0.0, "total": 0.0}
     for start in range(0, len(data), EVAL_CHUNK):
-        _, trace = total_loss(data[start : start + EVAL_CHUNK], model, hp)
-        _tally(trace, golds, preds, sums)
+        # No name keeps a pass's trace, so its tape is freed before the next
+        # pass: the trees that pass caches on its examples would otherwise lie
+        # scattered through the dead tape's memory and keep it resident.
+        _tally(total_loss(data[start : start + EVAL_CHUNK], model, hp)[1], golds, preds, sums)
     means = {k: v / len(data) for k, v in sums.items()}
     return compute_metrics(golds, preds, means)
 

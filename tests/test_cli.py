@@ -182,6 +182,43 @@ def test_eval_with_garbage_checkpoint_is_exit_4(tmp_path):
     assert main(["eval", "--checkpoint", str(bad), "--test", SAMPLE]) == EXIT_CHECKPOINT
 
 
+def _tampered_checkpoint(tmp_path, tamper):
+    corpus = make_overfit_corpus(6, seed=4)
+    config = TrainConfig(epochs=1, batch_size=6, seed=5, hyperparams=HyperParams(hidden=4, layers=1))
+    model, _ = train(corpus, None, config)
+    tamper(model)
+    path = tmp_path / "tampered.json"
+    save_checkpoint(path, model)
+    return str(path), _write_corpus(tmp_path, corpus)
+
+
+def test_eval_with_transposed_tensor_is_exit_4(tmp_path, capsys):
+    def transpose(model):
+        model.w_cls_out.data = model.w_cls_out.data.T.copy()
+
+    checkpoint, corpus = _tampered_checkpoint(tmp_path, transpose)
+    assert main(["eval", "--checkpoint", checkpoint, "--test", corpus]) == EXIT_CHECKPOINT
+    assert capsys.readouterr().err == (
+        "checkpoint error: tensor 'w_cls_out' has shape (4, 3), expected (3, 4)\n"
+    )
+
+
+def test_eval_with_non_finite_value_is_exit_4(tmp_path, capsys):
+    def poison(model):
+        model.b_gcn[0].data[2] = float("nan")
+
+    checkpoint, corpus = _tampered_checkpoint(tmp_path, poison)
+    assert main(["eval", "--checkpoint", checkpoint, "--test", corpus]) == EXIT_CHECKPOINT
+    assert capsys.readouterr().err == "checkpoint error: tensor 'b_gcn_0' holds a non-finite value\n"
+
+
+def test_bool_aspect_span_is_exit_3(tmp_path, capsys):
+    corpus = tmp_path / "bools.jsonl"
+    corpus.write_text('{"tokens":["a","b"],"heads":[-1,0],"aspect_from":false,"aspect_to":true,"label":"neutral"}\n')
+    assert main(["train", "--train", str(corpus), "--out", str(tmp_path), "--epochs", "1"]) == EXIT_DATA
+    assert capsys.readouterr().err == "data error: line 1: aspect span bounds must be integers\n"
+
+
 # ---------------------------------------------------------------------------
 # scores
 

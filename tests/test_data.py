@@ -10,7 +10,6 @@ from absa_gcn.data import (
     build_random_table,
     build_tree,
     convert_conllu,
-    embed_example,
     load_embeddings,
     parse_corpus,
     read_conllu_sentences,
@@ -18,6 +17,7 @@ from absa_gcn.data import (
     write_corpus,
 )
 from absa_gcn.synthetic import random_tree_heads
+from absa_gcn.tensor import gather_rows
 
 ASSETS = __import__("pathlib").Path(__file__).resolve().parents[1] / "src" / "absa_gcn" / "assets"
 
@@ -43,6 +43,8 @@ def test_minimal_example_is_valid():
         dict(tokens=["a", "b"], heads=[-1, 0], aspect_from=1, aspect_to=1, label="positive"),  # empty span
         dict(tokens=["a", "b"], heads=[-1, 0], aspect_from=0, aspect_to=3, label="positive"),
         dict(tokens=["a", "b"], heads=[-1, 0], aspect_from=0, aspect_to=1, label="meh"),
+        dict(tokens=["a", "b"], heads=[-1, 0], aspect_from=False, aspect_to=True, label="positive"),
+        dict(tokens=["a", "b"], heads=[-1, 0], aspect_from=0, aspect_to=True, label="positive"),
     ],
 )
 def test_invalid_examples_rejected(kwargs):
@@ -328,20 +330,19 @@ def test_build_random_table_seeded_and_bounded():
     assert a.vectors.shape == (len(vocab) + 1, 7)
 
 
-def test_embed_example_lookup_rules(tmp_path):
+def _embed(tokens, table):
+    return gather_rows(table.vectors, [table.row_index(tok) for tok in tokens])
+
+
+def test_row_index_lookup_rules(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("food 1.0 0.0\nFancy 0.0 1.0\n")
     table = load_embeddings(path)
-    ex = Example(
-        tokens=["Food", "fancy", "zzz"], heads=[-1, 0, 0], aspect_from=0, aspect_to=1, label="neutral"
-    )
-    rows = embed_example(ex, table).data
+    rows = _embed(["Food", "fancy", "zzz"], table).data
     npt.assert_array_equal(rows[0], [1.0, 0.0])  # case fallback
     npt.assert_array_equal(rows[1], [0.0, 1.0])  # case fallback to "Fancy"
     npt.assert_array_equal(rows[2], table.vectors.data[table.unk_index])  # UNK
-
-    exact = Example(tokens=["food"], heads=[-1], aspect_from=0, aspect_to=1, label="neutral")
-    npt.assert_array_equal(embed_example(exact, table).data[0], [1.0, 0.0])
+    npt.assert_array_equal(_embed(["food"], table).data[0], [1.0, 0.0])
 
 
 def test_embedding_gradients_flow_to_used_rows(tmp_path):
@@ -350,8 +351,7 @@ def test_embedding_gradients_flow_to_used_rows(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("a 1.0 2.0\nb 3.0 4.0\n")
     table = load_embeddings(path, trainable=True)
-    ex = Example(tokens=["a", "a"], heads=[-1, 0], aspect_from=0, aspect_to=1, label="neutral")
-    backward(sum_all(embed_example(ex, table)))
+    backward(sum_all(_embed(["a", "a"], table)))
     npt.assert_array_equal(table.vectors.grad[0], [2.0, 2.0])  # used twice
     npt.assert_array_equal(table.vectors.grad[1], [0.0, 0.0])
 

@@ -601,6 +601,28 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda p: p["parameters"].pop("b_cls_out"), "parameter names"),
+        (lambda p: p["parameters"].update(w_extra=p["parameters"]["b_cls_out"]), "parameter names"),
+        (lambda p: p["hyperparams"].update(layers=1), "parameter names"),
+        (lambda p: p["hyperparams"].update(hidden=9), "has shape"),
+        (lambda p: p.update(embedding_dim=5), "has shape"),
+        (lambda p: p["vocabulary"].pop(), "tensor 'embeddings' has shape"),
+        (lambda p: p["embeddings"]["values"].__setitem__(3, float("inf")), "non-finite"),
+    ],
+)
+def test_checkpoint_must_match_the_shapes_of_its_hyperparameters(tmp_path, tamper, message):
+    path = tmp_path / "model.json"
+    save_checkpoint(path, _random_model(seed=81)[0])
+    payload = json.loads(path.read_text())
+    tamper(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
 def test_trainer_init_keeps_biases_zero_and_weights_bounded():
     ex = _fixed_example()
     table = build_random_table([ex], dim=5, seed=3)

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from absa_gcn.optim import AdamState, adam_step
 from absa_gcn.tensor import Tensor
@@ -116,3 +120,88 @@ def test_matches_reference_recurrence():
         v = b2 * v + (1 - b2) * g * g
         ref_w -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
         npt.assert_allclose(w.item(), ref_w, rtol=0, atol=1e-14)
+
+
+def _textbook_step(ref, g, t, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
+    """One dense update of ``ref = [w, m, v]`` with one temporary per operation."""
+    w, m, v = ref
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    w = w - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    return [w, m, v]
+
+
+@st.composite
+def touched_row_runs(draw):
+    """A parameter shape, one set of touched rows per step, and a seed for the values."""
+    rows = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from([(rows,), (rows, 1), (rows, 3)]))
+    steps = draw(st.lists(st.sets(st.integers(0, rows - 1)), min_size=1, max_size=6))
+    return shape, steps, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(touched_row_runs())
+@example(((4, 2), [{0}, set(), set(), {1, 2}, {3}, set()], 1))  # idle after one touch; 1/4 -> 3/4 -> 4/4 live
+@example(((6, 3), [{0, 1, 2, 3}, {4}, set()], 2))  # 4/6 live at once, then every row
+@example(((5,), [{0}, {1, 2, 3, 4}], 3))
+def test_live_row_steps_byte_equal_to_dense_formula(run):
+    # Rows not touched at a step hold +0.0 or -0.0 gradients; a touched row's
+    # gradient is exactly zero about a quarter of the time. Every array must
+    # come out byte-equal to the dense update of all rows, step after step,
+    # whichever side of half the live rows fall on.
+    shape, steps, seed = run
+    rng = np.random.default_rng(seed)
+    lr = 0.001
+    w = Tensor(rng.normal(size=shape) * lr, trainable=True)
+    w.data[rng.random(shape) < 0.1] = -0.0
+    state = AdamState(learning_rate=lr)
+    ref = [w.data.copy(), np.zeros(shape), np.zeros(shape)]
+    for t, touched in enumerate(steps, start=1):
+        g = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        for row in sorted(touched):
+            if rng.random() >= 0.25:
+                g[row] = rng.normal(size=shape[1:]) * 10.0 ** rng.integers(-6, 3, size=shape[1:])
+        w.grad[...] = g
+        adam_step([("w", w)], state)
+        ref = _textbook_step(ref, g, t, lr=lr)
+        assert w.data.tobytes() == ref[0].tobytes()
+        assert state.first_moment["w"].tobytes() == ref[1].tobytes()
+        assert state.second_moment["w"].tobytes() == ref[2].tobytes()
+
+
+def test_second_step_on_a_few_live_rows_allocates_little():
+    # The moments are allocated once, on the first step; after that a step
+    # touching about 100 of 20 001 rows allocates only the live-row scan
+    # and the gathered rows.
+    rng = np.random.default_rng(11)
+    w = Tensor(rng.normal(size=(20_001, 300)), trainable=True)
+    rows = rng.choice(20_001, size=100, replace=False)
+    w.grad[rows] = rng.normal(size=(100, 300))
+    state = AdamState()
+    adam_step([("embeddings", w)], state)
+    tracemalloc.start()
+    try:
+        adam_step([("embeddings", w)], state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < w.data.nbytes / 4
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(learning_rate=float("inf")),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=-0.001),
+        dict(epsilon=0.0),
+        dict(epsilon=float("nan")),
+        dict(beta1=1.0),
+        dict(beta2=-0.5),
+        dict(beta2=float("nan")),
+    ],
+)
+def test_hyperparameters_that_could_move_an_idle_row_are_rejected(kwargs):
+    with pytest.raises(ValueError):
+        AdamState(**kwargs)

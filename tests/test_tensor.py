@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from absa_gcn.data import EmbeddingTable, Example, embed_example
+from absa_gcn.data import EmbeddingTable, Example
 from absa_gcn.tensor import (
     DimensionError,
     Tape,
@@ -27,7 +27,6 @@ from absa_gcn.tensor import (
     segment_mean_rows,
     segment_softmax,
     sigmoid,
-    softmax,
     softmax_rows,
     sqrt,
     sum_all,
@@ -35,6 +34,7 @@ from absa_gcn.tensor import (
     transpose,
 )
 from absa_gcn.gradcheck import numeric_gradient, relative_error
+from conftest import softmax_np
 
 
 def test_tensor_rejects_empty():
@@ -128,7 +128,11 @@ def test_non_broadcastable_shapes_rejected():
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# softmax, as the model's importance scores take it: one segment of a vector
+
+
+def softmax(a: Tensor) -> Tensor:
+    return segment_softmax(a, [0])
 
 
 def test_softmax_symmetry():
@@ -199,10 +203,10 @@ def test_segment_ops_match_each_segment_alone():
     scores = segment_softmax(Tensor(v), starts).data
     for s, (lo, hi) in enumerate(bounds):
         npt.assert_array_equal(pooled[s], m[lo:hi].max(axis=0))
-        npt.assert_allclose(scores[lo:hi], softmax(Tensor(v[lo:hi])).data, rtol=1e-15, atol=1e-17)
+        npt.assert_allclose(scores[lo:hi], softmax_np(v[lo:hi]), rtol=1e-15, atol=1e-17)
     rows = softmax_rows(Tensor(m)).data
     for i in range(9):
-        npt.assert_allclose(rows[i], softmax(Tensor(m[i])).data, rtol=1e-15, atol=1e-17)
+        npt.assert_allclose(rows[i], softmax_np(m[i]), rtol=1e-15, atol=1e-17)
     cols = [2, 0, 1, 1, 0, 2, 2, 0, 1]
     npt.assert_array_equal(pick(Tensor(m), cols).data, m[np.arange(9), cols])
     assert pick(Tensor(v), 4).item() == v[4]
@@ -305,7 +309,7 @@ def test_embedding_backward_does_no_table_sized_work():
         tokens=["w5", "w19999", "w5", "oov", "w7"], heads=[-1, 0, 0, 1, 1],
         aspect_from=1, aspect_to=3, label="neutral",
     )
-    E = embed_example(ex, table)
+    E = gather_rows(table.vectors, [table.row_index(tok) for tok in ex.tokens])
     loss = sum_all(add(segment_mean_rows(E, [[1, 2]]), segment_mean_rows(E, [range(5)])))
     tracemalloc.start()
     try:

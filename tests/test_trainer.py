@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from absa_gcn.data import Example, build_random_table
+import absa_gcn.model as model_module
+from absa_gcn.data import Example, build_random_table, build_tree
 from absa_gcn.model import HyperParams, total_loss
 from absa_gcn.optim import AdamState, adam_step
 from absa_gcn.synthetic import make_overfit_corpus
@@ -94,6 +96,26 @@ def test_evaluate_is_pure_and_deterministic():
     a = evaluate(model, corpus)
     b = evaluate(model, corpus)
     assert a == b
+
+
+def test_trees_are_built_once_per_example_and_setting(monkeypatch):
+    corpus = _tiny_corpus()
+    table = build_random_table(corpus, dim=6, seed=1)
+    model = init_model_state(table, HyperParams(hidden=6, layers=2), seed=1)
+    fresh = evaluate(model, _tiny_corpus())
+    calls = []
+
+    def counting(ex, include_self_loop=True):
+        calls.append(include_self_loop)
+        return build_tree(ex, include_self_loop=include_self_loop)
+
+    monkeypatch.setattr(model_module, "build_tree", counting)
+    first = evaluate(model, corpus)
+    second = evaluate(model, corpus)
+    assert first == second == fresh
+    assert calls == [True] * len(corpus)
+    evaluate(model, corpus, replace(model.hp, include_self_loop=False))
+    assert calls == [True] * len(corpus) + [False] * len(corpus)
 
 
 def test_evaluate_empty_rejected():
