@@ -65,12 +65,15 @@ def read_config(path: str) -> dict:
     """Parse ``key = value`` lines; ``#`` starts a comment."""
     values: dict = {}
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     with fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            try:
+                line = raw.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError:
+                raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from None
             if not line:
                 continue
             if "=" not in line:
@@ -161,18 +164,21 @@ def _require_file(settings: dict, key: str) -> str:
 
 
 def _hyperparams(settings: dict, hidden_default: int = 200, layers_default: int = 2) -> HyperParams:
-    return HyperParams(
-        hidden=settings.get("hidden", hidden_default),
-        layers=settings.get("layers", layers_default),
-        alpha=settings.get("alpha", 1.0),
-        beta=settings.get("beta", 1.0),
-        include_self_loop=settings.get("include_self_loop", True),
-        gate_on=settings.get("gate", True),
-        div_on=settings.get("div", True),
-        con_on=settings.get("con", True),
-        gatediv_baseline=settings.get("gatediv", False),
-        normalize_div=settings.get("normalize_div", False),
-    )
+    try:
+        return HyperParams(
+            hidden=settings.get("hidden", hidden_default),
+            layers=settings.get("layers", layers_default),
+            alpha=settings.get("alpha", 1.0),
+            beta=settings.get("beta", 1.0),
+            include_self_loop=settings.get("include_self_loop", True),
+            gate_on=settings.get("gate", True),
+            div_on=settings.get("div", True),
+            con_on=settings.get("con", True),
+            gatediv_baseline=settings.get("gatediv", False),
+            normalize_div=settings.get("normalize_div", False),
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def _train_config(settings: dict) -> TrainConfig:
@@ -220,7 +226,7 @@ def cmd_train(settings: dict) -> int:
     dev_set = parse_corpus(_require_file(settings, "dev")) if settings.get("dev") else None
     table = _load_table(settings)
     model, log = train(train_set, dev_set, config, table=table)
-    checkpoint_path = settings.get("checkpoint") or os.path.join(out, "checkpoint.json")
+    checkpoint_path = settings.get("checkpoint") or os.path.join(out, "checkpoint.bin")
     save_checkpoint(checkpoint_path, model)
     _write_metrics_log(os.path.join(out, "metrics.jsonl"), log)
     final = log[-1]
@@ -264,7 +270,7 @@ def cmd_ablate(settings: dict) -> int:
             "loss_pred": result.metrics.loss_pred,
             "loss_total": result.metrics.loss_total,
         })
-    with open(os.path.join(out, "ablation.jsonl"), "w", encoding="utf-8") as fh:
+    with write_atomically(os.path.join(out, "ablation.jsonl")) as fh:
         for row in rows:
             fh.write(json.dumps(row))
             fh.write("\n")
@@ -275,12 +281,11 @@ def cmd_ablate(settings: dict) -> int:
 
 def cmd_gradcheck(settings: dict) -> int:
     hp = _hyperparams(settings, hidden_default=8, layers_default=2)
-    report = run_model_gradient_check(
-        seed=settings.get("seed", 0),
-        tokens=settings.get("tokens", 5),
-        embed_dim=settings.get("embed_dim", 8),
-        hp=hp,
-    )
+    tokens, embed_dim = settings.get("tokens", 5), settings.get("embed_dim", 8)
+    for flag, value in (("tokens", tokens), ("embed-dim", embed_dim)):
+        if value < 1:
+            raise ConfigError(f"--{flag} must be positive, got {value}")
+    report = run_model_gradient_check(seed=settings.get("seed", 0), tokens=tokens, embed_dim=embed_dim, hp=hp)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -305,7 +310,7 @@ def cmd_scores(settings: dict) -> int:
     if out:
         if not os.path.isdir(out):
             raise ConfigError(f"output directory does not exist: {out}")
-        with open(os.path.join(out, "scores.jsonl"), "w", encoding="utf-8") as fh:
+        with write_atomically(os.path.join(out, "scores.jsonl")) as fh:
             fh.write("\n".join(lines) + "\n")
     else:
         for line in lines:

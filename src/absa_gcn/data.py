@@ -105,6 +105,16 @@ def _check_example(tokens, heads, aspect_from, aspect_to, label) -> None:
 _REQUIRED_FIELDS = ("tokens", "heads", "aspect_from", "aspect_to", "label")
 
 
+def _utf8_lines(fh):
+    """``(line number, text)`` for each line of a file opened in binary mode."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise LoadError("not UTF-8 text", line=lineno) from None
+        yield lineno, line
+
+
 def parse_corpus(path) -> list[Example]:
     """Load a JSON Lines corpus, failing on the first malformed line.
 
@@ -112,8 +122,8 @@ def parse_corpus(path) -> list[Example]:
     evaluate an empty corpus.
     """
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, line in _utf8_lines(fh):
             if not line.strip():
                 raise LoadError("empty line", line=lineno)
             try:
@@ -143,16 +153,16 @@ def parse_corpus(path) -> list[Example]:
 
 
 @contextlib.contextmanager
-def write_atomically(path):
-    """A text file that replaces ``path`` only once it is completely written.
+def write_atomically(path, binary: bool = False):
+    """A UTF-8 text file, or a byte file with ``binary``, that replaces ``path`` when complete.
 
-    The text goes to a temporary file beside ``path``, which is renamed over
-    it on success and removed on failure, so a reader finds the old file or
-    the new one, never a part of one.
+    The output goes to a temporary file beside ``path``, which is renamed
+    over it on success and removed on failure, so a reader finds the old file
+    or the new one, never a part of one.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -162,8 +172,8 @@ def write_atomically(path):
 
 
 def write_corpus(examples, path) -> None:
-    """Write examples in the JSON Lines corpus format."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write examples in the JSON Lines corpus format, replacing ``path`` whole."""
+    with write_atomically(path) as fh:
         for ex in examples:
             fh.write(
                 json.dumps(
@@ -279,8 +289,8 @@ def load_embeddings(path, trainable: bool = True) -> EmbeddingTable:
     words: dict[str, int] = {}
     rows: list[np.ndarray] = []
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, line in _utf8_lines(fh):
             parts = line.split()
             if len(parts) < 2:
                 raise LoadError("expected 'word v1 ... vd'", line=lineno)
@@ -358,8 +368,8 @@ def read_conllu_sentences(path) -> list[tuple[list[str], list[int]]]:
             tokens.clear()
             heads.clear()
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in _utf8_lines(fh):
             line = raw.rstrip("\r\n")
             if not line:
                 flush()
@@ -388,11 +398,14 @@ def convert_conllu(conllu_path, aspects_path) -> list[Example]:
     "label"}`` objects; one sentence may carry several aspects.
     """
     sentences = read_conllu_sentences(conllu_path)
-    with open(aspects_path, encoding="utf-8") as fh:
-        try:
-            entries = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise LoadError(f"malformed aspect JSON: {err.msg}") from None
+    with open(aspects_path, "rb") as fh:
+        raw = fh.read()
+    try:
+        entries = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise LoadError("not UTF-8 text", line=raw.count(b"\n", 0, err.start) + 1) from None
+    except json.JSONDecodeError as err:
+        raise LoadError(f"malformed aspect JSON: {err.msg}") from None
     if not isinstance(entries, list):
         raise LoadError("aspect sidecar must be a JSON array")
     examples = []

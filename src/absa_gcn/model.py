@@ -26,6 +26,8 @@ terms are summed over the batch's examples; the training loss is their mean.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -484,100 +486,101 @@ def total_loss(examples, params: ModelState, hp: HyperParams | None = None):
 # checkpointing
 
 _CHECKPOINT_FORMAT = "absa-gcn-checkpoint"
-_VALUES_BLOCK = 65536  # floats per json.dumps call when writing a tensor
-
-
-def _write_tensor(fh, t: Tensor) -> None:
-    """``{"shape": [...], "values": [...]}`` as ``json.dump`` writes it.
-
-    The values are encoded one block at a time, so the text of only one block
-    is held in memory, and each block goes through the C encoder.
-    """
-    fh.write(f'{{"shape": {json.dumps(list(t.shape))}, "values": [')
-    flat = t.data.ravel()
-    for start in range(0, flat.size, _VALUES_BLOCK):
-        if start:
-            fh.write(", ")
-        fh.write(json.dumps(flat[start : start + _VALUES_BLOCK].tolist())[1:-1])
-    fh.write("]}")
+_MAGIC = b"\x93ABSAGCN"  # 0x93 never starts UTF-8 text, so no version 1 file begins with it
+_DTYPE = "<f8"
 
 
 def save_checkpoint(path, params: ModelState) -> None:
-    """Write hyperparameters, vocabulary and all tensors as one JSON file.
+    """Write format version 2: magic, header length (8 bytes, little-endian), header, tensor blocks.
 
-    The text is that of ``json.dump`` of the whole payload. The file is
-    written beside ``path`` and renamed over it, so a reader never sees a
-    half-written checkpoint.
+    The UTF-8 JSON header holds the hyperparameters, the vocabulary and each
+    tensor's name and shape, ``embeddings`` first; a little-endian float64
+    block per tensor follows in that order. The file is written beside
+    ``path`` and renamed over it; a non-finite value raises
+    ``CheckpointError`` before it is opened.
     """
-    vocab_rows = [None] * len(params.table.vocabulary)
-    for word, idx in params.table.vocabulary.items():
-        vocab_rows[idx] = word
-    header = {
-        "format": _CHECKPOINT_FORMAT,
-        "version": 1,
-        "hyperparams": asdict(params.hp),
-        "embedding_dim": params.table.dim,
-        "unk_index": params.table.unk_index,
-        "embeddings_trainable": params.table.vectors.trainable,
-        "vocabulary": vocab_rows,
-    }
-    with write_atomically(path) as fh:
-        fh.write(json.dumps(header)[:-1])
-        fh.write(', "embeddings": ')
-        _write_tensor(fh, params.table.vectors)
-        fh.write(', "parameters": {')
-        for i, (name, t) in enumerate(params.named_tensors()):
-            fh.write(f"{', ' if i else ''}{json.dumps(name)}: ")
-            _write_tensor(fh, t)
-        fh.write("}}\n")
-
-
-def _tensor_from_payload(name: str, entry, shape: tuple[int, ...], trainable: bool) -> Tensor:
-    try:
-        values = np.asarray(entry["values"], dtype=np.float64).reshape(tuple(entry["shape"]))
-    except (TypeError, KeyError, ValueError) as err:
-        raise CheckpointError(f"bad tensor {name!r}: {err}") from None
-    if values.shape != shape:
-        raise CheckpointError(f"tensor {name!r} has shape {values.shape}, expected {shape}")
-    if not np.isfinite(values).all():
-        raise CheckpointError(f"tensor {name!r} holds a non-finite value")
-    return Tensor(values, trainable=trainable)
+    tensors = [("embeddings", params.table.vectors), *params.named_tensors()]
+    for name, t in tensors:
+        if not np.isfinite(t.data).all():
+            raise CheckpointError(f"tensor {name!r} holds a non-finite value; nothing was saved")
+    table = params.table
+    header = json.dumps({
+        "format": _CHECKPOINT_FORMAT, "version": 2, "dtype": _DTYPE, "hyperparams": asdict(params.hp),
+        "embedding_dim": table.dim, "unk_index": table.unk_index, "embeddings_trainable": table.vectors.trainable,
+        "vocabulary": sorted(table.vocabulary, key=table.vocabulary.get),
+        "tensors": [{"name": name, "shape": list(t.shape)} for name, t in tensors],
+    }).encode("utf-8")
+    with write_atomically(path, binary=True) as fh:
+        fh.write(_MAGIC + len(header).to_bytes(8, "little") + header)
+        for _, t in tensors:
+            fh.write(np.ascontiguousarray(t.data, dtype=_DTYPE).data)
 
 
 def load_checkpoint(path) -> ModelState:
-    """Read a checkpoint written by ``save_checkpoint``, validating it first.
+    """Read a checkpoint of version 2 or 1 (one JSON object), told apart by its first bytes.
 
-    The tensors must be exactly those ``parameter_shapes`` names for the
-    stored hyperparameters and embedding dimension, with those shapes; the
-    table must have one row per vocabulary word plus the unknown row; every
-    value must be finite. Anything else raises ``CheckpointError``.
+    Before any value is read, the tensors must match the table (one row per
+    word plus the unknown row) and the ``parameter_shapes`` of the stored
+    hyperparameters by name and shape, and a version 2 file must hold exactly
+    the bytes its header implies. Every value must be finite. A failed check
+    raises ``CheckpointError``.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise CheckpointError(f"not a checkpoint file: {err.msg}") from None
-    if not isinstance(payload, dict) or payload.get("format") != _CHECKPOINT_FORMAT:
-        raise CheckpointError("not a checkpoint file")
     try:
-        hp = HyperParams(**payload["hyperparams"])
-        vocab_rows = payload["vocabulary"]
-        dim = payload["embedding_dim"]
-        shapes = parameter_shapes(hp, dim)
-        entries = payload["parameters"]
-        if set(entries) != set(shapes):
-            raise CheckpointError(f"parameter names {sorted(entries)} do not match the model's {sorted(shapes)}")
-        table = EmbeddingTable(
-            vocabulary={word: idx for idx, word in enumerate(vocab_rows)},
-            vectors=_tensor_from_payload(
-                "embeddings", payload["embeddings"], (len(vocab_rows) + 1, dim), payload["embeddings_trainable"]
-            ),
-            dim=dim,
-            unk_index=payload["unk_index"],
-        )
-        tensors = {name: _tensor_from_payload(name, entries[name], shape, True) for name, shape in shapes.items()}
-        return ModelState(table, hp, tensors)
+        with open(path, "rb") as fh:
+            if fh.read(len(_MAGIC)) == _MAGIC:
+                return _load_version_2(fh, os.fstat(fh.fileno()).st_size)
+            fh.seek(0)
+            payload = json.loads(fh.read().decode("utf-8"))
+        if not isinstance(payload, dict) or (payload.get("format"), payload.get("version")) != (_CHECKPOINT_FORMAT, 1):
+            raise CheckpointError("not a checkpoint file")
+        entries = [("embeddings", payload["embeddings"]), *payload["parameters"].items()]
+        values = {name: np.asarray(e["values"], dtype=np.float64).reshape(e["shape"]) for name, e in entries}
+        return _build_model(payload, [(name, values[name].shape) for name, _ in entries], lambda shapes: values)
     except CheckpointError:
         raise
-    except (TypeError, KeyError, ValueError) as err:
-        raise CheckpointError(f"incomplete checkpoint: {err}") from None
+    except (TypeError, KeyError, ValueError, AttributeError) as err:  # decoding and JSON errors are ValueErrors
+        raise CheckpointError(f"not a valid checkpoint: {err}") from None
+
+
+def _load_version_2(fh, size: int) -> ModelState:
+    """The model in a ``size``-byte version 2 file whose magic ``fh`` has just read."""
+    start = len(_MAGIC) + 8
+    length = int.from_bytes(fh.read(8), "little")
+    if start + length > size:
+        raise CheckpointError(f"a header of {length} bytes runs past the end of the {size}-byte file")
+    header = json.loads(fh.read(length).decode("utf-8"))
+    stored = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
+    if (header.get("format"), header.get("version"), header.get("dtype")) != (_CHECKPOINT_FORMAT, 2, _DTYPE):
+        raise CheckpointError(f"not a version 2 checkpoint of dtype {_DTYPE!r}")
+
+    def read_blocks(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+        expected = start + length + 8 * sum(math.prod(shapes[name]) for name, _ in stored)
+        if size != expected:
+            raise CheckpointError(f"the file has {size} bytes, its header implies {expected}")
+        blocks = {name: np.empty(shapes[name], dtype=_DTYPE) for name, _ in stored}
+        for name, block in blocks.items():
+            if fh.readinto(block.data) != block.nbytes:
+                raise CheckpointError(f"tensor {name!r} is cut short")
+        return blocks
+
+    return _build_model(header, stored, read_blocks)
+
+
+def _build_model(header: dict, stored: list[tuple[str, tuple]], read_values) -> ModelState:
+    """Check names and shapes, then read the values with ``read_values(shapes)`` and check them."""
+    hp = HyperParams(**header["hyperparams"])
+    vocab_rows, dim = header["vocabulary"], header["embedding_dim"]
+    shapes = {"embeddings": (len(vocab_rows) + 1, dim), **parameter_shapes(hp, dim)}
+    names = sorted(name for name, _ in stored)
+    if names != sorted(shapes):
+        raise CheckpointError(f"parameter names {names} do not match the model's {sorted(shapes)}")
+    for name, shape in stored:
+        if shape != shapes[name]:
+            raise CheckpointError(f"tensor {name!r} has shape {shape}, expected {shapes[name]}")
+    values = read_values(shapes)
+    for name, block in values.items():
+        if not np.isfinite(block).all():
+            raise CheckpointError(f"tensor {name!r} holds a non-finite value")
+    vectors = Tensor(values.pop("embeddings"), trainable=header["embeddings_trainable"])
+    table = EmbeddingTable({word: i for i, word in enumerate(vocab_rows)}, vectors, dim, header["unk_index"])
+    return ModelState(table, hp, {name: Tensor(block, trainable=True) for name, block in values.items()})

@@ -212,7 +212,7 @@ def test_criterion_7_determinism(tmp_path):
         ])
         assert code == EXIT_OK
         outputs.append(out)
-    for artifact in ("metrics.jsonl", "checkpoint.json"):
+    for artifact in ("metrics.jsonl", "checkpoint.bin"):
         first = (outputs[0] / artifact).read_bytes()
         second = (outputs[1] / artifact).read_bytes()
         assert first == second, f"{artifact} differs between reruns"

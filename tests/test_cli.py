@@ -1,13 +1,16 @@
 import json
+import os
 import pathlib
 
+import numpy as np
 import pytest
 
 import absa_gcn.cli as cli
+import absa_gcn.data as data
 import absa_gcn.gradcheck as gradcheck
 from absa_gcn.cli import EXIT_CHECK_FAILED, EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main, read_config
 from absa_gcn.data import Example, parse_corpus, write_corpus
-from absa_gcn.model import HyperParams, save_checkpoint
+from absa_gcn.model import HyperParams, load_checkpoint, save_checkpoint
 from absa_gcn.synthetic import make_overfit_corpus
 from absa_gcn.trainer import TrainConfig, train
 
@@ -26,7 +29,7 @@ def _overfit_checkpoint(tmp_path):
     hp = HyperParams(hidden=16, layers=2)
     config = TrainConfig(epochs=30, batch_size=12, learning_rate=0.02, seed=5, hyperparams=hp)
     model, _ = train(corpus, None, config)
-    path = tmp_path / "overfit.json"
+    path = tmp_path / "overfit.bin"
     save_checkpoint(path, model)
     return str(path), _write_corpus(tmp_path, corpus, "overfit_corpus.jsonl")
 
@@ -74,10 +77,8 @@ def test_flags_override_config(tmp_path, capsys):
     cfg.write_text(f"train = {SAMPLE}\nepochs = 1\nhidden = 8\nseed = 1\nlayers = 1\n")
     assert main(["train", "--config", str(cfg), "--out", str(out_a)]) == EXIT_OK
     assert main(["train", "--config", str(cfg), "--hidden", "6", "--out", str(out_b)]) == EXIT_OK
-    ckpt = json.loads((out_b / "checkpoint.json").read_text())
-    assert ckpt["hyperparams"]["hidden"] == 6
-    ckpt_a = json.loads((out_a / "checkpoint.json").read_text())
-    assert ckpt_a["hyperparams"]["hidden"] == 8
+    assert load_checkpoint(out_b / "checkpoint.bin").hp.hidden == 6
+    assert load_checkpoint(out_a / "checkpoint.bin").hp.hidden == 8
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,7 @@ def test_train_happy_path_writes_artifacts(tmp_path, capsys):
         "--epochs", "1", "--hidden", "8", "--layers", "1", "--seed", "0",
     ])
     assert code == EXIT_OK
-    assert (out / "checkpoint.json").is_file()
+    assert (out / "checkpoint.bin").is_file()
     lines = (out / "metrics.jsonl").read_text().splitlines()
     entries = [json.loads(line) for line in lines]
     assert [e["epoch"] for e in entries] == [0, 1]
@@ -147,7 +148,7 @@ def test_train_determinism_byte_identical_outputs(tmp_path):
         ])
         assert code == EXIT_OK
         outs.append(out)
-    for artifact in ("checkpoint.json", "metrics.jsonl"):
+    for artifact in ("checkpoint.bin", "metrics.jsonl"):
         assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
 
@@ -159,8 +160,7 @@ def test_train_with_embeddings_file(tmp_path):
         "--out", str(out), "--epochs", "1", "--hidden", "6", "--layers", "1",
     ])
     assert code == EXIT_OK
-    ckpt = json.loads((out / "checkpoint.json").read_text())
-    assert ckpt["embedding_dim"] == 5
+    assert load_checkpoint(out / "checkpoint.bin").table.dim == 5
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ def _tampered_checkpoint(tmp_path, tamper):
     config = TrainConfig(epochs=1, batch_size=6, seed=5, hyperparams=HyperParams(hidden=4, layers=1))
     model, _ = train(corpus, None, config)
     tamper(model)
-    path = tmp_path / "tampered.json"
+    path = tmp_path / "tampered.bin"
     save_checkpoint(path, model)
     return str(path), _write_corpus(tmp_path, corpus)
 
@@ -204,12 +204,84 @@ def test_eval_with_transposed_tensor_is_exit_4(tmp_path, capsys):
 
 
 def test_eval_with_non_finite_value_is_exit_4(tmp_path, capsys):
-    def poison(model):
-        model.b_gcn[0].data[2] = float("nan")
-
-    checkpoint, corpus = _tampered_checkpoint(tmp_path, poison)
+    checkpoint, corpus = _tampered_checkpoint(tmp_path, lambda model: None)
+    block = load_checkpoint(checkpoint).b_gcn[0].data
+    poisoned = block.copy()
+    poisoned[2] = float("nan")
+    path = pathlib.Path(checkpoint)
+    assert path.read_bytes().count(block.tobytes()) == 1
+    path.write_bytes(path.read_bytes().replace(block.tobytes(), poisoned.tobytes()))
     assert main(["eval", "--checkpoint", checkpoint, "--test", corpus]) == EXIT_CHECKPOINT
     assert capsys.readouterr().err == "checkpoint error: tensor 'b_gcn_0' holds a non-finite value\n"
+
+
+def _one_error_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err, err
+    return err
+
+
+@pytest.mark.parametrize("damage", ["random-bytes", "cut-in-header", "cut-in-block"])
+def test_eval_with_unreadable_checkpoint_is_exit_4(tmp_path, capsys, damage):
+    checkpoint, corpus = _tampered_checkpoint(tmp_path, lambda model: None)
+    path = pathlib.Path(checkpoint)
+    whole = path.read_bytes()
+    header_end = 16 + int.from_bytes(whole[8:16], "little")
+    path.write_bytes({
+        "random-bytes": np.random.default_rng(6).bytes(2000),
+        "cut-in-header": whole[: header_end - 10],
+        "cut-in-block": whole[: header_end + 20],
+    }[damage])
+    assert main(["eval", "--checkpoint", checkpoint, "--test", corpus]) == EXIT_CHECKPOINT
+    _one_error_line(capsys, "checkpoint error: ")
+
+
+def test_train_with_a_non_finite_parameter_saves_nothing(tmp_path, monkeypatch, capsys):
+    args = ["train", "--train", SAMPLE, "--out", str(tmp_path), "--epochs", "1", "--hidden", "4", "--layers", "1"]
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    before = (tmp_path / "checkpoint.bin").read_bytes()
+    real_train = cli.train
+
+    def diverging_train(*a, **kw):
+        model, log = real_train(*a, **kw)
+        model.b_cls_out.data[0] = float("nan")
+        return model, log
+
+    monkeypatch.setattr(cli, "train", diverging_train)
+    assert main(args) == EXIT_CHECKPOINT
+    _one_error_line(capsys, "checkpoint error: tensor 'b_cls_out' holds a non-finite value")
+    assert (tmp_path / "checkpoint.bin").read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["checkpoint.bin", "metrics.jsonl"]
+
+
+def _write_bytes(path, content: bytes) -> str:
+    path.write_bytes(content)
+    return str(path)
+
+
+@pytest.mark.parametrize("reader", ["corpus", "embeddings", "conllu", "aspects", "config"])
+def test_non_utf8_input_is_one_error_line(tmp_path, capsys, reader):
+    conllu, aspects = str(ASSETS / "sample.conllu"), str(ASSETS / "sample_aspects.json")
+    bad = tmp_path / "bad"
+    train = ["train", "--out", str(tmp_path), "--epochs", "1", "--hidden", "4", "--layers", "1"]
+    if reader == "corpus":
+        first = (ASSETS / "sample_corpus.jsonl").read_bytes().splitlines(keepends=True)[0]
+        argv = [*train, "--train", _write_bytes(bad, first + b"\xff\xfe\n")]
+    elif reader == "embeddings":
+        argv = [*train, "--train", SAMPLE, "--embeddings", _write_bytes(bad, b"a 1 2\n\xff\xfe 1 2\n")]
+    elif reader == "conllu":
+        argv = ["convert", "--conllu", _write_bytes(bad, b"# text\n\xff\xfe\n"), "--aspects", aspects]
+    elif reader == "aspects":
+        argv = ["convert", "--conllu", conllu, "--aspects", _write_bytes(bad, b"[\n\xff\xfe]")]
+    else:
+        argv = [*train, "--config", _write_bytes(bad, f"train = {SAMPLE}\n".encode() + b"\xff\xfe = 1\n")]
+    if reader == "config":
+        assert main(argv) == EXIT_CONFIG
+        assert _one_error_line(capsys, "error: ") == f"error: {bad}:2: not UTF-8 text\n"
+    else:
+        assert main(argv) == EXIT_DATA
+        assert _one_error_line(capsys, "data error: ") == "data error: line 2: not UTF-8 text\n"
 
 
 def test_bool_aspect_span_is_exit_3(tmp_path, capsys):
@@ -283,6 +355,12 @@ def test_gradcheck_repeated_runs_identical(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("flag", ["--hidden", "--layers", "--tokens", "--embed-dim"])
+def test_gradcheck_zero_size_is_config_error(capsys, flag):
+    assert main(["gradcheck", flag, "0"]) == EXIT_CONFIG
+    _one_error_line(capsys, "error: ")
+
+
 def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
     import absa_gcn.model as model
 
@@ -342,3 +420,38 @@ def test_convert_bundled_fixture(tmp_path):
 def test_convert_missing_sidecar_is_config_error(tmp_path):
     code = main(["convert", "--conllu", str(ASSETS / "sample.conllu")])
     assert code == EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+@pytest.mark.parametrize("command", ["ablate", "scores", "convert"])
+def test_failed_output_write_leaves_the_old_file_whole(tmp_path, monkeypatch, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "ablate":
+        corpus = _write_corpus(tmp_path, make_overfit_corpus(4, seed=2), "train.jsonl")
+        argv = ["ablate", "--train", corpus, "--dev", corpus, "--epochs", "1", "--hidden", "4", "--layers", "2"]
+        artifact = "ablation.jsonl"
+    elif command == "scores":
+        checkpoint, corpus = _tampered_checkpoint(tmp_path, lambda model: None)
+        argv = ["scores", "--checkpoint", checkpoint, "--test", corpus]
+        artifact = "scores.jsonl"
+    else:
+        argv = ["convert", "--conllu", str(ASSETS / "sample.conllu"), "--aspects", str(ASSETS / "sample_aspects.json")]
+        artifact = "converted.jsonl"
+    (out / artifact).write_text("old\n")
+    real = data.write_atomically
+
+    def disk_full(path, **kwargs):
+        with real(path, **kwargs) as fh:
+            fh.write("partial")
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_atomically", disk_full)
+    monkeypatch.setattr(data, "write_atomically", disk_full)
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    _one_error_line(capsys, "error: disk full")
+    assert (out / artifact).read_text() == "old\n"
+    assert os.listdir(out) == [artifact]

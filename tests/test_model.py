@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import io
 import json
 import os
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -519,7 +521,7 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         _fixed_example(),
         _example(["alpha", "gamma"], [-1, 0], span=(0, 1), label="negative"),
     ]
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.bin"
     save_checkpoint(path, state)
     loaded = load_checkpoint(path)
 
@@ -537,7 +539,7 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
 
 
 def _json_dump_checkpoint(state) -> str:
-    """The checkpoint text as one json.dump of the whole payload writes it."""
+    """A version 1 checkpoint: the whole payload as one json.dump."""
     payload = {
         "format": "absa-gcn-checkpoint",
         "version": 1,
@@ -560,15 +562,58 @@ def _json_dump_checkpoint(state) -> str:
     return out.getvalue() + "\n"
 
 
-@pytest.mark.parametrize("block", [1, 7, 65536])
-def test_checkpoint_text_is_one_json_dump_of_the_payload(tmp_path, monkeypatch, block):
-    monkeypatch.setattr(model_module, "_VALUES_BLOCK", block)
-    state, _ = _random_model(seed=78, dim=5)
-    state.w_cls_out.data[0, 0] = 1e-300  # repr edge cases survive the blocks
-    state.b_cls_out.data[1] = -0.0
-    path = tmp_path / "model.json"
+EDGE_VALUES = [-0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _edge_model(seed):
+    """A model whose tensors hold signed zero, tiny, subnormal and extreme finite values."""
+    state, _ = _random_model(seed=seed)
+    state.table.vectors.data[1, : len(EDGE_VALUES)] = EDGE_VALUES
+    state.w_cls_out.data[0, : len(EDGE_VALUES)] = EDGE_VALUES
+    state.b_cls_out.data[:] = EDGE_VALUES[:3]
+    return state
+
+
+def _assert_bit_equal(state, loaded):
+    assert loaded.hp == state.hp
+    assert loaded.table.vocabulary == state.table.vocabulary
+    assert (loaded.table.dim, loaded.table.unk_index) == (state.table.dim, state.table.unk_index)
+    assert loaded.table.vectors.trainable == state.table.vectors.trainable
+    assert [name for name, _ in loaded.parameters()] == [name for name, _ in state.parameters()]
+    for (_, a), (_, b) in zip(state.parameters(), loaded.parameters()):
+        assert (a.data.dtype, a.shape) == (b.data.dtype, b.shape)
+        assert a.data.tobytes() == b.data.tobytes()
+
+
+def test_checkpoint_round_trips_every_bit(tmp_path):
+    state = _edge_model(seed=78)
+    path = tmp_path / "model.bin"
     save_checkpoint(path, state)
-    assert path.read_text(encoding="utf-8") == _json_dump_checkpoint(state)
+    loaded = load_checkpoint(path)
+    _assert_bit_equal(state, loaded)
+    again = tmp_path / "again.bin"
+    save_checkpoint(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_version_1_checkpoint_loads_to_identical_tensors(tmp_path):
+    state = _edge_model(seed=79)
+    path = tmp_path / "model.json"
+    path.write_text(_json_dump_checkpoint(state), encoding="utf-8")
+    _assert_bit_equal(state, load_checkpoint(path))
+
+
+class _DiskFull:
+    """A file whose writes fail after the first ``allowed``."""
+
+    def __init__(self, fh, allowed):
+        self.fh, self.allowed = fh, allowed
+
+    def write(self, data):
+        if self.allowed == 0:
+            raise OSError("disk full")
+        self.allowed -= 1
+        return self.fh.write(data)
 
 
 def test_checkpoint_save_replaces_the_file_whole_or_not_at_all(tmp_path, monkeypatch):
@@ -576,16 +621,30 @@ def test_checkpoint_save_replaces_the_file_whole_or_not_at_all(tmp_path, monkeyp
     old, _ = _random_model(seed=79)
     save_checkpoint(path, old)
     before = path.read_bytes()
+    real = model_module.write_atomically
 
-    def fail(fh, t):
-        fh.write("[partial")
-        raise OSError("disk full")
+    @contextlib.contextmanager
+    def fail_after_the_header(target, **kwargs):
+        with real(target, **kwargs) as fh:
+            yield _DiskFull(fh, allowed=1)
 
-    monkeypatch.setattr(model_module, "_write_tensor", fail)
+    monkeypatch.setattr(model_module, "write_atomically", fail_after_the_header)
     with pytest.raises(OSError):
         save_checkpoint(path, _random_model(seed=80)[0])
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.json"]
+
+
+def test_checkpoint_with_a_non_finite_value_is_not_saved(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _random_model(seed=79)[0])
+    before = path.read_bytes()
+    state, _ = _random_model(seed=80)
+    state.b_cls_out.data[1] = float("nan")
+    with pytest.raises(CheckpointError, match="tensor 'b_cls_out' holds a non-finite value"):
+        save_checkpoint(path, state)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.bin"]
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -597,6 +656,9 @@ def test_checkpoint_rejects_garbage(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
     path.write_text('{"format": "absa-gcn-checkpoint", "version": 1}')
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    path.write_bytes(np.random.default_rng(0).bytes(2000))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
@@ -615,11 +677,69 @@ def test_checkpoint_rejects_garbage(tmp_path):
 )
 def test_checkpoint_must_match_the_shapes_of_its_hyperparameters(tmp_path, tamper, message):
     path = tmp_path / "model.json"
-    save_checkpoint(path, _random_model(seed=81)[0])
-    payload = json.loads(path.read_text())
+    payload = json.loads(_json_dump_checkpoint(_random_model(seed=81)[0]))
     tamper(payload)
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def _split_version_2(data: bytes):
+    """Magic, header and tensor bytes of a version 2 file."""
+    length = int.from_bytes(data[8:16], "little")
+    return data[:8], json.loads(data[16 : 16 + length]), data[16 + length :]
+
+
+def _join_version_2(magic: bytes, header, body: bytes, header_bytes=None) -> bytes:
+    header_bytes = json.dumps(header).encode("utf-8") if header_bytes is None else header_bytes
+    return magic + len(header_bytes).to_bytes(8, "little") + header_bytes + body
+
+
+def _with_shape(header, name, shape):
+    return {**header, "tensors": [{**t, "shape": shape} if t["name"] == name else t for t in header["tensors"]]}
+
+
+def _poison_block(header, body):
+    """The tensor bytes with the last value of ``b_cls_out`` set to NaN."""
+    end = 0
+    for t in header["tensors"]:
+        end += 8 * int(np.prod(t["shape"]))
+        if t["name"] == "b_cls_out":
+            return body[: end - 8] + np.array([np.nan], dtype="<f8").tobytes() + body[end:]
+    raise AssertionError("no b_cls_out")
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda m, h, b: _join_version_2(b"\x93ABSAGCX", h, b), "not a valid checkpoint"),
+        (lambda m, h, b: m + (10**9).to_bytes(8, "little") + json.dumps(h).encode(), "runs past the end"),
+        (lambda m, h, b: _join_version_2(m, h, b, header_bytes=b"not json"), "not a valid checkpoint"),
+        (lambda m, h, b: _join_version_2(m, {**h, "dtype": ">f8"}, b), "dtype"),
+        (lambda m, h, b: _join_version_2(m, {**h, "version": 3}, b), "not a version 2 checkpoint"),
+        (
+            lambda m, h, b: _join_version_2(m, _with_shape(h, "w_cls_out", [8, 3]), b),
+            "tensor 'w_cls_out' has shape (8, 3), expected (3, 8)",
+        ),
+        (lambda m, h, b: _join_version_2(m, {**h, "tensors": h["tensors"][:-1]}, b[:-24]), "parameter names"),
+        (
+            lambda m, h, b: _join_version_2(m, {**h, "tensors": [*h["tensors"], {"name": "w_extra", "shape": [1]}]}, b + bytes(8)),
+            "parameter names",
+        ),
+        (lambda m, h, b: _join_version_2(m, h, b)[:-1], "bytes, its header implies"),
+        (lambda m, h, b: _join_version_2(m, h, b) + b"\0", "bytes, its header implies"),
+        (lambda m, h, b: _join_version_2(m, h, _poison_block(h, b)), "tensor 'b_cls_out' holds a non-finite value"),
+    ],
+    ids=[
+        "bad-magic", "header-past-end", "header-not-json", "dtype", "version", "shape",
+        "missing-name", "extra-name", "one-byte-short", "one-byte-over", "non-finite",
+    ],
+)
+def test_version_2_checkpoint_is_validated_before_use(tmp_path, corrupt, message):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _random_model(seed=82)[0])
+    path.write_bytes(corrupt(*_split_version_2(path.read_bytes())))
+    with pytest.raises(CheckpointError, match=re.escape(message)):
         load_checkpoint(path)
 
 
