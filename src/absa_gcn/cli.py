@@ -1,68 +1,100 @@
 """Command-line interface.
 
-Commands: train, eval, ablate, gradcheck, scores, convert. Options may come
-from ``--config`` (a ``key = value`` text file) with command-line flags
-taking precedence. All randomness flows from ``--seed``; reruns with the
-same inputs produce byte-identical outputs.
+Commands: train, eval, ablate, gradcheck, scores, convert. ``OPTIONS`` is
+the one table of settings: each row's config-file key, flag, type and the
+field it sets. The argument parser and ``read_config`` are both built from
+it. A setting may come from ``--config`` (a ``key = value`` text file),
+with command-line flags taking precedence. ``HyperParams``, ``TrainConfig``
+and ``build_check_setup`` hold the defaults and the range checks; a value
+they reject is a configuration error. All randomness flows from ``--seed``;
+reruns with the same inputs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 data error,
-4 checkpoint mismatch.
+4 checkpoint mismatch, 5 training diverged (a non-finite loss; nothing is
+written).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import inspect
 import json
 import os
 import sys
+from dataclasses import replace
+from typing import NamedTuple
 
 from .data import LABELS, LoadError, convert_conllu, load_embeddings, parse_corpus, write_atomically, write_corpus
-from .gradcheck import run_model_gradient_check
+from .gradcheck import CHECK_HYPERPARAMS, build_check_setup, check_model_gradients
 from .model import CheckpointError, HyperParams, load_checkpoint, save_checkpoint, total_loss
-from .trainer import TrainConfig, evaluate, run_ablations, train
+from .trainer import TrainConfig, TrainingDiverged, evaluate, run_ablations, train
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_CHECKPOINT = 4
+EXIT_DIVERGED = 5
 
 
 class ConfigError(ValueError):
     """Bad command-line arguments or configuration file."""
 
 
-_CONFIG_TYPES = {
-    "seed": int,
-    "train": str,
-    "dev": str,
-    "test": str,
-    "embeddings": str,
-    "checkpoint": str,
-    "out": str,
-    "hidden": int,
-    "layers": int,
-    "alpha": float,
-    "beta": float,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "gate": bool,
-    "div": bool,
-    "con": bool,
-    "gatediv": bool,
-    "normalize_div": bool,
-    "include_self_loop": bool,
-    "shuffle": bool,
-    "tokens": int,
-    "embed_dim": int,
-    "conllu": str,
-    "aspects": str,
-}
+class Option(NamedTuple):
+    """One setting: its config-file key, its flag, its type and the field it sets.
+
+    ``flag`` is None for a key that only a config file sets. A boolean flag
+    stores False if it starts with ``--no-`` and True otherwise. ``field`` is
+    the keyword the value is passed as: a ``HyperParams`` or ``TrainConfig``
+    field, a ``build_check_setup`` parameter, or a path a command reads.
+    ``commands`` are those that take the flag.
+    """
+
+    key: str
+    flag: str | None
+    kind: type
+    field: str
+    commands: tuple[str, ...] = ()
+
+
+_ALL = ("train", "eval", "ablate", "gradcheck", "scores", "convert")
+_TRAINING = ("train", "ablate")
+_MODEL = ("train", "ablate", "gradcheck")
+
+OPTIONS = (
+    Option("seed", "--seed", int, "seed", _ALL),
+    Option("out", "--out", str, "out", _ALL),
+    Option("train", "--train", str, "train", _TRAINING),
+    Option("dev", "--dev", str, "dev", _TRAINING),
+    Option("test", "--test", str, "test", ("eval", "scores")),
+    Option("embeddings", "--embeddings", str, "embeddings", _TRAINING),
+    Option("checkpoint", "--checkpoint", str, "checkpoint", ("train", "eval", "scores")),
+    Option("conllu", "--conllu", str, "conllu", ("convert",)),
+    Option("aspects", "--aspects", str, "aspects", ("convert",)),
+    Option("hidden", "--hidden", int, "hidden", _MODEL),
+    Option("layers", "--layers", int, "layers", _MODEL),
+    Option("alpha", "--alpha", float, "alpha", _MODEL),
+    Option("beta", "--beta", float, "beta", _MODEL),
+    Option("gate", "--no-gate", bool, "gate_on", _MODEL),
+    Option("div", "--no-div", bool, "div_on", _MODEL),
+    Option("con", "--no-con", bool, "con_on", _MODEL),
+    Option("gatediv", "--gatediv", bool, "gatediv_baseline", _MODEL),
+    Option("include_self_loop", None, bool, "include_self_loop"),
+    Option("normalize_div", None, bool, "normalize_div"),
+    Option("epochs", "--epochs", int, "epochs", _TRAINING),
+    Option("batch_size", "--batch-size", int, "batch_size", _TRAINING),
+    Option("learning_rate", "--lr", float, "learning_rate", _TRAINING),
+    Option("shuffle", "--no-shuffle", bool, "shuffle", _TRAINING),
+    Option("tokens", "--tokens", int, "tokens", ("gradcheck",)),
+    Option("embed_dim", "--embed-dim", int, "embed_dim", ("gradcheck",)),
+)
+_BY_KEY = {option.key: option for option in OPTIONS}
 
 
 def read_config(path: str) -> dict:
-    """Parse ``key = value`` lines; ``#`` starts a comment."""
+    """Parse ``key = value`` lines into a dict by key; ``#`` starts a comment."""
     values: dict = {}
     try:
         fh = open(path, "rb")
@@ -79,9 +111,9 @@ def read_config(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_TYPES:
+            if key not in _BY_KEY:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            kind = _CONFIG_TYPES[key]
+            kind = _BY_KEY[key].kind
             try:
                 if kind is bool:
                     if value.lower() not in ("true", "false"):
@@ -97,61 +129,50 @@ def read_config(path: str) -> dict:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="absa-gcn", description="Aspect-based sentiment over dependency trees")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, paths=(), knobs=False, training=False):
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key = value settings file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        for name in paths:
-            p.add_argument(f"--{name}", default=None)
-        if knobs:
-            p.add_argument("--hidden", type=int, default=None)
-            p.add_argument("--layers", type=int, default=None)
-            p.add_argument("--alpha", type=float, default=None)
-            p.add_argument("--beta", type=float, default=None)
-            p.add_argument("--no-gate", action="store_true")
-            p.add_argument("--no-div", action="store_true")
-            p.add_argument("--no-con", action="store_true")
-            p.add_argument("--gatediv", action="store_true")
-        if training:
-            p.add_argument("--epochs", type=int, default=None)
-            p.add_argument("--batch-size", type=int, default=None)
-            p.add_argument("--lr", type=float, default=None)
-            p.add_argument("--no-shuffle", action="store_true")
-
-    common(sub.add_parser("train", help="train and write a checkpoint"),
-           paths=("train", "dev", "embeddings", "checkpoint"), knobs=True, training=True)
-    common(sub.add_parser("eval", help="evaluate a checkpoint on a corpus"),
-           paths=("test", "checkpoint"))
-    common(sub.add_parser("ablate", help="train all ablation variants"),
-           paths=("train", "dev", "embeddings"), knobs=True, training=True)
-    grad = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    common(grad, knobs=True)
-    grad.add_argument("--tokens", type=int, default=None)
-    grad.add_argument("--embed-dim", type=int, default=None)
-    common(sub.add_parser("scores", help="dump per-token importance scores"),
-           paths=("test", "checkpoint"))
-    common(sub.add_parser("convert", help="convert CoNLL-U plus aspect sidecar to corpus JSONL"),
-           paths=("conllu", "aspects"))
+        for option in OPTIONS:
+            if command not in option.commands:
+                continue
+            if option.kind is bool:
+                const = not option.flag.startswith("--no-")
+                p.add_argument(option.flag, dest=option.field, action="store_const", const=const)
+            else:
+                p.add_argument(option.flag, dest=option.field, type=option.kind)
     return parser
 
 
-def _merge(args: argparse.Namespace) -> dict:
-    """Layer config-file values under explicit flags (flags win)."""
-    settings = dict(read_config(args.config)) if args.config else {}
-    for key, kind in _CONFIG_TYPES.items():
-        if kind is bool:
-            continue  # boolean flags handled below; store_true defaults must not clobber
-        attr = "lr" if key == "learning_rate" else key
-        value = getattr(args, attr, None)
+def parse(argv: list[str] | None) -> tuple[str, dict]:
+    """The command and its settings by field: config-file values under explicit flags (flags win)."""
+    args = _build_parser().parse_args(argv)
+    settings = {_BY_KEY[key].field: value for key, value in read_config(args.config).items()} if args.config else {}
+    for option in OPTIONS:
+        value = getattr(args, option.field, None)
         if value is not None:
-            settings[key] = value
-    for flag, key in (("no_gate", "gate"), ("no_div", "div"), ("no_con", "con"), ("no_shuffle", "shuffle")):
-        if getattr(args, flag, False):
-            settings[key] = False
-    if getattr(args, "gatediv", False):
-        settings["gatediv"] = True
-    return settings
+            settings[option.field] = value
+    return args.command, settings
+
+
+def _arguments(settings: dict, target) -> dict:
+    """The settings that name a parameter of ``target``, a class or a function."""
+    names = inspect.signature(target).parameters
+    return {name: value for name, value in settings.items() if name in names}
+
+
+@contextlib.contextmanager
+def _range_checks():
+    """Report a ``ValueError`` from a range check as a configuration error."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
+def train_config(settings: dict) -> TrainConfig:
+    with _range_checks():
+        hp = HyperParams(**_arguments(settings, HyperParams))
+        return TrainConfig(hyperparams=hp, **_arguments(settings, TrainConfig))
 
 
 def _require_file(settings: dict, key: str) -> str:
@@ -163,72 +184,36 @@ def _require_file(settings: dict, key: str) -> str:
     return path
 
 
-def _hyperparams(settings: dict, hidden_default: int = 200, layers_default: int = 2) -> HyperParams:
-    try:
-        return HyperParams(
-            hidden=settings.get("hidden", hidden_default),
-            layers=settings.get("layers", layers_default),
-            alpha=settings.get("alpha", 1.0),
-            beta=settings.get("beta", 1.0),
-            include_self_loop=settings.get("include_self_loop", True),
-            gate_on=settings.get("gate", True),
-            div_on=settings.get("div", True),
-            con_on=settings.get("con", True),
-            gatediv_baseline=settings.get("gatediv", False),
-            normalize_div=settings.get("normalize_div", False),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-
-def _train_config(settings: dict) -> TrainConfig:
-    try:
-        return TrainConfig(
-            epochs=settings.get("epochs", 10),
-            batch_size=settings.get("batch_size", 32),
-            learning_rate=settings.get("learning_rate", 0.001),
-            seed=settings.get("seed", 0),
-            hyperparams=_hyperparams(settings),
-            shuffle=settings.get("shuffle", True),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-
-def _out_dir(settings: dict) -> str:
-    out = settings.get("out", ".")
-    if not os.path.isdir(out):
+def _out_dir(settings: dict, default: str | None = ".") -> str | None:
+    out = settings.get("out", default)
+    if out is not None and not os.path.isdir(out):
         raise ConfigError(f"output directory does not exist: {out}")
     return out
 
 
 def _load_table(settings: dict):
-    path = settings.get("embeddings")
-    if path:
-        if not os.path.isfile(path):
-            raise ConfigError(f"--embeddings path does not exist: {path}")
-        return load_embeddings(path, trainable=True)
-    return None  # train() builds a seeded random table
+    """The embedding file's table, or None for train() to build a seeded random one."""
+    return load_embeddings(_require_file(settings, "embeddings")) if settings.get("embeddings") else None
 
 
-def _write_metrics_log(path: str, log: list[dict]) -> None:
+def _write_json_lines(path: str, rows: list[dict]) -> None:
     with write_atomically(path) as fh:
-        for entry in log:
-            fh.write(json.dumps(entry))
+        for row in rows:
+            fh.write(json.dumps(row))
             fh.write("\n")
 
 
 def cmd_train(settings: dict) -> int:
     train_path = _require_file(settings, "train")
     out = _out_dir(settings)
-    config = _train_config(settings)
+    config = train_config(settings)
     train_set = parse_corpus(train_path)
     dev_set = parse_corpus(_require_file(settings, "dev")) if settings.get("dev") else None
     table = _load_table(settings)
     model, log = train(train_set, dev_set, config, table=table)
     checkpoint_path = settings.get("checkpoint") or os.path.join(out, "checkpoint.bin")
     save_checkpoint(checkpoint_path, model)
-    _write_metrics_log(os.path.join(out, "metrics.jsonl"), log)
+    _write_json_lines(os.path.join(out, "metrics.jsonl"), log)
     final = log[-1]
     print(f"trained {config.epochs} epochs on {len(train_set)} examples")
     print(f"final {final['split']} accuracy {final['accuracy']:.4f} macro_f1 {final['macro_f1']:.4f}")
@@ -254,38 +239,23 @@ def cmd_ablate(settings: dict) -> int:
     train_path = _require_file(settings, "train")
     dev_path = _require_file(settings, "dev")
     out = _out_dir(settings)
-    config = _train_config(settings)
+    config = train_config(settings)
     train_set = parse_corpus(train_path)
     dev_set = parse_corpus(dev_path)
     table = _load_table(settings)
     results = run_ablations(train_set, dev_set, config, table=table)
-    rows = []
-    for name, result in results.items():
-        rows.append({
-            "variant": name,
-            "accuracy": result.metrics.accuracy,
-            "macro_f1": result.metrics.macro_f1,
-            "loss_div": result.metrics.loss_div,
-            "loss_const": result.metrics.loss_const,
-            "loss_pred": result.metrics.loss_pred,
-            "loss_total": result.metrics.loss_total,
-        })
-    with write_atomically(os.path.join(out, "ablation.jsonl")) as fh:
-        for row in rows:
-            fh.write(json.dumps(row))
-            fh.write("\n")
+    rows = [{"variant": name, **result.metrics.scalars()} for name, result in results.items()]
+    _write_json_lines(os.path.join(out, "ablation.jsonl"), rows)
     for row in rows:
         print(f"{row['variant']:<10} acc {row['accuracy']:.4f}  macro_f1 {row['macro_f1']:.4f}")
     return EXIT_OK
 
 
 def cmd_gradcheck(settings: dict) -> int:
-    hp = _hyperparams(settings, hidden_default=8, layers_default=2)
-    tokens, embed_dim = settings.get("tokens", 5), settings.get("embed_dim", 8)
-    for flag, value in (("tokens", tokens), ("embed-dim", embed_dim)):
-        if value < 1:
-            raise ConfigError(f"--{flag} must be positive, got {value}")
-    report = run_model_gradient_check(seed=settings.get("seed", 0), tokens=tokens, embed_dim=embed_dim, hp=hp)
+    with _range_checks():
+        hp = replace(CHECK_HYPERPARAMS, **_arguments(settings, HyperParams))
+        ex, state, hp = build_check_setup(hp=hp, **_arguments(settings, build_check_setup))
+    report = check_model_gradients(ex, state, hp)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -294,27 +264,24 @@ def cmd_gradcheck(settings: dict) -> int:
 def cmd_scores(settings: dict) -> int:
     model = load_checkpoint(_require_file(settings, "checkpoint"))
     data = parse_corpus(_require_file(settings, "test"))
-    out = settings.get("out")
-    lines = []
+    out = _out_dir(settings, default=None)
+    rows = []
     for ex in data:
         _, trace = total_loss(ex, model)
-        lines.append(json.dumps({
+        rows.append({
             "tokens": list(ex.tokens),
             "aspect_from": ex.aspect_from,
             "aspect_to": ex.aspect_to,
             "syn": trace.syn.tolist(),
             "mod": trace.mod.data.tolist(),
-            "predicted": LABELS[int(trace.class_probs.data.argmax())],
+            "predicted": LABELS[int(trace.class_probs.data[0].argmax())],
             "gold": ex.label,
-        }))
+        })
     if out:
-        if not os.path.isdir(out):
-            raise ConfigError(f"output directory does not exist: {out}")
-        with write_atomically(os.path.join(out, "scores.jsonl")) as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_json_lines(os.path.join(out, "scores.jsonl"), rows)
     else:
-        for line in lines:
-            print(line)
+        for row in rows:
+            print(json.dumps(row))
     return EXIT_OK
 
 
@@ -322,10 +289,8 @@ def cmd_convert(settings: dict) -> int:
     conllu = _require_file(settings, "conllu")
     aspects = _require_file(settings, "aspects")
     examples = convert_conllu(conllu, aspects)
-    out = settings.get("out")
+    out = _out_dir(settings, default=None)
     if out:
-        if not os.path.isdir(out):
-            raise ConfigError(f"output directory does not exist: {out}")
         path = os.path.join(out, "converted.jsonl")
         write_corpus(examples, path)
         print(f"wrote {len(examples)} examples to {path}")
@@ -339,20 +304,19 @@ def cmd_convert(settings: dict) -> int:
 
 
 _COMMANDS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
-    "gradcheck": cmd_gradcheck,
-    "scores": cmd_scores,
-    "convert": cmd_convert,
+    "train": (cmd_train, "train and write a checkpoint"),
+    "eval": (cmd_eval, "evaluate a checkpoint on a corpus"),
+    "ablate": (cmd_ablate, "train all ablation variants"),
+    "gradcheck": (cmd_gradcheck, "verify analytic gradients against finite differences"),
+    "scores": (cmd_scores, "dump per-token importance scores"),
+    "convert": (cmd_convert, "convert CoNLL-U plus aspect sidecar to corpus JSONL"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        settings = _merge(args)
-        return _COMMANDS[args.command](settings)
+        command, settings = parse(argv)
+        return _COMMANDS[command][0](settings)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -362,6 +326,9 @@ def main(argv: list[str] | None = None) -> int:
     except CheckpointError as err:
         print(f"checkpoint error: {err}", file=sys.stderr)
         return EXIT_CHECKPOINT
+    except TrainingDiverged as err:
+        print(f"training diverged: {err}; nothing was written", file=sys.stderr)
+        return EXIT_DIVERGED
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

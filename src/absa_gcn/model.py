@@ -21,6 +21,12 @@ per batch. Quantities with one value per example (aspect vectors, gates,
 pooled vectors, class probabilities) are matrices with one row per example,
 and each token reaches its example's row through ``Batch.owner``. The loss
 terms are summed over the batch's examples; the training loss is their mean.
+Every forward pass is such a batch: one example runs as the batch of one,
+so its per-example rows have shape ``(1, ·)``.
+
+``parameter_shapes`` is the one table of the learnable tensors' names and
+shapes. Initialisation, the forward pass (through ``ModelState.tensors``)
+and checkpoints all read it.
 """
 
 from __future__ import annotations
@@ -68,9 +74,9 @@ class CheckpointError(ValueError):
     """A checkpoint file is malformed or inconsistent with its consumer."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class HyperParams:
-    """Model-shape knobs, loss trade-offs and ablation switches."""
+    """Model-shape knobs, loss trade-offs and ablation switches; a value, changed only by ``replace``."""
 
     hidden: int = 200
     layers: int = 2
@@ -88,8 +94,9 @@ class HyperParams:
             raise ValueError("hidden must be positive")
         if self.layers < 1:
             raise ValueError("need at least one graph convolution layer")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("loss trade-off weights must be non-negative")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass
@@ -156,28 +163,26 @@ def _graph(ex: Example, include_self_loop: bool) -> tuple[DependencyTree, np.nda
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate of a forward pass, for tests and dumps.
+    """Every intermediate of a forward pass over a batch, for tests and dumps.
 
-    The shapes below are those of the trace ``total_loss`` returns for one
-    example, whose per-example vectors are constants holding the rows of its
-    batch of one: gradients flow from the loss only. A batch's trace stacks
-    the examples' token rows (``n`` becomes the batch's token count) and
-    gives each per-example vector one row per example.
+    ``B`` is the batch's example count and ``n`` its token count: token rows
+    lie end to end as in ``Batch``, and each per-example quantity has one row
+    per example.
     """
 
     batch: Batch | None = None
     embeddings: Tensor | None = None          # (n, d)
-    aspect_vec: Tensor | None = None          # (d,)
-    sentence_vec: Tensor | None = None        # (hidden,)
+    aspect_vec: Tensor | None = None          # (B, d)
+    sentence_vec: Tensor | None = None        # (B, hidden)
     hidden_layers: list[Tensor] = field(default_factory=list)      # each (n, hidden)
-    gates: list[Tensor] = field(default_factory=list)              # each (hidden,)
+    gates: list[Tensor] = field(default_factory=list)              # each (B, hidden)
     regulated: list[Tensor] = field(default_factory=list)          # each (n, hidden)
-    pooled_regulated: list[Tensor] = field(default_factory=list)   # each (hidden,)
+    pooled_regulated: list[Tensor] = field(default_factory=list)   # each (B, hidden)
     pooled_cross: dict[tuple[int, int], Tensor] = field(default_factory=dict)
-    overall: Tensor | None = None             # (2*hidden,)
+    overall: Tensor | None = None             # (B, 2*hidden)
     syn: np.ndarray | None = None             # (n,) constant target
     mod: Tensor | None = None                 # (n,)
-    class_probs: Tensor | None = None         # (3,)
+    class_probs: Tensor | None = None         # (B, 3)
     losses: LossTerms | None = None
 
 
@@ -217,20 +222,6 @@ class ModelState:
         self.table = table
         self.hp = hp
         self.tensors = {name: tensors[name] for name in parameter_shapes(hp, table.dim)}
-        self.w_sent = tensors["w_sent"]
-        self.b_sent = tensors["b_sent"]
-        self.w_gcn = [tensors[f"w_gcn_{l}"] for l in range(hp.layers)]
-        self.b_gcn = [tensors[f"b_gcn_{l}"] for l in range(hp.layers)]
-        self.w_gate = [tensors[f"w_gate_{l}"] for l in range(hp.layers)]
-        self.b_gate = [tensors[f"b_gate_{l}"] for l in range(hp.layers)]
-        self.w_score_overall = tensors["w_score_overall"]
-        self.b_score_overall = tensors["b_score_overall"]
-        self.w_score_token = tensors["w_score_token"]
-        self.b_score_token = tensors["b_score_token"]
-        self.w_cls_hidden = tensors["w_cls_hidden"]
-        self.b_cls_hidden = tensors["b_cls_hidden"]
-        self.w_cls_out = tensors["w_cls_out"]
-        self.b_cls_out = tensors["b_cls_out"]
 
     @classmethod
     def initialize(
@@ -290,13 +281,18 @@ class ModelState:
 # forward building blocks
 
 
+def _affine(x: Tensor, params: ModelState, name: str) -> Tensor:
+    """``x @ w.T + b`` with the parameters ``w_<name>`` and ``b_<name>``."""
+    return add(matmul(x, transpose(params.tensors[f"w_{name}"])), params.tensors[f"b_{name}"])
+
+
 def encode(batch: Batch, table: EmbeddingTable, params: ModelState):
     """Token embeddings, mean aspect-span vectors and pooled sentence vectors."""
     E = gather_rows(table.vectors, [table.row_index(tok) for ex in batch.examples for tok in ex.tokens])
     starts = batch.starts.tolist()
     spans = [range(s + ex.aspect_from, s + ex.aspect_to) for s, ex in zip(starts, batch.examples)]
     aspect_vec = segment_mean_rows(E, spans)
-    sentence_vec = tanh(add(matmul(maxpool_rows(E, batch.starts), transpose(params.w_sent)), params.b_sent))
+    sentence_vec = tanh(_affine(maxpool_rows(E, batch.starts), params, "sent"))
     return E, aspect_vec, sentence_vec
 
 
@@ -355,12 +351,8 @@ def gatediv_baseline_loss(gates: list[Tensor], normalize: bool = False) -> Tenso
 
 def model_scores(trace: ForwardTrace, params: ModelState) -> Tensor:
     """Model-side token importances: per-example softmax of transformed-vector dot products."""
-    overall_sig = sigmoid(
-        add(matmul(trace.overall, transpose(params.w_score_overall)), params.b_score_overall)
-    )
-    token_sig = sigmoid(
-        add(matmul(trace.regulated[-1], transpose(params.w_score_token)), params.b_score_token)
-    )
+    overall_sig = sigmoid(_affine(trace.overall, params, "score_overall"))
+    token_sig = sigmoid(_affine(trace.regulated[-1], params, "score_token"))
     raw = dot(token_sig, gather_rows(overall_sig, trace.batch.owner))
     return segment_softmax(raw, trace.batch.starts)
 
@@ -385,8 +377,8 @@ def consistency_loss(syn, mod: Tensor) -> Tensor:
 
 def predict(overall: Tensor, params: ModelState) -> Tensor:
     """Class probabilities, one row per row of the overall representations."""
-    hidden = relu(add(matmul(overall, transpose(params.w_cls_hidden)), params.b_cls_hidden))
-    return softmax_rows(add(matmul(hidden, transpose(params.w_cls_out)), params.b_cls_out))
+    hidden = relu(_affine(overall, params, "cls_hidden"))
+    return softmax_rows(_affine(hidden, params, "cls_out"))
 
 
 def prediction_loss(class_probs: Tensor, gold_index) -> Tensor:
@@ -399,51 +391,35 @@ def prediction_loss(class_probs: Tensor, gold_index) -> Tensor:
 # full objective
 
 
-def _first_example(trace: ForwardTrace) -> ForwardTrace:
-    """A batch-of-one trace with each per-example row given as that example's vector."""
-    row = lambda t: Tensor(t.data[0])
-    return replace(
-        trace,
-        aspect_vec=row(trace.aspect_vec),
-        sentence_vec=row(trace.sentence_vec),
-        gates=[row(g) for g in trace.gates],
-        pooled_regulated=[row(p) for p in trace.pooled_regulated],
-        pooled_cross={k: row(v) for k, v in trace.pooled_cross.items()},
-        overall=row(trace.overall),
-        class_probs=row(trace.class_probs),
-    )
-
-
 def total_loss(examples, params: ModelState, hp: HyperParams | None = None):
-    """Run the full pipeline on a mini-batch of examples, or on one example.
+    """Run the full pipeline on a mini-batch of examples; one ``Example`` runs as the batch ``[ex]``.
 
     Returns ``(loss, trace)``: ``loss`` is the mean objective over the
     examples, a scalar tensor ready for ``backward``, and ``trace`` records
-    every intermediate with the loss terms summed over the examples. One
-    ``Example`` runs as the batch of one, and its trace has that example's
-    shapes. Ablation switches: ``gate_on=False`` replaces gates with constant
-    ones (which also disables the diversity term), ``div_on``/``con_on`` drop
+    every intermediate with the loss terms summed over the examples.
+    Ablation switches: ``gate_on=False`` replaces gates with constant ones
+    (which also disables the diversity term), ``div_on``/``con_on`` drop
     their terms, and ``gatediv_baseline`` swaps the diversity term for
     gate-vector products.
     """
     hp = hp if hp is not None else params.hp
-    single = isinstance(examples, Example)
-    batch = make_batch([examples] if single else examples, include_self_loop=hp.include_self_loop)
+    if isinstance(examples, Example):
+        examples = [examples]
+    batch = make_batch(examples, include_self_loop=hp.include_self_loop)
     count = len(batch.examples)
     trace = ForwardTrace(batch=batch)
 
     E, aspect_vec, sentence_vec = encode(batch, params.table, params)
     trace.embeddings, trace.aspect_vec, trace.sentence_vec = E, aspect_vec, sentence_vec
 
+    p = params.tensors
     h = E
     for l in range(hp.layers):
-        h = gcn_layer(h, batch.tree, params.w_gcn[l], params.b_gcn[l])
+        h = gcn_layer(h, batch.tree, p[f"w_gcn_{l}"], p[f"b_gcn_{l}"])
         trace.hidden_layers.append(h)
 
     if hp.gate_on:
-        trace.gates = [
-            compute_gate(aspect_vec, params.w_gate[l], params.b_gate[l]) for l in range(hp.layers)
-        ]
+        trace.gates = [compute_gate(aspect_vec, p[f"w_gate_{l}"], p[f"b_gate_{l}"]) for l in range(hp.layers)]
     else:
         trace.gates = [Tensor(np.ones((count, hp.hidden))) for _ in range(hp.layers)]
 
@@ -478,8 +454,7 @@ def total_loss(examples, params: ModelState, hp: HyperParams | None = None):
     trace.losses = LossTerms(
         div=l_div.item(), const=l_const.item(), pred=l_pred.item(), total=total.item()
     )
-    loss = scale(total, 1.0 / count)
-    return loss, (_first_example(trace) if single else trace)
+    return scale(total, 1.0 / count), trace
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +552,13 @@ def _build_model(header: dict, stored: list[tuple[str, tuple]], read_values) -> 
     for name, shape in stored:
         if shape != shapes[name]:
             raise CheckpointError(f"tensor {name!r} has shape {shape}, expected {shapes[name]}")
+    unk_index = header["unk_index"]
+    if type(unk_index) is not int or unk_index != len(vocab_rows):
+        raise CheckpointError(f"unk_index {unk_index!r} is not {len(vocab_rows)}, the row after the vocabulary")
     values = read_values(shapes)
     for name, block in values.items():
         if not np.isfinite(block).all():
             raise CheckpointError(f"tensor {name!r} holds a non-finite value")
     vectors = Tensor(values.pop("embeddings"), trainable=header["embeddings_trainable"])
-    table = EmbeddingTable({word: i for i, word in enumerate(vocab_rows)}, vectors, dim, header["unk_index"])
+    table = EmbeddingTable({word: i for i, word in enumerate(vocab_rows)}, vectors, dim, unk_index)
     return ModelState(table, hp, {name: Tensor(block, trainable=True) for name, block in values.items()})

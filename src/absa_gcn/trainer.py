@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -16,6 +17,10 @@ from .tensor import backward
 EVAL_CHUNK = 32
 
 
+class TrainingDiverged(ArithmeticError):
+    """A training loss that is not finite: the run stopped and returned no model."""
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 10
@@ -23,7 +28,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     seed: int = 0
     hyperparams: HyperParams = field(default_factory=HyperParams)
-    dev_metric: str = "accuracy"
     shuffle: bool = True
 
     def __post_init__(self):
@@ -33,8 +37,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0 < self.learning_rate < float("inf"):
             raise ValueError("learning_rate must be positive and finite")
-        if self.dev_metric not in ("accuracy", "macro_f1"):
-            raise ValueError("dev_metric must be 'accuracy' or 'macro_f1'")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -46,6 +50,10 @@ class Metrics:
     loss_const: float
     loss_pred: float
     loss_total: float
+
+    def scalars(self) -> dict[str, float]:
+        """Every field but ``per_class``, in field order: what the logs record."""
+        return {k: v for k, v in asdict(self).items() if k != "per_class"}
 
 
 def compute_metrics(golds: list[int], preds: list[int], losses=None) -> Metrics:
@@ -106,16 +114,12 @@ def evaluate(model: ModelState, data: list[Example], hp: HyperParams | None = No
 
 
 def _log_entry(epoch: int, split: str, metrics: Metrics) -> dict:
-    return {
-        "epoch": epoch,
-        "split": split,
-        "accuracy": metrics.accuracy,
-        "macro_f1": metrics.macro_f1,
-        "loss_div": metrics.loss_div,
-        "loss_const": metrics.loss_const,
-        "loss_pred": metrics.loss_pred,
-        "loss_total": metrics.loss_total,
-    }
+    return {"epoch": epoch, "split": split, **metrics.scalars()}
+
+
+def _check_finite(loss: float, epoch: int) -> None:
+    if not math.isfinite(loss):
+        raise TrainingDiverged(f"the loss is {loss} in epoch {epoch}")
 
 
 def init_model_state(table: EmbeddingTable, hp: HyperParams, seed) -> ModelState:
@@ -123,6 +127,9 @@ def init_model_state(table: EmbeddingTable, hp: HyperParams, seed) -> ModelState
     return ModelState.initialize(table, hp, np.random.default_rng(seed))
 
 
+# A run checks its own losses (``TrainingDiverged``), so numpy's overflow
+# warnings on the way to a non-finite loss would only repeat that report.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     train_set: list[Example],
     dev_set: list[Example] | None = None,
@@ -136,9 +143,10 @@ def train(
     examples' trees and one backward pass.
 
     Returns ``(model, log)``. With a dev set the returned model is the one
-    from the epoch with the best dev metric (earliest epoch wins ties);
+    from the epoch with the best dev accuracy (earliest epoch wins ties);
     otherwise it is the final-epoch model. The log holds one dict per epoch
-    and split, including an epoch-0 entry for the untrained state.
+    and split, including an epoch-0 entry for the untrained state. A batch
+    or dev loss that is not finite raises ``TrainingDiverged``.
     """
     if not train_set:
         raise ValueError("training set is empty")
@@ -173,6 +181,7 @@ def train(
             batch = [train_set[i] for i in order[start : start + config.batch_size]]
             model.zero_grads()
             loss, trace = total_loss(batch, model, hp)
+            _check_finite(trace.losses.total, epoch)
             _tally(trace, golds, preds, sums)
             backward(loss)
             adam_step(model.parameters(), adam)
@@ -180,10 +189,10 @@ def train(
         log.append(_log_entry(epoch, "train", compute_metrics(golds, preds, means)))
         if dev_set:
             dev_metrics = evaluate(model, dev_set, hp)
+            _check_finite(dev_metrics.loss_total, epoch)
             log.append(_log_entry(epoch, "dev", dev_metrics))
-            score = getattr(dev_metrics, config.dev_metric)
-            if score > best_score:
-                best_score = score
+            if dev_metrics.accuracy > best_score:
+                best_score = dev_metrics.accuracy
                 best_model = None  # free the last copy before making the next
                 best_model = model.clone()
 

@@ -50,20 +50,21 @@ def floyd_warshall_distances(ex):
 
 def oracle_losses(ex, state, hp):
     """Plain-numpy reimplementation of the model's whole forward pass."""
+    p = {name: t.data for name, t in state.tensors.items()}
     vectors = state.table.vectors.data
     E = vectors[[state.table.row_index(t) for t in ex.tokens]]
     aspect = E[ex.aspect_from : ex.aspect_to].mean(axis=0)
-    sentence = np.tanh(state.w_sent.data @ E.max(axis=0) + state.b_sent.data)
+    sentence = np.tanh(p["w_sent"] @ E.max(axis=0) + p["b_sent"])
 
     A = dense_adjacency(ex, hp.include_self_loop)
     hidden = []
     H = E
     for l in range(hp.layers):
-        H = np.maximum(0.0, A @ H @ state.w_gcn[l].data.T + state.b_gcn[l].data)
+        H = np.maximum(0.0, A @ H @ p[f"w_gcn_{l}"].T + p[f"b_gcn_{l}"])
         hidden.append(H)
 
     if hp.gate_on:
-        gates = [sigmoid_np(state.w_gate[l].data @ aspect + state.b_gate[l].data) for l in range(hp.layers)]
+        gates = [sigmoid_np(p[f"w_gate_{l}"] @ aspect + p[f"b_gate_{l}"]) for l in range(hp.layers)]
     else:
         gates = [np.ones(hp.hidden) for _ in range(hp.layers)]
     regulated = [h * g for h, g in zip(hidden, gates)]
@@ -88,8 +89,8 @@ def oracle_losses(ex, state, hp):
 
     overall = np.concatenate([sentence, pooled[-1]])
     syn = softmax_np(-floyd_warshall_distances(ex))
-    overall_sig = sigmoid_np(state.w_score_overall.data @ overall + state.b_score_overall.data)
-    token_sig = sigmoid_np(regulated[-1] @ state.w_score_token.data.T + state.b_score_token.data)
+    overall_sig = sigmoid_np(p["w_score_overall"] @ overall + p["b_score_overall"])
+    token_sig = sigmoid_np(regulated[-1] @ p["w_score_token"].T + p["b_score_token"])
     mod = softmax_np(token_sig @ overall_sig)
     const = 0.0
     if hp.con_on:
@@ -97,8 +98,8 @@ def oracle_losses(ex, state, hp):
             np.sum(syn * (np.log(np.maximum(syn, 1e-12)) - np.log(np.maximum(mod, 1e-12))))
         )
 
-    cls_hidden = np.maximum(0.0, state.w_cls_hidden.data @ overall + state.b_cls_hidden.data)
-    probs = softmax_np(state.w_cls_out.data @ cls_hidden + state.b_cls_out.data)
+    cls_hidden = np.maximum(0.0, p["w_cls_hidden"] @ overall + p["b_cls_hidden"])
+    probs = softmax_np(p["w_cls_out"] @ cls_hidden + p["b_cls_out"])
     pred = -float(np.log(max(probs[ex.label_index], 1e-12)))
     total = div + hp.alpha * const + hp.beta * pred
     return {

@@ -18,16 +18,11 @@ import pytest
 
 from absa_gcn.cli import EXIT_OK, main
 from absa_gcn.data import Example, build_tree, parse_corpus
-from absa_gcn.gradcheck import run_model_gradient_check
+from absa_gcn.gradcheck import build_check_setup, check_model_gradients
 from absa_gcn.model import HyperParams, ModelState, consistency_loss, gcn_layer, total_loss
 from absa_gcn.data import build_random_table
-from absa_gcn.synthetic import (
-    CUE_POLARITY,
-    aspect_adjacent_tokens,
-    make_contrastive_corpus,
-    make_overfit_corpus,
-    random_tree_heads,
-)
+from absa_gcn.synthetic import random_tree_heads
+from corpora import CUE_POLARITY, aspect_adjacent_tokens, make_contrastive_corpus, make_overfit_corpus
 from absa_gcn.tensor import Tensor
 from absa_gcn.trainer import TrainConfig, run_ablations, train
 from conftest import dense_adjacency, floyd_warshall_distances
@@ -58,7 +53,7 @@ def criterion(number, description):
 @criterion(1, "gradient integrity (analytic vs central differences)")
 def test_criterion_1_gradient_integrity():
     start = time.time()
-    report = run_model_gradient_check(seed=0, tokens=5, embed_dim=8, hidden=8, layers=2)
+    report = check_model_gradients(*build_check_setup(seed=0, tokens=5, embed_dim=8, hp=HyperParams(hidden=8, layers=2)))
     elapsed = time.time() - start
     assert report.max_relative_error < 1e-4, report.lines()[-1]
     assert elapsed < 10.0, f"gradient check took {elapsed:.1f}s"
@@ -136,8 +131,8 @@ def test_criterion_3_loss_term_laws():
     # saturated-to-zero gates null the diversity term exactly
     state = ModelState.initialize(table, hp, np.random.default_rng(2), weight_scale=0.4)
     for l in range(hp.layers):
-        state.w_gate[l].data[...] = 0.0
-        state.b_gate[l].data[...] = -1000.0
+        state.tensors[f"w_gate_{l}"].data[...] = 0.0
+        state.tensors[f"b_gate_{l}"].data[...] = -1000.0
     _, trace = total_loss(ex, state, hp)
     assert trace.losses.div == 0.0
 

@@ -1,6 +1,11 @@
+import argparse
+import inspect
 import json
 import os
 import pathlib
+import re
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,13 +13,23 @@ import pytest
 import absa_gcn.cli as cli
 import absa_gcn.data as data
 import absa_gcn.gradcheck as gradcheck
-from absa_gcn.cli import EXIT_CHECK_FAILED, EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main, read_config
+from absa_gcn.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_CHECKPOINT,
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_DIVERGED,
+    EXIT_OK,
+    main,
+    read_config,
+)
 from absa_gcn.data import Example, parse_corpus, write_corpus
 from absa_gcn.model import HyperParams, load_checkpoint, save_checkpoint
-from absa_gcn.synthetic import make_overfit_corpus
 from absa_gcn.trainer import TrainConfig, train
+from corpora import make_overfit_corpus
 
-ASSETS = pathlib.Path(__file__).resolve().parents[1] / "src" / "absa_gcn" / "assets"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+ASSETS = ROOT / "src" / "absa_gcn" / "assets"
 SAMPLE = str(ASSETS / "sample_corpus.jsonl")
 
 
@@ -66,6 +81,97 @@ def test_read_config_rejects_unknown_key_and_bad_value(tmp_path):
     path.write_text("seed = abc\n")
     with pytest.raises(cli.ConfigError):
         read_config(str(path))
+
+
+def _config_file(tmp_path, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    return str(path)
+
+
+def _example_value(option):
+    """A valid value of the option: (its text, the value it parses to, the flag's arguments)."""
+    if option.kind is bool:
+        value = option.flag is not None and not option.flag.startswith("--no-")
+        return str(value).lower(), value, [option.flag]
+    text = {int: "3", float: "0.25", str: "some/path"}[option.kind]
+    return text, option.kind(text), [option.flag, text]
+
+
+@pytest.mark.parametrize("option", cli.OPTIONS, ids=lambda option: option.key)
+def test_flag_and_config_file_set_the_same_field(tmp_path, option):
+    text, value, flag_args = _example_value(option)
+    config = _config_file(tmp_path, f"{option.key} = {text}")
+    for command in option.commands or ("train", "ablate", "gradcheck"):
+        from_config = cli.parse([command, "--config", config])
+        assert from_config == (command, {option.field: value})
+        if option.flag:
+            assert cli.parse([command, *flag_args]) == from_config
+    # the field is one the program reads: a model or training setting, a check size, or a path
+    built = cli.train_config(from_config[1])
+    if option.field in {f.name for f in fields(HyperParams)}:
+        assert getattr(built.hyperparams, option.field) == value
+    elif option.field in {f.name for f in fields(TrainConfig)}:
+        assert getattr(built, option.field) == value
+    else:
+        assert built == TrainConfig()
+        assert option.field in inspect.signature(gradcheck.build_check_setup).parameters or option.kind is str
+
+
+OUT_OF_RANGE = {
+    "seed": "-1", "hidden": "0", "layers": "0", "alpha": "nan", "beta": "inf",
+    "epochs": "0", "batch_size": "0", "learning_rate": "0", "tokens": "0", "embed_dim": "0",
+}
+OPTION = {option.key: option for option in cli.OPTIONS}
+
+
+def test_every_numeric_option_has_an_out_of_range_case():
+    assert {option.key for option in cli.OPTIONS if option.kind in (int, float)} == set(OUT_OF_RANGE)
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize(
+    "key, command",
+    [(key, command) for key in OUT_OF_RANGE for command in ("train", "ablate", "gradcheck") if command in OPTION[key].commands],
+)
+def test_out_of_range_value_is_one_config_error_line(tmp_path, capsys, key, command, form):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command] if command == "gradcheck" else [command, "--train", SAMPLE, "--dev", SAMPLE, "--out", str(out)]
+    if form == "flag":
+        argv += [OPTION[key].flag, OUT_OF_RANGE[key]]
+    else:
+        argv += ["--config", _config_file(tmp_path, f"{key} = {OUT_OF_RANGE[key]}")]
+    assert main(argv) == EXIT_CONFIG
+    _one_error_line(capsys, "error: ")
+    assert os.listdir(out) == []
+
+
+def _parser_flags() -> dict[str, set[str]]:
+    """Each flag of the generated parser, with the commands that take it."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    flags: dict[str, set[str]] = {}
+    for command, sub in commands.items():
+        for action in sub._actions:
+            for flag in action.option_strings:
+                flags.setdefault(flag, set()).add(command)
+    for own in ("-h", "--help", "--config"):
+        flags.pop(own)
+    return flags
+
+
+def test_readme_lists_every_option_of_the_table():
+    rows = re.findall(r"^\| (`--[\w-]+`|config file only) \| `(\w+)` \|[^|]*\| ([^|]*) \|", (ROOT / "README.md").read_text(), re.M)
+    every = ("train", "eval", "ablate", "gradcheck", "scores", "convert")
+    listed = {key: flag.strip("`") if flag.startswith("`") else None for flag, key, _ in rows}
+    assert listed == {option.key: option.flag for option in cli.OPTIONS}
+    commands = {
+        flag.strip("`"): set(every) if where.strip() == "all" else set(where.strip().split(", "))
+        for flag, _, where in rows
+        if flag.startswith("`")
+    }
+    assert commands == _parser_flags()
 
 
 def test_flags_override_config(tmp_path, capsys):
@@ -194,7 +300,7 @@ def _tampered_checkpoint(tmp_path, tamper):
 
 def test_eval_with_transposed_tensor_is_exit_4(tmp_path, capsys):
     def transpose(model):
-        model.w_cls_out.data = model.w_cls_out.data.T.copy()
+        model.tensors["w_cls_out"].data = model.tensors["w_cls_out"].data.T.copy()
 
     checkpoint, corpus = _tampered_checkpoint(tmp_path, transpose)
     assert main(["eval", "--checkpoint", checkpoint, "--test", corpus]) == EXIT_CHECKPOINT
@@ -203,9 +309,16 @@ def test_eval_with_transposed_tensor_is_exit_4(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("unk_index", [10**6, 0])
+def test_eval_with_a_wrong_unknown_word_row_is_exit_4(tmp_path, capsys, unk_index):
+    checkpoint, corpus = _tampered_checkpoint(tmp_path, lambda model: setattr(model.table, "unk_index", unk_index))
+    assert main(["eval", "--checkpoint", checkpoint, "--test", corpus]) == EXIT_CHECKPOINT
+    _one_error_line(capsys, f"checkpoint error: unk_index {unk_index} is not ")
+
+
 def test_eval_with_non_finite_value_is_exit_4(tmp_path, capsys):
     checkpoint, corpus = _tampered_checkpoint(tmp_path, lambda model: None)
-    block = load_checkpoint(checkpoint).b_gcn[0].data
+    block = load_checkpoint(checkpoint).tensors["b_gcn_0"].data
     poisoned = block.copy()
     poisoned[2] = float("nan")
     path = pathlib.Path(checkpoint)
@@ -245,7 +358,7 @@ def test_train_with_a_non_finite_parameter_saves_nothing(tmp_path, monkeypatch, 
 
     def diverging_train(*a, **kw):
         model, log = real_train(*a, **kw)
-        model.b_cls_out.data[0] = float("nan")
+        model.tensors["b_cls_out"].data[0] = float("nan")
         return model, log
 
     monkeypatch.setattr(cli, "train", diverging_train)
@@ -253,6 +366,16 @@ def test_train_with_a_non_finite_parameter_saves_nothing(tmp_path, monkeypatch, 
     _one_error_line(capsys, "checkpoint error: tensor 'b_cls_out' holds a non-finite value")
     assert (tmp_path / "checkpoint.bin").read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["checkpoint.bin", "metrics.jsonl"]
+
+
+def test_a_diverging_run_is_exit_5_and_writes_nothing(tmp_path, capsys):
+    argv = ["train", "--train", SAMPLE, "--out", str(tmp_path), "--lr", "1e308", "--epochs", "3", "--batch-size", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would be more stderr lines
+        assert main([*argv, "--hidden", "8"]) == EXIT_DIVERGED
+    err = _one_error_line(capsys, "training diverged: ")
+    assert err == "training diverged: the loss is nan in epoch 1; nothing was written\n"
+    assert os.listdir(tmp_path) == []
 
 
 def _write_bytes(path, content: bytes) -> str:

@@ -76,8 +76,8 @@ def test_encode_mean_of_identical_rows():
 
 def test_encode_zero_projection_gives_zero_sentence_vector():
     state, hp = _random_model()
-    state.w_sent.data[...] = 0.0
-    state.b_sent.data[...] = 0.0
+    state.tensors["w_sent"].data[...] = 0.0
+    state.tensors["b_sent"].data[...] = 0.0
     ex = _example(["alpha", "beta"], [-1, 0])
     _, _, sentence_vec = encode(make_batch([ex]), state.table, state)
     npt.assert_array_equal(sentence_vec.data, np.zeros((1, hp.hidden)))
@@ -197,12 +197,12 @@ def test_gatediv_hand_case():
 def test_all_zero_gates_zero_diversity_via_forward():
     state, hp = _random_model()
     for l in range(hp.layers):
-        state.w_gate[l].data[...] = 0.0
-        state.b_gate[l].data[...] = -1000.0
+        state.tensors[f"w_gate_{l}"].data[...] = 0.0
+        state.tensors[f"b_gate_{l}"].data[...] = -1000.0
     ex = _example(["alpha", "beta", "gamma"], [-1, 0, 0])
     _, trace = total_loss(ex, state, hp)
     for gate in trace.gates:
-        npt.assert_array_equal(gate.data, np.zeros(hp.hidden))
+        npt.assert_array_equal(gate.data, np.zeros((1, hp.hidden)))
     assert trace.losses.div == 0.0
 
 
@@ -232,8 +232,8 @@ def test_model_scores_zero_overall_transform_matches_script():
     # With the overall-side transform zeroed, each raw score collapses to
     # 0.5 * sum(sigmoid(token transform)); verified against plain numpy.
     state, hp = _random_model(seed=3)
-    state.w_score_overall.data[...] = 0.0
-    state.b_score_overall.data[...] = 0.0
+    state.tensors["w_score_overall"].data[...] = 0.0
+    state.tensors["b_score_overall"].data[...] = 0.0
     rng = np.random.default_rng(7)
     rows = rng.uniform(-1, 1, (5, hp.hidden))
     trace = ForwardTrace(batch=_batch_of_one(5))
@@ -241,7 +241,8 @@ def test_model_scores_zero_overall_transform_matches_script():
     trace.overall = Tensor(rng.uniform(-1, 1, (1, 2 * hp.hidden)))
     mod = model_scores(trace, state).data
 
-    token_sig = 1.0 / (1.0 + np.exp(-(rows @ state.w_score_token.data.T + state.b_score_token.data)))
+    w, b = state.tensors["w_score_token"].data, state.tensors["b_score_token"].data
+    token_sig = 1.0 / (1.0 + np.exp(-(rows @ w.T + b)))
     raw = 0.5 * token_sig.sum(axis=1)
     expected = np.exp(raw - raw.max())
     expected /= expected.sum()
@@ -300,8 +301,8 @@ def test_consistency_loss_length_mismatch():
 
 def test_predict_zero_weights_uniform():
     state, hp = _random_model()
-    for t in (state.w_cls_hidden, state.b_cls_hidden, state.w_cls_out, state.b_cls_out):
-        t.data[...] = 0.0
+    for name in ("w_cls_hidden", "b_cls_hidden", "w_cls_out", "b_cls_out"):
+        state.tensors[name].data[...] = 0.0
     probs = predict(Tensor(np.linspace(-1, 1, 2 * hp.hidden)[None, :]), state)
     npt.assert_allclose(probs.data, [[1 / 3] * 3], atol=1e-15)
 
@@ -374,8 +375,8 @@ def test_gate_off_equals_saturated_ones_gates():
 
     forced = state.clone()
     for l in range(2):
-        forced.w_gate[l].data[...] = 0.0
-        forced.b_gate[l].data[...] = 1000.0  # sigmoid saturates to exactly 1.0
+        forced.tensors[f"w_gate_{l}"].data[...] = 0.0
+        forced.tensors[f"b_gate_{l}"].data[...] = 1000.0  # sigmoid saturates to exactly 1.0
     hp_on = HyperParams(hidden=8, layers=2, div_on=False)
     _, trace_on = total_loss(ex, forced, hp_on)
 
@@ -441,16 +442,16 @@ def test_shape_stability_across_sizes():
             state = ModelState.initialize(table, hp, rng, weight_scale=0.3, bias_scale=0.1)
             _, trace = total_loss(ex, state, hp)
             assert trace.embeddings.shape == (n, 4)
-            assert trace.aspect_vec.shape == (4,)
-            assert trace.sentence_vec.shape == (6,)
+            assert trace.aspect_vec.shape == (1, 4)
+            assert trace.sentence_vec.shape == (1, 6)
             assert len(trace.hidden_layers) == layers
             assert all(h.shape == (n, 6) for h in trace.hidden_layers)
-            assert all(g.shape == (6,) for g in trace.gates)
-            assert all(p.shape == (6,) for p in trace.pooled_regulated)
-            assert trace.overall.shape == (12,)
+            assert all(g.shape == (1, 6) for g in trace.gates)
+            assert all(p.shape == (1, 6) for p in trace.pooled_regulated)
+            assert trace.overall.shape == (1, 12)
             assert trace.syn.shape == (n,)
             assert trace.mod.shape == (n,)
-            assert trace.class_probs.shape == (3,)
+            assert trace.class_probs.shape == (1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +477,7 @@ def test_total_loss_matches_independent_oracle(kwargs):
     assert trace.losses.const == pytest.approx(expected["const"], abs=1e-10)
     assert trace.losses.pred == pytest.approx(expected["pred"], abs=1e-10)
     assert loss.item() == pytest.approx(expected["total"], abs=1e-10)
-    npt.assert_allclose(trace.class_probs.data, expected["probs"], atol=1e-10)
+    npt.assert_allclose(trace.class_probs.data[0], expected["probs"], atol=1e-10)
     npt.assert_allclose(trace.mod.data, expected["mod"], atol=1e-10)
     npt.assert_allclose(trace.syn, expected["syn"], atol=1e-10)
 
@@ -506,9 +507,20 @@ def test_end_to_end_gradient_check_small_model():
     from absa_gcn.gradcheck import build_check_setup
 
     for seed in (0, 1):
-        ex, state, hp = build_check_setup(seed=seed, tokens=4, embed_dim=6, hidden=6, layers=2)
+        ex, state, hp = build_check_setup(seed=seed, tokens=4, embed_dim=6, hp=HyperParams(hidden=6, layers=2))
         report = check_model_gradients(ex, state, hp)
         assert report.passed, report.lines()[-1]
+
+
+def test_gradient_check_fails_on_a_nan_weight():
+    from absa_gcn.gradcheck import build_check_setup
+
+    ex, state, hp = build_check_setup(seed=0)
+    state.tensors["w_cls_out"].data[0, 0] = float("nan")
+    report = check_model_gradients(ex, state, hp)
+    assert any(np.isnan(err) for err in report.per_parameter.values())
+    assert not report.passed
+    assert any(line.startswith("FAIL") for line in report.lines())
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +581,8 @@ def _edge_model(seed):
     """A model whose tensors hold signed zero, tiny, subnormal and extreme finite values."""
     state, _ = _random_model(seed=seed)
     state.table.vectors.data[1, : len(EDGE_VALUES)] = EDGE_VALUES
-    state.w_cls_out.data[0, : len(EDGE_VALUES)] = EDGE_VALUES
-    state.b_cls_out.data[:] = EDGE_VALUES[:3]
+    state.tensors["w_cls_out"].data[0, : len(EDGE_VALUES)] = EDGE_VALUES
+    state.tensors["b_cls_out"].data[:] = EDGE_VALUES[:3]
     return state
 
 
@@ -640,7 +652,7 @@ def test_checkpoint_with_a_non_finite_value_is_not_saved(tmp_path):
     save_checkpoint(path, _random_model(seed=79)[0])
     before = path.read_bytes()
     state, _ = _random_model(seed=80)
-    state.b_cls_out.data[1] = float("nan")
+    state.tensors["b_cls_out"].data[1] = float("nan")
     with pytest.raises(CheckpointError, match="tensor 'b_cls_out' holds a non-finite value"):
         save_checkpoint(path, state)
     assert path.read_bytes() == before

@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from absa_gcn.data import Example, build_tree
-from absa_gcn.synthetic import (
-    CUE_POLARITY,
-    aspect_adjacent_tokens,
-    make_contrastive_corpus,
-    make_overfit_corpus,
-    prufer_to_edges,
-    random_example,
-    random_tree_heads,
-)
+from absa_gcn.synthetic import prufer_to_edges, random_tree_heads
+from corpora import CUE_POLARITY, aspect_adjacent_tokens, make_contrastive_corpus, make_overfit_corpus, random_example
 
 
 def test_prufer_sequence_decodes_to_tree():

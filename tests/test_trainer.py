@@ -9,7 +9,6 @@ import absa_gcn.model as model_module
 from absa_gcn.data import Example, build_random_table, build_tree
 from absa_gcn.model import HyperParams, total_loss
 from absa_gcn.optim import AdamState, adam_step
-from absa_gcn.synthetic import make_overfit_corpus
 from absa_gcn.tensor import add_n, backward, scale
 from absa_gcn.trainer import (
     TrainConfig,
@@ -20,6 +19,7 @@ from absa_gcn.trainer import (
     train,
 )
 from conftest import oracle_losses
+from corpora import make_overfit_corpus
 
 
 def _tiny_corpus(n=12, seed=0):
@@ -83,7 +83,7 @@ def test_majority_class_baseline_on_mams_dev_shape():
     model = init_model_state(table, HyperParams(hidden=3, layers=1), seed=0)
     for name, t in model.named_tensors():
         t.data[...] = 0.0
-    model.b_cls_out.data[...] = [0.0, 5.0, 0.0]  # always predict neutral
+    model.tensors["b_cls_out"].data[...] = [0.0, 5.0, 0.0]  # always predict neutral
     metrics = evaluate(model, corpus)
     assert metrics.accuracy == pytest.approx(604 / 1332, abs=1e-12)
     assert metrics.accuracy == pytest.approx(0.4535, abs=1e-4)
@@ -141,13 +141,13 @@ def test_frozen_table_is_untouched_by_training():
     table = build_random_table(corpus, dim=6, seed=1, trainable=False)
     before = table.vectors.data.copy()
     initial = init_model_state(table, hp, seed=1)
-    weights = initial.w_sent.data.copy()
+    weights = initial.tensors["w_sent"].data.copy()
     config = TrainConfig(epochs=2, batch_size=4, learning_rate=0.01, seed=1, hyperparams=hp)
     model, _ = train(corpus, None, config, initial_state=initial)
     assert model.table.vectors is table.vectors
     assert table.vectors.data.tobytes() == before.tobytes()
     assert table.vectors.grad is None
-    assert not np.array_equal(model.w_sent.data, weights)  # the rest did train
+    assert not np.array_equal(model.tensors["w_sent"].data, weights)  # the rest did train
 
 
 def test_epoch_zero_loss_matches_independent_oracle():
