@@ -10,8 +10,9 @@ they reject is a configuration error. All randomness flows from ``--seed``;
 reruns with the same inputs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 data error,
-4 checkpoint mismatch, 5 training diverged (a non-finite loss; nothing is
-written).
+4 checkpoint mismatch or a checkpoint whose model gives a non-finite loss or
+score, 5 training diverged (a non-finite loss; nothing is written). Every
+JSON line written or printed is strict JSON: never ``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ import sys
 from dataclasses import replace
 from typing import NamedTuple
 
-from .data import LABELS, LoadError, convert_conllu, load_embeddings, parse_corpus, write_atomically, write_corpus
+import numpy as np
+
+from .data import (
+    LABELS, LoadError, convert_conllu, corpus_line, load_embeddings, parse_corpus, write_atomically, write_corpus,
+)
 from .gradcheck import CHECK_HYPERPARAMS, build_check_setup, check_model_gradients
 from .model import CheckpointError, HyperParams, load_checkpoint, save_checkpoint, total_loss
 from .trainer import TrainConfig, TrainingDiverged, evaluate, run_ablations, train
@@ -196,11 +201,22 @@ def _load_table(settings: dict):
     return load_embeddings(_require_file(settings, "embeddings")) if settings.get("embeddings") else None
 
 
+def _json(row: dict) -> str:
+    """One line of strict JSON: a NaN or an infinity raises ``ValueError``."""
+    return json.dumps(row, allow_nan=False)
+
+
 def _write_json_lines(path: str, rows: list[dict]) -> None:
     with write_atomically(path) as fh:
         for row in rows:
-            fh.write(json.dumps(row))
+            fh.write(_json(row))
             fh.write("\n")
+
+
+def _require_finite(values, what: str) -> None:
+    """Exit 4 if the loaded model gives a non-finite ``what``: its weights overflow on this corpus."""
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"the model gives a non-finite {what} on this corpus")
 
 
 def cmd_train(settings: dict) -> int:
@@ -221,11 +237,15 @@ def cmd_train(settings: dict) -> int:
     return EXIT_OK
 
 
+# eval and scores check their outputs (``_require_finite``), so numpy's
+# overflow warnings on the way to a non-finite value would only repeat that.
+@np.errstate(all="ignore")
 def cmd_eval(settings: dict) -> int:
     model = load_checkpoint(_require_file(settings, "checkpoint"))
     data = parse_corpus(_require_file(settings, "test"))
     metrics = evaluate(model, data)
-    print(json.dumps({
+    _require_finite(metrics.loss_total, "loss")
+    print(_json({
         "examples": len(data),
         "accuracy": metrics.accuracy,
         "macro_f1": metrics.macro_f1,
@@ -261,6 +281,7 @@ def cmd_gradcheck(settings: dict) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+@np.errstate(all="ignore")
 def cmd_scores(settings: dict) -> int:
     model = load_checkpoint(_require_file(settings, "checkpoint"))
     data = parse_corpus(_require_file(settings, "test"))
@@ -268,6 +289,8 @@ def cmd_scores(settings: dict) -> int:
     rows = []
     for ex in data:
         _, trace = total_loss(ex, model)
+        _require_finite(trace.mod.data, "importance score")
+        _require_finite(trace.class_probs.data, "class probability")
         rows.append({
             "tokens": list(ex.tokens),
             "aspect_from": ex.aspect_from,
@@ -281,7 +304,7 @@ def cmd_scores(settings: dict) -> int:
         _write_json_lines(os.path.join(out, "scores.jsonl"), rows)
     else:
         for row in rows:
-            print(json.dumps(row))
+            print(_json(row))
     return EXIT_OK
 
 
@@ -296,10 +319,7 @@ def cmd_convert(settings: dict) -> int:
         print(f"wrote {len(examples)} examples to {path}")
     else:
         for ex in examples:
-            print(json.dumps({
-                "tokens": list(ex.tokens), "heads": list(ex.heads),
-                "aspect_from": ex.aspect_from, "aspect_to": ex.aspect_to, "label": ex.label,
-            }))
+            print(corpus_line(ex))
     return EXIT_OK
 
 

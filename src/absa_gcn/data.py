@@ -171,22 +171,25 @@ def write_atomically(path, binary: bool = False):
         raise
 
 
+def corpus_line(ex: Example) -> str:
+    """The example as one line of the JSON Lines corpus format, without the newline."""
+    return json.dumps(
+        {
+            "tokens": list(ex.tokens),
+            "heads": list(ex.heads),
+            "aspect_from": ex.aspect_from,
+            "aspect_to": ex.aspect_to,
+            "label": ex.label,
+        },
+        allow_nan=False,
+    )
+
+
 def write_corpus(examples, path) -> None:
     """Write examples in the JSON Lines corpus format, replacing ``path`` whole."""
     with write_atomically(path) as fh:
         for ex in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "tokens": list(ex.tokens),
-                        "heads": list(ex.heads),
-                        "aspect_from": ex.aspect_from,
-                        "aspect_to": ex.aspect_to,
-                        "label": ex.label,
-                    }
-                )
-            )
-            fh.write("\n")
+            fh.write(corpus_line(ex) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ from .tensor import (
     concat,
     dot,
     gather_rows,
+    linear,
     log,
-    matmul,
     maxpool_rows,
     mul,
     pick,
@@ -63,7 +63,6 @@ from .tensor import (
     sqrt,
     sum_all,
     tanh,
-    transpose,
 )
 
 N_CLASSES = len(LABELS)
@@ -283,7 +282,7 @@ class ModelState:
 
 def _affine(x: Tensor, params: ModelState, name: str) -> Tensor:
     """``x @ w.T + b`` with the parameters ``w_<name>`` and ``b_<name>``."""
-    return add(matmul(x, transpose(params.tensors[f"w_{name}"])), params.tensors[f"b_{name}"])
+    return linear(x, params.tensors[f"w_{name}"], params.tensors[f"b_{name}"])
 
 
 def encode(batch: Batch, table: EmbeddingTable, params: ModelState):
@@ -301,12 +300,12 @@ def gcn_layer(h_prev: Tensor, tree: DependencyTree, w: Tensor, b: Tensor) -> Ten
     if h_prev.shape[0] != tree.n:
         raise DimensionError(f"hidden rows {h_prev.shape[0]} != tree size {tree.n}")
     agg = segment_mean_rows(h_prev, tree.neighbor_sets)
-    return relu(add(matmul(agg, transpose(w)), b))
+    return relu(linear(agg, w, b))
 
 
 def compute_gate(aspect_vec: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Per-layer sigmoid gates computed from the aspect representations."""
-    return sigmoid(add(matmul(aspect_vec, transpose(w)), b))
+    return sigmoid(linear(aspect_vec, w, b))
 
 
 def regulate(hidden: Tensor, gate: Tensor, owner) -> Tensor:

@@ -14,8 +14,10 @@ touched, not to the table. Every other operation, including ``gather_rows``
 on an operation's output, returns dense gradients for the tape to add.
 
 Supported shapes are scalars ``()``, vectors ``(n,)`` and matrices ``(n, d)``.
-The only broadcasting rule is a vector combined row-wise with a matrix; this
-keeps every backward rule small enough to audit by hand.
+There is no broadcasting: the elementwise operations take operands of equal
+shape, which keeps every backward rule small enough to audit by hand. The
+one affine operation is ``linear``, ``x @ w.T + b`` with a bias vector added
+to every row.
 
 A mini-batch of sentences runs as one matrix whose rows are split into
 contiguous segments, one per sentence, given by their first rows
@@ -156,28 +158,16 @@ def backward(loss: Tensor) -> None:
 # binary and unary elementwise operations
 
 
-def _row_broadcastable(a: Tensor, b: Tensor) -> bool:
-    return a.data.ndim == 2 and b.data.ndim == 1 and b.shape[0] == a.shape[1]
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape == b.shape:
-        back = lambda g: (g, g)
-    elif _row_broadcastable(a, b):
-        back = lambda g: (g, g.sum(axis=0))
-    else:
+    if a.shape != b.shape:
         raise DimensionError(f"cannot add shapes {a.shape} and {b.shape}")
-    return _record(a.data + b.data, "add", (a, b), back)
+    return _record(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape == b.shape:
-        back = lambda g: (g * b.data, g * a.data)
-    elif _row_broadcastable(a, b):
-        back = lambda g: (g * b.data, (g * a.data).sum(axis=0))
-    else:
+    if a.shape != b.shape:
         raise DimensionError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return _record(a.data * b.data, "mul", (a, b), back)
+    return _record(a.data * b.data, "mul", (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
@@ -247,17 +237,18 @@ def reciprocal(a: Tensor) -> Tensor:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul needs (m,k) x (k,n), got {a.shape} and {b.shape}")
-    back = lambda g: (g @ b.data.T, a.data.T @ g)
-    return _record(a.data @ b.data, "matmul", (a, b), back)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w.T + b``: each row of ``x`` (n, k) mapped by the weight ``w`` (m, k) plus the bias ``b`` (m,).
 
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose needs a matrix, got shape {a.shape}")
-    return _record(a.data.T.copy(), "transpose", (a,), lambda g: (g.T,))
+    ``w.T`` is copied to a C-contiguous array before either product. The
+    copy fixes the operand layout BLAS sees, and with it the summation order
+    and so every bit of the results.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.shape != w.shape[:1] or x.shape[1] != w.shape[1]:
+        raise DimensionError(f"linear needs x (n, k), w (m, k) and b (m,), got {x.shape}, {w.shape} and {b.shape}")
+    wt = w.data.T.copy()
+    back = lambda g: (g @ wt.T, (x.data.T @ g).T, g.sum(axis=0))
+    return _record(x.data @ wt + b.data, "linear", (x, w, b), back)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +318,7 @@ def sum_all(a: Tensor) -> Tensor:
     def back(g):
         return (np.full_like(a.data, float(g)),)
 
-    return _record(np.asarray(a.data.sum()), "sum", (a,), back)
+    return _record(np.asarray(a.data.sum()), "sum_all", (a,), back)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:

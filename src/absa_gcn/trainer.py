@@ -113,13 +113,18 @@ def evaluate(model: ModelState, data: list[Example], hp: HyperParams | None = No
     return compute_metrics(golds, preds, means)
 
 
-def _log_entry(epoch: int, split: str, metrics: Metrics) -> dict:
-    return {"epoch": epoch, "split": split, **metrics.scalars()}
-
-
-def _check_finite(loss: float, epoch: int) -> None:
+def _check_finite(loss: float, where: str) -> None:
     if not math.isfinite(loss):
-        raise TrainingDiverged(f"the loss is {loss} in epoch {epoch}")
+        raise TrainingDiverged(f"the loss is {loss} {where}")
+
+
+def _log_entry(epoch: int, split: str, metrics: Metrics) -> dict:
+    """One log line; its loss must be finite, so every line is strict JSON.
+
+    The loss terms are non-negative, so a finite total means finite terms.
+    """
+    _check_finite(metrics.loss_total, f"in epoch {epoch}")
+    return {"epoch": epoch, "split": split, **metrics.scalars()}
 
 
 def init_model_state(table: EmbeddingTable, hp: HyperParams, seed) -> ModelState:
@@ -146,7 +151,10 @@ def train(
     from the epoch with the best dev accuracy (earliest epoch wins ties);
     otherwise it is the final-epoch model. The log holds one dict per epoch
     and split, including an epoch-0 entry for the untrained state. A batch
-    or dev loss that is not finite raises ``TrainingDiverged``.
+    or logged loss that is not finite raises ``TrainingDiverged``. Without a dev
+    set, the final model's loss on the last mini-batch (one forward pass, no
+    backward) must be finite as well, or a diverging last step would go
+    unnoticed.
     """
     if not train_set:
         raise ValueError("training set is empty")
@@ -181,7 +189,7 @@ def train(
             batch = [train_set[i] for i in order[start : start + config.batch_size]]
             model.zero_grads()
             loss, trace = total_loss(batch, model, hp)
-            _check_finite(trace.losses.total, epoch)
+            _check_finite(trace.losses.total, f"in epoch {epoch}")
             _tally(trace, golds, preds, sums)
             backward(loss)
             adam_step(model.parameters(), adam)
@@ -189,15 +197,15 @@ def train(
         log.append(_log_entry(epoch, "train", compute_metrics(golds, preds, means)))
         if dev_set:
             dev_metrics = evaluate(model, dev_set, hp)
-            _check_finite(dev_metrics.loss_total, epoch)
             log.append(_log_entry(epoch, "dev", dev_metrics))
             if dev_metrics.accuracy > best_score:
                 best_score = dev_metrics.accuracy
                 best_model = None  # free the last copy before making the next
                 best_model = model.clone()
 
-    if dev_set and best_model is not None:
+    if dev_set:
         return best_model, log
+    _check_finite(total_loss(batch, model, hp)[1].losses.total, "on the last batch after the last step")
     return model, log
 
 

@@ -378,6 +378,52 @@ def test_a_diverging_run_is_exit_5_and_writes_nothing(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_a_last_step_divergence_without_dev_is_exit_5_and_writes_nothing(tmp_path, capsys):
+    argv = ["train", "--train", SAMPLE, "--out", str(tmp_path), "--lr", "1e308", "--epochs", "1", "--hidden", "8"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_DIVERGED
+    err = _one_error_line(capsys, "training diverged: ")
+    assert err == "training diverged: the loss is nan on the last batch after the last step; nothing was written\n"
+    assert os.listdir(tmp_path) == []
+
+
+def _overflowing_checkpoint(tmp_path):
+    """A two-layer model whose weights are finite but near 1e308, so every forward pass overflows."""
+    corpus = make_overfit_corpus(6, seed=4)
+    config = TrainConfig(epochs=1, batch_size=6, seed=5, hyperparams=HyperParams(hidden=4, layers=2))
+    model, _ = train(corpus, None, config)
+    for _, t in model.named_tensors():
+        if t.data.ndim == 2:
+            t.data[...] = np.where(t.data >= 0, 1e308, -1e308)
+    path = tmp_path / "overflowing.bin"
+    save_checkpoint(path, model)
+    return str(path), _write_corpus(tmp_path, corpus)
+
+
+@pytest.mark.parametrize("command, what", [("eval", "loss"), ("scores", "importance score")])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_a_non_finite_loss_or_score_is_exit_4_and_no_json(tmp_path, capsys, command, what, to_file):
+    checkpoint, corpus = _overflowing_checkpoint(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, "--checkpoint", checkpoint, "--test", corpus] + (["--out", str(out)] if to_file else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would be more stderr lines
+        assert main(argv) == EXIT_CHECKPOINT
+    captured = capsys.readouterr()
+    assert captured.err == f"checkpoint error: the model gives a non-finite {what} on this corpus\n"
+    assert captured.out == ""
+    assert os.listdir(out) == []
+
+
+def test_json_output_is_strict():
+    assert cli._json({"loss": 1.5}) == '{"loss": 1.5}'
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli._json({"loss": value})
+
+
 def _write_bytes(path, content: bytes) -> str:
     path.write_bytes(content)
     return str(path)
@@ -538,6 +584,14 @@ def test_convert_bundled_fixture(tmp_path):
     # loader round-trip
     examples = parse_corpus(out / "converted.jsonl")
     assert examples[0].tokens == ("The", "food", "was", "great")
+
+
+def test_convert_to_stdout_prints_the_bytes_of_the_converted_file(tmp_path, capsys):
+    argv = ["convert", "--conllu", str(ASSETS / "sample.conllu"), "--aspects", str(ASSETS / "sample_aspects.json")]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    assert printed.encode("utf-8") == (tmp_path / "converted.jsonl").read_bytes()
 
 
 def test_convert_missing_sidecar_is_config_error(tmp_path):

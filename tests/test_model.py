@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 import absa_gcn.model as model_module
+import absa_gcn.tensor as tensor_module
 from absa_gcn.data import Example, build_random_table, build_tree
 from absa_gcn.gradcheck import check_model_gradients, numeric_gradient, relative_error
 from absa_gcn.model import (
@@ -32,9 +33,10 @@ from absa_gcn.model import (
     total_loss,
 )
 from absa_gcn.synthetic import random_tree_heads
-from absa_gcn.tensor import DimensionError, Tensor, backward
-from absa_gcn.trainer import init_model_state
+from absa_gcn.tensor import DimensionError, Tape, Tensor, backward
+from absa_gcn.trainer import ABLATION_VARIANTS, init_model_state
 from conftest import dense_adjacency, oracle_losses
+from corpora import random_example
 
 
 def _example(tokens, heads, span=(0, 1), label="neutral"):
@@ -452,6 +454,42 @@ def test_shape_stability_across_sizes():
             assert trace.syn.shape == (n,)
             assert trace.mod.shape == (n,)
             assert trace.class_probs.shape == (1, 3)
+
+
+# ---------------------------------------------------------------------------
+# the tape of a batch
+
+
+def _tape_ops(hp: HyperParams, examples) -> list[str]:
+    table = build_random_table(examples, dim=6, seed=0)
+    state = ModelState.initialize(table, hp, np.random.default_rng(1), weight_scale=0.4, bias_scale=0.2)
+    loss, _ = total_loss(examples, state, hp)
+    return [entry.op for entry in Tape.trace(loss).entries]
+
+
+def test_a_batch_tape_has_one_linear_node_per_affine_map():
+    rng = np.random.default_rng(8)
+    ops = _tape_ops(HyperParams(hidden=8, layers=2), [random_example(rng) for _ in range(32)])
+    # sentence, two GCN layers, two gates, two importance scores, two classifier maps
+    assert ops.count("linear") == 9
+    assert len(ops) == 59
+
+
+def test_the_model_calls_every_op_of_the_tensor_library():
+    """An op that no variant of the model records on its tape has no caller and should go."""
+    public_ops = {
+        name for name, fn in vars(tensor_module).items()
+        if callable(fn) and getattr(fn, "__module__", None) == tensor_module.__name__
+        and not isinstance(fn, type) and not name.startswith("_") and name != "backward"
+    }
+    rng = np.random.default_rng(9)
+    examples = [random_example(rng) for _ in range(4)]
+    variants = [*ABLATION_VARIANTS.values(), {"normalize_div": True}, {"include_self_loop": False}]
+    recorded = set()
+    for variant in variants:
+        recorded.update(_tape_ops(HyperParams(hidden=8, layers=2, **variant), examples))
+    assert public_ops - recorded == set()
+    assert recorded <= public_ops
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from absa_gcn.tensor import (
     concat,
     dot,
     gather_rows,
+    linear,
     log,
-    matmul,
     maxpool_rows,
     mul,
     pick,
@@ -31,7 +31,6 @@ from absa_gcn.tensor import (
     sqrt,
     sum_all,
     tanh,
-    transpose,
 )
 from absa_gcn.gradcheck import numeric_gradient, relative_error
 from conftest import softmax_np
@@ -53,39 +52,74 @@ def test_tensor_shape_and_grad_allocation():
 
 
 # ---------------------------------------------------------------------------
-# matmul
+# linear
+
+
+def test_linear_hand_case():
+    x = Tensor([[1.0, 2.0], [3.0, 4.0]], trainable=True)
+    w = Tensor([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], trainable=True)
+    b = Tensor([10.0, 20.0, 30.0], trainable=True)
+    out = linear(x, w, b)
+    npt.assert_array_equal(out.data, [[11.0, 22.0, 33.0], [13.0, 24.0, 37.0]])
+    backward(sum_all(out))
+    npt.assert_array_equal(x.grad, [[2.0, 2.0], [2.0, 2.0]])  # column sums of w
+    npt.assert_array_equal(w.grad, [[4.0, 6.0]] * 3)  # column sums of x
+    npt.assert_array_equal(b.grad, [2.0, 2.0, 2.0])  # one per row of x
+
+
+# The matrix product inside linear: with a zero bias, linear(x, w, 0) is x @ w.T.
 
 
 def test_matmul_identity():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = matmul(Tensor(np.eye(2)), a)
+    out = linear(a, Tensor(np.eye(2)), Tensor(np.zeros(2)))
     npt.assert_array_equal(out.data, a.data)
 
 
 def test_matmul_hand_case():
-    out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+    out = linear(Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]]), Tensor([0.0]))
     npt.assert_array_equal(out.data, [[11.0]])
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(DimensionError) as err:
-        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-    assert "(2, 3)" in str(err.value)
 
 
 def test_matmul_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
-    a = Tensor(rng.uniform(-1, 1, (3, 4)), trainable=True)
-    b = Tensor(rng.uniform(-1, 1, (4, 2)), trainable=True)
+    x = Tensor(rng.uniform(-1, 1, (3, 4)), trainable=True)
+    w = Tensor(rng.uniform(-1, 1, (2, 4)), trainable=True)
+    b = Tensor(rng.uniform(-1, 1, 2), trainable=True)
     weights = Tensor(rng.uniform(-1, 1, (3, 2)))
 
     def loss():
-        return sum_all(mul(matmul(a, b), weights))
+        return sum_all(mul(linear(x, w, b), weights))
 
     backward(loss())
-    for t in (a, b):
+    for t in (x, w, b):
         numeric = numeric_gradient(lambda: loss().item(), t)
         assert relative_error(t.grad, numeric).max() < 1e-6
+
+
+def test_linear_shape_error_names_all_three_shapes():
+    for w, b in (((4, 2), (4,)), ((4, 3), (3,)), ((4, 3), (1, 4))):
+        with pytest.raises(DimensionError) as err:
+            linear(Tensor(np.ones((2, 3))), Tensor(np.ones(w)), Tensor(np.ones(b)))
+        assert all(str(shape) in str(err.value) for shape in ((2, 3), w, b))
+    with pytest.raises(DimensionError):
+        linear(Tensor(np.ones(3)), Tensor(np.ones((4, 3))), Tensor(np.ones(4)))
+
+
+@pytest.mark.parametrize("rows, k, m", [(1, 6, 3), (33, 50, 50), (80, 300, 200), (32, 400, 200)])
+def test_linear_is_byte_equal_to_the_old_matmul_transpose_add_chain(rows, k, m):
+    rng = np.random.default_rng(rows + k + m)
+    x, w, b = rng.normal(size=(rows, k)), rng.normal(size=(m, k)), rng.normal(size=m)
+    g = rng.normal(size=(rows, m))
+    # The chain add(matmul(x, transpose(w)), b) copied w.T, multiplied, and
+    # handed back g @ wt.T for x and the transpose of x.T @ g for w.
+    wt = w.T.copy()
+    out = linear(Tensor(x), Tensor(w), Tensor(b))
+    assert out.data.tobytes() == (x @ wt + b).tobytes()
+    gx, gw, gb = out._backward(g)
+    assert gx.tobytes() == (g @ wt.T).tobytes()
+    assert gw.tobytes() == (x.T @ g).T.tobytes()
+    assert gb.tobytes() == g.sum(axis=0).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +145,16 @@ def test_mul_annihilator():
     npt.assert_array_equal(out.data, [0.0, 0.0, 0.0])
 
 
-def test_row_broadcast_add_and_mul():
-    m = Tensor([[1.0, 2.0], [3.0, 4.0]], trainable=True)
-    v = Tensor([10.0, 20.0], trainable=True)
-    npt.assert_array_equal(add(m, v).data, [[11.0, 22.0], [13.0, 24.0]])
-    backward(sum_all(mul(m, v)))
-    npt.assert_array_equal(v.grad, [4.0, 6.0])  # column sums of m
-    npt.assert_array_equal(m.grad, [[10.0, 20.0], [10.0, 20.0]])
-
-
 def test_non_broadcastable_shapes_rejected():
     with pytest.raises(DimensionError):
         add(Tensor([[1.0, 2.0]]), Tensor([1.0, 2.0, 3.0]))
     with pytest.raises(DimensionError):
         mul(Tensor([1.0, 2.0]), Tensor([[1.0, 2.0]]))
+    # nor a vector combined row by row with a matrix: only linear adds a bias to rows
+    with pytest.raises(DimensionError):
+        add(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([10.0, 20.0]))
+    with pytest.raises(DimensionError):
+        mul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([10.0, 20.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +315,10 @@ def test_gather_rows_leaf_grad_is_byte_equal_to_dense_scatter():
 
 def test_gather_rows_frozen_leaf_gets_no_gradient():
     t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    x = Tensor([1.0, 1.0], trainable=True)
+    x = Tensor(np.ones((3, 2)), trainable=True)
     backward(sum_all(mul(gather_rows(t, [1, 0, 1]), x)))
     assert t.grad is None
-    npt.assert_array_equal(x.grad, [7.0, 10.0])
+    npt.assert_array_equal(x.grad, [[3.0, 4.0], [1.0, 2.0], [3.0, 4.0]])
 
 
 def test_gather_rows_on_operation_output_still_flows_back():
@@ -388,7 +418,7 @@ def test_unreachable_parameter_keeps_zero_grad():
 def _small_graph():
     a = Tensor([[1.0, -2.0], [0.5, 3.0]], trainable=True)
     b = Tensor([[0.2, 0.1], [-0.4, 0.8]], trainable=True)
-    h = relu(matmul(a, b))
+    h = relu(linear(a, b, Tensor([0.5, -0.5])))
     return a, b, sum_all(mul(h, h))
 
 
@@ -425,7 +455,7 @@ def test_replay_determinism_bitwise():
         rng = np.random.default_rng(42)
         a = Tensor(rng.uniform(-1, 1, (4, 4)), trainable=True)
         b = Tensor(rng.uniform(-1, 1, (4, 4)), trainable=True)
-        loss = sum_all(sigmoid(matmul(relu(a), tanh(b))))
+        loss = sum_all(sigmoid(linear(relu(a), tanh(b), Tensor(np.zeros(4)))))
         backward(loss)
         return loss.item(), a.grad.copy(), b.grad.copy()
 
@@ -440,9 +470,9 @@ def test_replay_determinism_bitwise():
 
 
 def _composition_loss(params):
-    a, b, v, w = params
-    h = relu(matmul(a, transpose(b)))
-    gated = mul(h, sigmoid(v))
+    x, w, b, v, u = params
+    h = relu(linear(x, w, b))
+    gated = mul(h, gather_rows(sigmoid(v), [0, 1, 1]))
     pooled = maxpool_rows(gated, [0, 2])
     mixed = concat(pooled, segment_mean_rows(tanh(gated), [[0, 1], [1, 2]]))
     shifted = add(mixed, Tensor(np.full(mixed.shape, 0.3)))
@@ -452,17 +482,19 @@ def _composition_loss(params):
         sum_all(dot(probs, probs)),
         log(sum_all(pick(probs, [3, 7]))),
         dot(scores, scores),
-        mul(sum_all(log(clamp_min(shifted, 1e-6))), dot(w, w)),
+        mul(sum_all(log(clamp_min(shifted, 1e-6))), dot(u, u)),
     ])
 
 
 def test_gradient_check_random_compositions():
+    """Finite differences agree with backward for x, w and b of linear and every other input."""
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         params = (
             Tensor(rng.uniform(-1, 1, (3, 4)), trainable=True),
             Tensor(rng.uniform(-1, 1, (5, 4)), trainable=True),
             Tensor(rng.uniform(-1, 1, 5), trainable=True),
+            Tensor(rng.uniform(-1, 1, (2, 5)), trainable=True),
             Tensor(rng.uniform(-1, 1, 2), trainable=True),
         )
         backward(_composition_loss(params))
