@@ -33,7 +33,7 @@ from .data import (
 )
 from .gradcheck import CHECK_HYPERPARAMS, build_check_setup, check_model_gradients
 from .model import CheckpointError, HyperParams, load_checkpoint, save_checkpoint, total_loss
-from .trainer import TrainConfig, TrainingDiverged, evaluate, run_ablations, train
+from .trainer import EVAL_CHUNK, TrainConfig, TrainingDiverged, evaluate, run_ablations, train
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -287,19 +287,21 @@ def cmd_scores(settings: dict) -> int:
     data = parse_corpus(_require_file(settings, "test"))
     out = _out_dir(settings, default=None)
     rows = []
-    for ex in data:
-        _, trace = total_loss(ex, model)
+    for start in range(0, len(data), EVAL_CHUNK):
+        _, trace = total_loss(data[start : start + EVAL_CHUNK], model)
         _require_finite(trace.mod.data, "importance score")
         _require_finite(trace.class_probs.data, "class probability")
-        rows.append({
-            "tokens": list(ex.tokens),
-            "aspect_from": ex.aspect_from,
-            "aspect_to": ex.aspect_to,
-            "syn": trace.syn.tolist(),
-            "mod": trace.mod.data.tolist(),
-            "predicted": LABELS[int(trace.class_probs.data[0].argmax())],
-            "gold": ex.label,
-        })
+        bounds = [*trace.batch.starts.tolist(), trace.syn.size]
+        for e, ex in enumerate(trace.batch.examples):
+            rows.append({
+                "tokens": list(ex.tokens),
+                "aspect_from": ex.aspect_from,
+                "aspect_to": ex.aspect_to,
+                "syn": trace.syn[bounds[e] : bounds[e + 1]].tolist(),
+                "mod": trace.mod.data[bounds[e] : bounds[e + 1]].tolist(),
+                "predicted": LABELS[int(trace.class_probs.data[e].argmax())],
+                "gold": ex.label,
+            })
     if out:
         _write_json_lines(os.path.join(out, "scores.jsonl"), rows)
     else:

@@ -14,14 +14,15 @@ number; silently dropping lines would corrupt dataset-count checks.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import RowGroups, Tensor
 
 LABELS = ("positive", "neutral", "negative")
 
@@ -45,7 +46,7 @@ class Example:
     aspect_from: int
     aspect_to: int
     label: str
-    # {include_self_loop: (tree, tree-based scores)}, set by ``model.make_batch``
+    # {include_self_loop: tree}, set by ``model.make_batch``
     # the first time the example is batched; None until then, so that making
     # an example allocates nothing for it.
     graph_cache: dict | None = field(default=None, init=False, repr=False, compare=False)
@@ -196,61 +197,88 @@ def write_corpus(examples, path) -> None:
 # dependency trees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DependencyTree:
     """Undirected adjacency derived from parent links, plus aspect distances.
 
-    ``neighbor_sets[i]`` is sorted and contains ``i`` itself when self-loops
-    are enabled; ``path_len_to_aspect[i]`` is the minimum tree distance from
+    ``neighborhoods`` holds token ``i``'s neighbours as group ``i`` of a
+    symmetric ``RowGroups``: sorted, with ``i`` itself when self-loops are
+    enabled. ``path_len_to_aspect[i]`` is the minimum tree distance from
     token ``i`` to any aspect token (0 inside the span).
     """
 
     n: int
-    neighbor_sets: tuple[tuple[int, ...], ...]
+    neighborhoods: RowGroups
     path_len_to_aspect: tuple[int, ...]
 
 
 def build_tree(ex: Example, include_self_loop: bool = True) -> DependencyTree:
-    n = ex.n
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    for i, h in enumerate(ex.heads):
-        if h == -1:
-            continue
-        adjacency[i].add(h)
-        adjacency[h].add(i)
-
-    neighbor_sets = []
-    for i in range(n):
-        nb = set(adjacency[i])
-        # An isolated token keeps itself so mean aggregation stays defined.
-        if include_self_loop or not nb:
-            nb.add(i)
-        neighbor_sets.append(tuple(sorted(nb)))
-
-    # Multi-source BFS seeded with every aspect token at distance 0.
-    dist = [-1] * n
-    queue = deque()
-    for i in range(ex.aspect_from, ex.aspect_to):
-        dist[i] = 0
-        queue.append(i)
-    while queue:
-        i = queue.popleft()
-        for j in adjacency[i]:
-            if dist[j] == -1:
-                dist[j] = dist[i] + 1
-                queue.append(j)
-
-    return DependencyTree(n=n, neighbor_sets=tuple(neighbor_sets), path_len_to_aspect=tuple(dist))
+    """The example's tree: ``build_trees`` of the one example."""
+    return build_trees([ex], include_self_loop)[0]
 
 
-def syntax_scores(tree: DependencyTree) -> np.ndarray:
+def build_trees(examples: Sequence[Example], include_self_loop: bool = True) -> list[DependencyTree]:
+    """Each example's tree, built for all of them by one pass of array operations.
+
+    The examples' tokens are laid end to end as one forest. A token's
+    neighbourhood is its head and its children, sorted, with the token itself
+    when self-loops are enabled; a lone token keeps itself even without
+    self-loops, so its mean stays defined. The aspect distances come from a
+    breadth-first search of the whole forest, one level per step. Each tree's
+    ``RowGroups`` arrays are views into the forest's.
+    """
+    lengths = np.fromiter((ex.n for ex in examples), dtype=np.intp, count=len(examples))
+    starts = np.cumsum(lengths) - lengths
+    n = int(lengths.sum())
+    offset = np.repeat(starts, lengths)  # the first token of each token's tree
+    heads = np.fromiter(itertools.chain.from_iterable(ex.heads for ex in examples), dtype=np.intp, count=n)
+    child = np.flatnonzero(heads >= 0)
+    head = heads[child] + offset[child]
+    loops = np.arange(n) if include_self_loop else starts[lengths == 1]
+    # One key per (token, neighbour) pair; sorted, they list each token's neighbours in order.
+    pairs = np.sort(np.concatenate([loops * (n + 1), child * n + head, head * n + child]))
+    token, members = np.divmod(pairs, n)
+    members -= offset[token]
+
+    dist = np.full(n, -1)
+    for start, ex in zip(starts.tolist(), examples):
+        dist[start + ex.aspect_from : start + ex.aspect_to] = 0
+    src, dst = np.concatenate([child, head]), np.concatenate([head, child])
+    level = 0
+    while True:
+        reached = dst[(dist[src] == level) & (dist[dst] == -1)]
+        if reached.size == 0:
+            break
+        level += 1
+        dist[reached] = level
+
+    sizes = np.bincount(token, minlength=n)
+    rows = [*starts.tolist(), n]
+    cuts = np.searchsorted(token, rows).tolist()
+    dist = dist.tolist()
+    trees = []
+    for e in range(len(examples)):
+        first, end = rows[e], rows[e + 1]
+        hood = RowGroups(sizes[first:end], members[cuts[e] : cuts[e + 1]], end - first, symmetric=True)
+        trees.append(DependencyTree(end - first, hood, tuple(dist[first:end])))
+    return trees
+
+
+def syntax_scores(tree: DependencyTree, starts: Sequence[int] = (0,)) -> np.ndarray:
     """Importance of each token from the tree alone: softmax of negated distance.
 
-    The result is a probability vector whose maximum sits on the aspect span.
+    ``tree`` may be a forest of trees laid end to end, such as a batch's,
+    with ``starts`` holding each tree's first token; the softmax then runs
+    within each tree. Each tree's scores are a probability vector whose
+    maximum sits on its aspect span. A tree's sum is taken over its own
+    slice, so its scores do not depend on the trees beside it.
     """
     raw = -np.asarray(tree.path_len_to_aspect, dtype=np.float64)
-    e = np.exp(raw - raw.max())
-    return e / e.sum()
+    bounds = [*starts, raw.size]
+    owner = np.repeat(np.arange(len(starts)), np.diff(bounds))
+    e = np.exp(raw - np.maximum.reduceat(raw, starts)[owner])
+    sums = np.array([e[first:end].sum() for first, end in zip(bounds, bounds[1:])])
+    return e / sums[owner]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ and checkpoints all read it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -38,9 +39,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import LABELS, DependencyTree, EmbeddingTable, Example, build_tree, syntax_scores, write_atomically
+from .data import LABELS, DependencyTree, EmbeddingTable, Example, build_trees, syntax_scores, write_atomically
+from .data import build_tree  # noqa: F401  unused here; perfbench's tracer wraps it under this module's name
 from .tensor import (
     DimensionError,
+    RowGroups,
     Tensor,
     add,
     add_n,
@@ -126,38 +129,43 @@ class Batch:
 
 
 def make_batch(examples, include_self_loop: bool = True) -> Batch:
-    """Lay the examples end to end in the order given."""
+    """Lay the examples end to end in the order given.
+
+    The forest's neighbourhoods are the examples' cached ones joined with
+    their node ids offset by ``starts``: a few array operations per batch.
+    The tree-based scores are computed for the whole forest.
+    """
     if not examples:
         raise ValueError("a batch needs at least one example")
-    graphs = [_graph(ex, include_self_loop) for ex in examples]
-    trees = [tree for tree, _ in graphs]
+    trees = _trees(examples, include_self_loop)
     lengths = [tree.n for tree in trees]
     starts = np.cumsum([0] + lengths[:-1])
-    neighbor_sets: list[tuple[int, ...]] = []
-    distances: list[int] = []
-    for start, tree in zip(starts.tolist(), trees):
-        neighbor_sets.extend(tuple(j + start for j in nb) for nb in tree.neighbor_sets)
-        distances.extend(tree.path_len_to_aspect)
+    hoods = [tree.neighborhoods for tree in trees]
+    members = np.concatenate([h.members for h in hoods]) + np.repeat(starts, [h.members.size for h in hoods])
+    n = sum(lengths)
+    forest = DependencyTree(
+        n=n,
+        neighborhoods=RowGroups(np.concatenate([h.sizes for h in hoods]), members, n, symmetric=True),
+        path_len_to_aspect=tuple(itertools.chain.from_iterable(tree.path_len_to_aspect for tree in trees)),
+    )
     return Batch(
         examples=tuple(examples),
         starts=starts,
         owner=np.repeat(np.arange(len(trees)), lengths),
-        tree=DependencyTree(
-            n=len(distances), neighbor_sets=tuple(neighbor_sets), path_len_to_aspect=tuple(distances)
-        ),
-        syn=np.concatenate([syn for _, syn in graphs]),
+        tree=forest,
+        syn=syntax_scores(forest, starts.tolist()),
     )
 
 
-def _graph(ex: Example, include_self_loop: bool) -> tuple[DependencyTree, np.ndarray]:
-    """The example's tree and tree-based scores, computed on first use and kept on the example."""
-    if ex.graph_cache is None:
-        object.__setattr__(ex, "graph_cache", {})  # a cache, not part of the frozen value
-    graph = ex.graph_cache.get(include_self_loop)
-    if graph is None:
-        tree = build_tree(ex, include_self_loop=include_self_loop)
-        graph = ex.graph_cache[include_self_loop] = (tree, syntax_scores(tree))
-    return graph
+def _trees(examples, include_self_loop: bool) -> list[DependencyTree]:
+    """The examples' trees, kept on the examples; those not built yet are built together."""
+    missing = [ex for ex in examples if include_self_loop not in (ex.graph_cache or ())]
+    if missing:
+        for ex, tree in zip(missing, build_trees(missing, include_self_loop=include_self_loop)):
+            if ex.graph_cache is None:
+                object.__setattr__(ex, "graph_cache", {})  # a cache, not part of the frozen value
+            ex.graph_cache[include_self_loop] = tree
+    return [ex.graph_cache[include_self_loop] for ex in examples]
 
 
 @dataclass
@@ -290,7 +298,7 @@ def encode(batch: Batch, table: EmbeddingTable, params: ModelState):
     E = gather_rows(table.vectors, [table.row_index(tok) for ex in batch.examples for tok in ex.tokens])
     starts = batch.starts.tolist()
     spans = [range(s + ex.aspect_from, s + ex.aspect_to) for s, ex in zip(starts, batch.examples)]
-    aspect_vec = segment_mean_rows(E, spans)
+    aspect_vec = segment_mean_rows(E, RowGroups.of(spans, E.shape[0]))
     sentence_vec = tanh(_affine(maxpool_rows(E, batch.starts), params, "sent"))
     return E, aspect_vec, sentence_vec
 
@@ -299,7 +307,7 @@ def gcn_layer(h_prev: Tensor, tree: DependencyTree, w: Tensor, b: Tensor) -> Ten
     """Mean over each token's tree neighborhood, then affine map and ReLU."""
     if h_prev.shape[0] != tree.n:
         raise DimensionError(f"hidden rows {h_prev.shape[0]} != tree size {tree.n}")
-    agg = segment_mean_rows(h_prev, tree.neighbor_sets)
+    agg = segment_mean_rows(h_prev, tree.neighborhoods)
     return relu(linear(agg, w, b))
 
 

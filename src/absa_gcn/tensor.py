@@ -22,11 +22,17 @@ to every row.
 A mini-batch of sentences runs as one matrix whose rows are split into
 contiguous segments, one per sentence, given by their first rows
 (``starts``). The segment operations reduce within each segment:
-``maxpool_rows`` (column-wise maximum), ``segment_softmax`` (softmax of a
-vector's entries) and, over arbitrary row groups, ``segment_mean_rows``.
-``dot`` and ``concat`` work along the last axis, so on matrices they act row
-by row; ``softmax_rows`` normalises each row and ``pick`` takes one entry per
-row, such as each example's gold-class probability.
+``maxpool_rows`` (column-wise maximum) and ``segment_softmax`` (softmax of a
+vector's entries). ``dot`` and ``concat`` work along the last axis, so on
+matrices they act row by row; ``softmax_rows`` normalises each row and
+``pick`` takes one entry per row, such as each example's gold-class
+probability.
+
+``segment_mean_rows`` averages the row groups of a ``RowGroups`` (the GCN's
+tree neighbourhoods, the aspect spans) by one row gather per neighbour
+position. Its backward pass is the same gather over the transposed groups;
+a tree's neighbourhoods are symmetric, their own transpose, so there it
+needs no scatter and no sort.
 """
 
 from __future__ import annotations
@@ -215,8 +221,9 @@ def log(a: Tensor) -> Tensor:
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
-    mask = a.data >= floor
-    return _record(np.where(mask, a.data, floor), "clamp_min", (a,), lambda g: (g * mask,))
+    """Entries below ``floor`` raised to it; a NaN stays NaN, so a loss built on it is not finite."""
+    below = a.data < floor
+    return _record(np.where(below, floor, a.data), "clamp_min", (a,), lambda g: (g * ~below,))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -283,18 +290,18 @@ def maxpool_rows(a: Tensor, starts: Sequence[int]) -> Tensor:
     Row ``s`` of the result pools rows ``starts[s]`` up to the next start.
     The backward pass routes each column's gradient to the first row of the
     segment attaining the maximum, which makes tie handling deterministic.
+    It finds those rows itself, so a forward-only pass never looks for them.
     """
     if a.data.ndim != 2:
         raise DimensionError(f"maxpool_rows needs a matrix, got shape {a.shape}")
     starts, owner = _segments(a.shape[0], starts)
     out = np.maximum.reduceat(a.data, starts, axis=0)
-    rows = np.arange(a.shape[0])[:, None]
-    first = np.minimum.reduceat(np.where(a.data < out[owner], a.shape[0], rows), starts, axis=0)
-    cols = np.arange(a.shape[1])
 
     def back(g):
+        rows = np.arange(a.shape[0])[:, None]
+        first = np.minimum.reduceat(np.where(a.data < out[owner], a.shape[0], rows), starts, axis=0)
         grad = np.zeros_like(a.data)
-        grad[first, cols] = g
+        grad[first, np.arange(a.shape[1])] = g
         return (grad,)
 
     return _record(out, "maxpool_rows", (a,), back)
@@ -405,29 +412,98 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     return _record(a.data[idx], "gather_rows", (a,), back)
 
 
-def segment_mean_rows(a: Tensor, groups: Sequence[Sequence[int]]) -> Tensor:
-    """Row i of the result is the mean of a's rows named by ``groups[i]``.
+class RowGroups:
+    """Groups of input rows, one per output row, summed as a gather sorted by group size.
 
-    Groups are flattened to an edge list once, so both passes run as a
-    single gather plus a sum per group.
+    Output row ``i`` names ``sizes[i]`` input rows, listed in ``members``
+    group after group; each member is below ``n_in``, the number of input
+    rows. ``gather`` orders the output rows by group size, largest first
+    (ties by row): ``columns[j]`` holds the ``j``-th member of each of the
+    first ``columns[j].size`` rows of that order, the rows whose group has
+    more than ``j`` members, and ``rank[i]`` is output row ``i``'s place in
+    it. So ``sums`` takes one row gather per column, added into a prefix of
+    the rows, and one large group (a star tree's hub) pads nothing. The
+    gather is built on first use and then kept.
+
+    ``symmetric`` states that ``j`` is in group ``i`` exactly when ``i`` is
+    in group ``j``, as for the neighbourhoods of an undirected tree; then
+    the groups are their own ``transpose`` and no transpose is built.
+    """
+
+    def __init__(self, sizes: np.ndarray, members: np.ndarray, n_in: int, symmetric: bool = False):
+        self.sizes = sizes
+        self.members = members
+        self.n_in = n_in
+        self._transpose = self if symmetric else None
+        self._gather: tuple[tuple[np.ndarray, ...], np.ndarray] | None = None
+
+    @classmethod
+    def of(cls, groups: Sequence[Sequence[int]], n_in: int) -> "RowGroups":
+        """The groups given as one sequence of input rows per output row, checked.
+
+        The constructor takes ``sizes`` and ``members`` as built by the
+        package's own code (intp arrays, members in range) unchecked.
+        """
+        if not groups:
+            raise ValueError("row groups need at least one group")
+        sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+        members = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp, count=int(sizes.sum()))
+        if members.size and (members.min() < 0 or members.max() >= n_in):
+            raise ValueError(f"row index out of range for {n_in} rows")
+        return cls(sizes, members, n_in)
+
+    def gather(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """``(columns, rank)``, built on first use."""
+        if self._gather is None:
+            order = np.argsort(-self.sizes, kind="stable")
+            ranked = self.sizes[order]
+            firsts = (np.cumsum(self.sizes) - self.sizes)[order]
+            widths = np.searchsorted(-ranked, -np.arange(ranked[0]), side="left")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            self._gather = tuple(self.members[firsts[:m] + j] for j, m in enumerate(widths.tolist())), rank
+        return self._gather
+
+    @property
+    def transpose(self) -> "RowGroups":
+        """The groups with inputs and outputs swapped: input row ``j`` names each output row whose group holds it."""
+        if self._transpose is None:
+            owners = np.repeat(np.arange(self.sizes.size), self.sizes)[np.argsort(self.members, kind="stable")]
+            self._transpose = RowGroups(np.bincount(self.members, minlength=self.n_in), owners, self.sizes.size)
+            self._transpose._transpose = self
+        return self._transpose
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """Row ``i``: the sum of the rows of ``x`` in group ``i``, added in member order (zero for an empty group)."""
+        columns, rank = self.gather()
+        # The indices are in range, so mode="clip" changes no value; unlike
+        # the default it lets take write into ``part`` without a buffer.
+        acc = x.take(columns[0], axis=0)
+        part = np.empty((rank.size, x.shape[1]))
+        for col in columns[1:]:
+            acc[: col.size] += x.take(col, axis=0, out=part[: col.size], mode="clip")
+        if acc.shape[0] < rank.size:
+            acc = np.concatenate([acc, np.zeros((rank.size - acc.shape[0], x.shape[1]))])
+        return acc.take(rank, axis=0, out=part, mode="clip")
+
+
+def segment_mean_rows(a: Tensor, groups: RowGroups) -> Tensor:
+    """Row i of the result is the mean of a's rows in group ``i``.
+
+    The forward pass is the gather of ``RowGroups.sums`` divided by the
+    group sizes. The backward pass is the transpose's gather of ``g`` divided
+    by those sizes, so it needs no scatter. For symmetric groups (a tree's
+    neighbourhoods) the transpose is the same gather: the mean is the fixed
+    operator D^-1 A with A symmetric, whose transpose A D^-1 gathers exactly
+    the rows the forward pass gathered.
     """
     if a.data.ndim != 2:
         raise DimensionError(f"segment_mean_rows needs a matrix, got shape {a.shape}")
-    if not groups:
-        raise ValueError("segment_mean_rows needs at least one group")
-    counts = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
-    if counts.min() == 0:
-        raise ValueError(f"group {int(np.argmin(counts))} is empty")
-    members = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp, count=int(counts.sum()))
-    if members.min() < 0 or members.max() >= a.shape[0]:
-        raise ValueError(f"row index out of range for {a.shape[0]} rows")
-    owners = np.repeat(np.arange(len(groups)), counts)
-    out = np.add.reduceat(a.data[members], np.cumsum(counts) - counts, axis=0) / counts[:, None]
-
-    def back(g):
-        grad = np.zeros_like(a.data)
-        rows, sums = _scatter_sums(members, (g / counts[:, None])[owners])
-        grad[rows] = sums
-        return (grad,)
-
-    return _record(out, "segment_mean_rows", (a,), back)
+    if groups.n_in != a.shape[0]:
+        raise DimensionError(f"groups over {groups.n_in} rows applied to {a.shape[0]} rows")
+    if groups.sizes.min() == 0:
+        raise ValueError(f"group {int(np.argmin(groups.sizes))} is empty")
+    counts = groups.sizes[:, None].astype(np.float64)  # dividing by integers would convert them on every pass
+    out = groups.sums(a.data)
+    out /= counts
+    return _record(out, "segment_mean_rows", (a,), lambda g: (groups.transpose.sums(g / counts),))

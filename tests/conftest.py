@@ -32,6 +32,12 @@ def dense_adjacency(ex, include_self_loop=True):
     return A / A.sum(axis=1, keepdims=True)
 
 
+def neighbor_sets(tree):
+    """Each token's neighbourhood in a ``DependencyTree``, as a tuple of token ids."""
+    hoods = tree.neighborhoods
+    return tuple(tuple(group.tolist()) for group in np.split(hoods.members, np.cumsum(hoods.sizes)[:-1]))
+
+
 def floyd_warshall_distances(ex):
     """All-pairs shortest paths, reduced to min distance into the aspect span."""
     n = ex.n

@@ -8,14 +8,14 @@ batch gradient must be the mean of the examples' own gradients, and
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from absa_gcn.data import LABELS, Example, build_random_table
-from absa_gcn.model import HyperParams, ModelState, total_loss
-from absa_gcn.tensor import backward
+from absa_gcn.data import LABELS, Example, build_random_table, build_tree, build_trees, syntax_scores
+from absa_gcn.model import HyperParams, ModelState, make_batch, total_loss
+from absa_gcn.tensor import Tensor, backward, mul, segment_mean_rows, sum_all
 from absa_gcn.trainer import compute_metrics, evaluate
-from conftest import oracle_losses
+from conftest import dense_adjacency, oracle_losses
 
 WORDS = [f"w{i}" for i in range(8)]
 TERMS = ("div", "const", "pred", "total")
@@ -145,3 +145,83 @@ def test_evaluate_agrees_with_the_oracle_across_chunk_edges(count, data, hp, see
     assert (got.accuracy, got.macro_f1, got.per_class) == (want.accuracy, want.macro_f1, want.per_class)
     for term in TERMS:
         assert getattr(got, f"loss_{term}") == pytest.approx(getattr(want, f"loss_{term}"), rel=0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the tree aggregation of a batch
+
+
+@st.composite
+def tree_heads(draw, max_tokens: int = 9):
+    """Parent links of a random (Prüfer), chain or star tree."""
+    n = draw(st.integers(1, max_tokens))
+    kind = draw(st.sampled_from(["random", "chain", "star"]))
+    root = draw(st.integers(0, n - 1))
+    if kind == "chain":
+        return [-1] + list(range(n - 1))
+    if kind == "star":
+        return [-1 if i == root else root for i in range(n)]
+    sequence = draw(st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    return pruefer_heads(sequence, n, root)
+
+
+def _forest(forest):
+    return [Example([f"t{i}" for i in range(len(h))], h, 0, 1, "neutral") for h in forest]
+
+
+def _block_adjacency(exs, include_self_loop):
+    """The row-normalised adjacency of the forest, from the numpy oracle's per-tree matrices."""
+    n = sum(ex.n for ex in exs)
+    A = np.zeros((n, n))
+    at = 0
+    for ex in exs:
+        A[at : at + ex.n, at : at + ex.n] = dense_adjacency(ex, include_self_loop)
+        at += ex.n
+    return A
+
+
+@PROPERTY
+@given(
+    forest=st.lists(tree_heads(), min_size=1, max_size=6),
+    include_self_loop=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(forest=[[-1]], include_self_loop=False, seed=0)  # one isolated token, a batch of one
+@example(forest=[[-1], [1, -1, 1, 1, 1], [-1, 0, 1]], include_self_loop=True, seed=1)
+def test_tree_aggregation_is_the_dense_adjacency_and_its_transpose(forest, include_self_loop, seed):
+    exs = _forest(forest)
+    A = _block_adjacency(exs, include_self_loop)
+    rng = np.random.default_rng(seed)
+    H = Tensor(rng.uniform(-1, 1, (A.shape[0], 3)), trainable=True)
+    G = rng.uniform(-1, 1, H.shape)
+    out = segment_mean_rows(H, make_batch(exs, include_self_loop).tree.neighborhoods)
+    np.testing.assert_allclose(out.data, A @ H.data, rtol=0, atol=1e-14)
+    backward(sum_all(mul(out, Tensor(G))))
+    np.testing.assert_allclose(H.grad, A.T @ G, rtol=0, atol=1e-14)
+
+
+@PROPERTY
+@given(forest=st.lists(tree_heads(), min_size=1, max_size=6), include_self_loop=st.booleans())
+def test_trees_built_together_are_the_trees_built_one_by_one(forest, include_self_loop):
+    exs = [Example([f"t{i}" for i in range(len(h))], h, len(h) // 2, len(h), "neutral") for h in forest]
+    for ex, tree in zip(exs, build_trees(exs, include_self_loop)):
+        alone = build_tree(ex, include_self_loop)
+        assert tree.n == alone.n and tree.path_len_to_aspect == alone.path_len_to_aspect
+        np.testing.assert_array_equal(tree.neighborhoods.sizes, alone.neighborhoods.sizes)
+        np.testing.assert_array_equal(tree.neighborhoods.members, alone.neighborhoods.members)
+    # A batch's scores are each tree's own, to the bit.
+    alone_scores = np.concatenate([syntax_scores(build_tree(ex)) for ex in exs])
+    assert make_batch(exs, include_self_loop).syn.tobytes() == alone_scores.tobytes()
+
+
+@PROPERTY
+@given(forest=st.lists(tree_heads(), min_size=1, max_size=6), include_self_loop=st.booleans())
+def test_a_batch_joins_the_examples_neighbourhoods_with_offsets(forest, include_self_loop):
+    exs = _forest(forest)
+    batch = make_batch(exs, include_self_loop)
+    joined = batch.tree.neighborhoods
+    trees = [ex.graph_cache[include_self_loop] for ex in exs]
+    np.testing.assert_array_equal(joined.sizes, np.concatenate([t.neighborhoods.sizes for t in trees]))
+    offset = [t.neighborhoods.members + start for t, start in zip(trees, batch.starts)]
+    np.testing.assert_array_equal(joined.members, np.concatenate(offset))
+    assert joined.n_in == batch.tree.n == sum(ex.n for ex in exs)

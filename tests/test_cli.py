@@ -13,6 +13,7 @@ import pytest
 import absa_gcn.cli as cli
 import absa_gcn.data as data
 import absa_gcn.gradcheck as gradcheck
+import absa_gcn.trainer as trainer_module
 from absa_gcn.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CHECKPOINT,
@@ -23,9 +24,9 @@ from absa_gcn.cli import (
     main,
     read_config,
 )
-from absa_gcn.data import Example, parse_corpus, write_corpus
-from absa_gcn.model import HyperParams, load_checkpoint, save_checkpoint
-from absa_gcn.trainer import TrainConfig, train
+from absa_gcn.data import LABELS, Example, parse_corpus, write_corpus
+from absa_gcn.model import HyperParams, load_checkpoint, save_checkpoint, total_loss
+from absa_gcn.trainer import EVAL_CHUNK, TrainConfig, train
 from corpora import make_overfit_corpus
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -388,16 +389,21 @@ def test_a_last_step_divergence_without_dev_is_exit_5_and_writes_nothing(tmp_pat
     assert os.listdir(tmp_path) == []
 
 
+def _saturate(model):
+    """Set every weight matrix to +-1e308: finite, but every forward pass overflows."""
+    for _, t in model.named_tensors():
+        if t.data.ndim == 2:
+            t.data[...] = np.where(t.data >= 0, 1e308, -1e308)
+    return model
+
+
 def _overflowing_checkpoint(tmp_path):
     """A two-layer model whose weights are finite but near 1e308, so every forward pass overflows."""
     corpus = make_overfit_corpus(6, seed=4)
     config = TrainConfig(epochs=1, batch_size=6, seed=5, hyperparams=HyperParams(hidden=4, layers=2))
     model, _ = train(corpus, None, config)
-    for _, t in model.named_tensors():
-        if t.data.ndim == 2:
-            t.data[...] = np.where(t.data >= 0, 1e308, -1e308)
     path = tmp_path / "overflowing.bin"
-    save_checkpoint(path, model)
+    save_checkpoint(path, _saturate(model))
     return str(path), _write_corpus(tmp_path, corpus)
 
 
@@ -415,6 +421,50 @@ def test_a_non_finite_loss_or_score_is_exit_4_and_no_json(tmp_path, capsys, comm
     assert captured.err == f"checkpoint error: the model gives a non-finite {what} on this corpus\n"
     assert captured.out == ""
     assert os.listdir(out) == []
+
+
+def test_nan_class_probabilities_are_exit_5_in_train_and_exit_4_in_eval(tmp_path, capsys, monkeypatch):
+    """A one-layer model (hidden 4) at +-1e308 gives NaN class probabilities; the log's floor must not hide them."""
+    corpus = _write_corpus(tmp_path, make_overfit_corpus(6, seed=4))
+    config = TrainConfig(epochs=1, batch_size=6, seed=5, hyperparams=HyperParams(hidden=4, layers=1))
+    model, _ = train(parse_corpus(corpus), None, config)
+    checkpoint = tmp_path / "overflowing.bin"
+    save_checkpoint(checkpoint, _saturate(model))
+    out = tmp_path / "out"
+    out.mkdir()
+    real_init = trainer_module.init_model_state
+    monkeypatch.setattr(trainer_module, "init_model_state", lambda *a: _saturate(real_init(*a)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would be more stderr lines
+        assert main(["eval", "--checkpoint", str(checkpoint), "--test", corpus]) == EXIT_CHECKPOINT
+        assert _one_error_line(capsys, "checkpoint error: ") == (
+            "checkpoint error: the model gives a non-finite loss on this corpus\n"
+        )
+        argv = ["train", "--train", corpus, "--out", str(out), "--hidden", "4", "--layers", "1", "--epochs", "1"]
+        assert main(argv) == EXIT_DIVERGED
+    err = _one_error_line(capsys, "training diverged: ")
+    assert err == "training diverged: the loss is nan in epoch 0; nothing was written\n"
+    assert os.listdir(out) == []
+
+
+def test_scores_rows_match_each_example_run_alone(tmp_path, capsys):
+    corpus = make_overfit_corpus(EVAL_CHUNK + 5, seed=2)
+    config = TrainConfig(epochs=1, batch_size=8, seed=3, hyperparams=HyperParams(hidden=6, layers=2))
+    model, _ = train(corpus, None, config)
+    checkpoint = tmp_path / "model.bin"
+    save_checkpoint(checkpoint, model)
+    assert main(["scores", "--checkpoint", str(checkpoint), "--test", _write_corpus(tmp_path, corpus)]) == EXIT_OK
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == len(corpus)
+    loaded = load_checkpoint(checkpoint)
+    for row, ex in zip(rows, corpus):
+        _, alone = total_loss(ex, loaded)
+        assert list(row) == ["tokens", "aspect_from", "aspect_to", "syn", "mod", "predicted", "gold"]
+        assert (row["tokens"], row["aspect_from"], row["aspect_to"]) == (list(ex.tokens), ex.aspect_from, ex.aspect_to)
+        np.testing.assert_allclose(row["syn"], alone.syn, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row["mod"], alone.mod.data, rtol=0, atol=1e-12)
+        assert row["predicted"] == LABELS[int(alone.class_probs.data[0].argmax())]
+        assert row["gold"] == ex.label
 
 
 def test_json_output_is_strict():

@@ -18,6 +18,7 @@ from absa_gcn.data import (
 )
 from absa_gcn.synthetic import random_tree_heads
 from absa_gcn.tensor import gather_rows
+from conftest import neighbor_sets
 
 ASSETS = __import__("pathlib").Path(__file__).resolve().parents[1] / "src" / "absa_gcn" / "assets"
 
@@ -128,16 +129,16 @@ def test_chain_tree_distances():
     ex = Example(tokens=["a", "b", "c"], heads=[-1, 0, 1], aspect_from=0, aspect_to=1, label="neutral")
     tree = build_tree(ex)
     assert tree.path_len_to_aspect == (0, 1, 2)
-    assert tree.neighbor_sets == ((0, 1), (0, 1, 2), (1, 2))
+    assert neighbor_sets(tree) == ((0, 1), (0, 1, 2), (1, 2))
 
 
 def test_single_token_tree():
     ex = Example(tokens=["x"], heads=[-1], aspect_from=0, aspect_to=1, label="neutral")
     tree = build_tree(ex)
-    assert tree.neighbor_sets == ((0,),)
+    assert neighbor_sets(tree) == ((0,),)
     assert tree.path_len_to_aspect == (0,)
     # without self loops an isolated token still keeps itself
-    assert build_tree(ex, include_self_loop=False).neighbor_sets == ((0,),)
+    assert neighbor_sets(build_tree(ex, include_self_loop=False)) == ((0,),)
 
 
 def test_star_tree_distances():
@@ -154,8 +155,8 @@ def test_self_loop_flag_only_affects_membership():
     with_loops = build_tree(ex, include_self_loop=True)
     without = build_tree(ex, include_self_loop=False)
     for i in range(3):
-        assert i in with_loops.neighbor_sets[i]
-        assert i not in without.neighbor_sets[i]
+        assert i in neighbor_sets(with_loops)[i]
+        assert i not in neighbor_sets(without)[i]
     assert with_loops.path_len_to_aspect == without.path_len_to_aspect
 
 
@@ -193,11 +194,11 @@ def test_neighbor_symmetry_and_self_loops_on_random_trees():
         n = int(rng.integers(1, 16))
         heads = random_tree_heads(n, rng)
         ex = Example(tokens=[f"t{i}" for i in range(n)], heads=heads, aspect_from=0, aspect_to=1, label="neutral")
-        tree = build_tree(ex)
+        hoods = neighbor_sets(build_tree(ex))
         for i in range(n):
-            assert i in tree.neighbor_sets[i]
-            for j in tree.neighbor_sets[i]:
-                assert i in tree.neighbor_sets[j]
+            assert i in hoods[i]
+            for j in hoods[i]:
+                assert i in hoods[j]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from absa_gcn.model import (
 from absa_gcn.synthetic import random_tree_heads
 from absa_gcn.tensor import DimensionError, Tape, Tensor, backward
 from absa_gcn.trainer import ABLATION_VARIANTS, init_model_state
-from conftest import dense_adjacency, oracle_losses
+from conftest import dense_adjacency, neighbor_sets, oracle_losses
 from corpora import random_example
 
 
@@ -99,7 +99,7 @@ def test_gcn_single_token_identity_weights():
 def test_gcn_two_node_hand_case():
     ex = _example(["a", "b"], [-1, 0])
     tree = build_tree(ex)
-    assert tree.neighbor_sets == ((0, 1), (0, 1))
+    assert neighbor_sets(tree) == ((0, 1), (0, 1))
     out = gcn_layer(Tensor([[2.0, 0.0], [0.0, 4.0]]), tree, Tensor(np.eye(2)), Tensor(np.zeros(2)))
     npt.assert_allclose(out.data, [[1.0, 2.0], [1.0, 2.0]], atol=1e-15)
 

@@ -7,6 +7,7 @@ import pytest
 from absa_gcn.data import EmbeddingTable, Example
 from absa_gcn.tensor import (
     DimensionError,
+    RowGroups,
     Tape,
     Tensor,
     add,
@@ -138,6 +139,15 @@ def test_sigmoid_saturation_is_finite():
     out = sigmoid(Tensor([-1000.0, 1000.0])).data
     assert np.all(np.isfinite(out))
     assert out[0] == 0.0 and out[1] == 1.0
+
+
+def test_clamp_min_lets_nan_through():
+    t = Tensor([float("nan"), 1e-20, 0.5], trainable=True)
+    out = clamp_min(t, 1e-12)
+    npt.assert_array_equal(out.data, [float("nan"), 1e-12, 0.5])
+    assert np.isnan(log(out).data[0])
+    backward(sum_all(out))
+    npt.assert_array_equal(t.grad, [1.0, 0.0, 1.0])
 
 
 def test_mul_annihilator():
@@ -340,7 +350,8 @@ def test_embedding_backward_does_no_table_sized_work():
         aspect_from=1, aspect_to=3, label="neutral",
     )
     E = gather_rows(table.vectors, [table.row_index(tok) for tok in ex.tokens])
-    loss = sum_all(add(segment_mean_rows(E, [[1, 2]]), segment_mean_rows(E, [range(5)])))
+    aspect, sentence = RowGroups.of([[1, 2]], 5), RowGroups.of([range(5)], 5)
+    loss = sum_all(add(segment_mean_rows(E, aspect), segment_mean_rows(E, sentence)))
     tracemalloc.start()
     try:
         backward(loss)
@@ -357,7 +368,7 @@ def test_segment_mean_rows_matches_composed_ops():
     groups = [(0, 1), (2,), (3, 4, 5), (0, 5)]
 
     fused_in = Tensor(data.copy(), trainable=True)
-    fused = segment_mean_rows(fused_in, groups)
+    fused = segment_mean_rows(fused_in, RowGroups.of(groups, 6))
     npt.assert_allclose(fused.data, [data[list(g)].mean(axis=0) for g in groups], atol=1e-15)
 
     weights = rng.uniform(-1, 1, (4, 3))
@@ -370,7 +381,31 @@ def test_segment_mean_rows_matches_composed_ops():
 
 def test_segment_mean_rows_rejects_empty_group():
     with pytest.raises(ValueError):
-        segment_mean_rows(Tensor([[1.0, 2.0]]), [()])
+        segment_mean_rows(Tensor([[1.0, 2.0]]), RowGroups.of([()], 1))
+
+
+def test_segment_mean_rows_backward_skips_unnamed_rows_and_counts_repeats():
+    # rows 1 and 4 are in no group, row 3 twice in group 0: the transpose
+    # gives them no gradient and twice the share
+    groups = RowGroups.of([(3, 0, 3), (2,), (0, 2)], 5)
+    a = Tensor(np.arange(10.0).reshape(5, 2), trainable=True)
+    out = segment_mean_rows(a, groups)
+    npt.assert_array_equal(out.data, [[4.0, 5.0], [4.0, 5.0], [2.0, 3.0]])
+    backward(sum_all(mul(out, Tensor([[3.0, 6.0], [1.0, 2.0], [2.0, 4.0]]))))
+    npt.assert_array_equal(a.grad, [[2.0, 4.0], [0.0, 0.0], [2.0, 4.0], [2.0, 4.0], [0.0, 0.0]])
+    npt.assert_array_equal(groups.transpose.sizes, [2, 0, 2, 2, 0])
+    assert groups.transpose.transpose is groups
+
+
+@pytest.mark.parametrize("groups, n_in", [([(0, 2)], 2), ([(-1,)], 3), ([], 3)])
+def test_row_groups_reject_rows_out_of_range_and_no_groups(groups, n_in):
+    with pytest.raises(ValueError):
+        RowGroups.of(groups, n_in)
+
+
+def test_segment_mean_rows_rejects_groups_over_other_rows():
+    with pytest.raises(DimensionError):
+        segment_mean_rows(Tensor(np.ones((3, 2))), RowGroups.of([(0, 1)], 2))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +509,7 @@ def _composition_loss(params):
     h = relu(linear(x, w, b))
     gated = mul(h, gather_rows(sigmoid(v), [0, 1, 1]))
     pooled = maxpool_rows(gated, [0, 2])
-    mixed = concat(pooled, segment_mean_rows(tanh(gated), [[0, 1], [1, 2]]))
+    mixed = concat(pooled, segment_mean_rows(tanh(gated), RowGroups.of([[0, 1], [1, 2]], 3)))
     shifted = add(mixed, Tensor(np.full(mixed.shape, 0.3)))
     probs = softmax_rows(mixed)
     scores = segment_softmax(dot(gated, gated), [0, 2])

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 import absa_gcn.model as model_module
-from absa_gcn.data import Example, build_random_table, build_tree
+from absa_gcn.data import Example, build_random_table, build_trees
 from absa_gcn.model import HyperParams, total_loss
 from absa_gcn.optim import AdamState, adam_step
 from absa_gcn.tensor import add_n, backward, scale
@@ -105,17 +105,35 @@ def test_trees_are_built_once_per_example_and_setting(monkeypatch):
     fresh = evaluate(model, _tiny_corpus())
     calls = []
 
-    def counting(ex, include_self_loop=True):
-        calls.append(include_self_loop)
-        return build_tree(ex, include_self_loop=include_self_loop)
+    def counting(examples, include_self_loop=True):
+        calls.extend([include_self_loop] * len(examples))
+        return build_trees(examples, include_self_loop=include_self_loop)
 
-    monkeypatch.setattr(model_module, "build_tree", counting)
+    monkeypatch.setattr(model_module, "build_trees", counting)
     first = evaluate(model, corpus)
     second = evaluate(model, corpus)
     assert first == second == fresh
     assert calls == [True] * len(corpus)
     evaluate(model, corpus, replace(model.hp, include_self_loop=False))
     assert calls == [True] * len(corpus) + [False] * len(corpus)
+
+
+def test_a_second_epoch_builds_no_tree_and_reuses_each_examples_index(monkeypatch):
+    corpus = _tiny_corpus()
+    calls = []
+
+    def counting(examples, include_self_loop=True):
+        calls.extend(examples)
+        return build_trees(examples, include_self_loop=include_self_loop)
+
+    monkeypatch.setattr(model_module, "build_trees", counting)
+    config = TrainConfig(epochs=1, batch_size=4, seed=3, hyperparams=HyperParams(hidden=6, layers=2))
+    train(corpus, None, config)
+    assert sorted(map(id, calls)) == sorted(map(id, corpus))
+    index = [ex.graph_cache[True].neighborhoods for ex in corpus]
+    train(corpus, None, replace(config, epochs=2))
+    assert len(calls) == len(corpus)
+    assert all(ex.graph_cache[True].neighborhoods is hood for ex, hood in zip(corpus, index))
 
 
 def test_evaluate_empty_rejected():
