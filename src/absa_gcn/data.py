@@ -46,10 +46,6 @@ class Example:
     aspect_from: int
     aspect_to: int
     label: str
-    # {include_self_loop: tree}, set by ``model.make_batch``
-    # the first time the example is batched; None until then, so that making
-    # an example allocates nothing for it.
-    graph_cache: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -136,6 +132,9 @@ def parse_corpus(path) -> list[Example]:
             for name in _REQUIRED_FIELDS:
                 if name not in obj:
                     raise LoadError(f"missing field {name!r}", line=lineno)
+            for name in ("tokens", "heads"):
+                if not isinstance(obj[name], list):
+                    raise LoadError(f"field {name!r} must be a JSON array", line=lineno)
             try:
                 examples.append(
                     Example(
@@ -201,44 +200,38 @@ def write_corpus(examples, path) -> None:
 class DependencyTree:
     """Undirected adjacency derived from parent links, plus aspect distances.
 
+    A tree may be a forest of examples' trees laid end to end, such as a
+    batch's, with node ids running on from one tree to the next.
     ``neighborhoods`` holds token ``i``'s neighbours as group ``i`` of a
     symmetric ``RowGroups``: sorted, with ``i`` itself when self-loops are
     enabled. ``path_len_to_aspect[i]`` is the minimum tree distance from
-    token ``i`` to any aspect token (0 inside the span).
+    token ``i`` to any aspect token of its own tree (0 inside the span).
     """
 
     n: int
     neighborhoods: RowGroups
-    path_len_to_aspect: tuple[int, ...]
+    path_len_to_aspect: np.ndarray
 
 
-def build_tree(ex: Example, include_self_loop: bool = True) -> DependencyTree:
-    """The example's tree: ``build_trees`` of the one example."""
-    return build_trees([ex], include_self_loop)[0]
+def build_tree(examples: Sequence[Example], include_self_loop: bool = True) -> DependencyTree:
+    """The examples' trees laid end to end as one forest, built by one pass of array operations.
 
-
-def build_trees(examples: Sequence[Example], include_self_loop: bool = True) -> list[DependencyTree]:
-    """Each example's tree, built for all of them by one pass of array operations.
-
-    The examples' tokens are laid end to end as one forest. A token's
+    Example ``e``'s tokens follow those of the examples before it. A token's
     neighbourhood is its head and its children, sorted, with the token itself
     when self-loops are enabled; a lone token keeps itself even without
     self-loops, so its mean stays defined. The aspect distances come from a
-    breadth-first search of the whole forest, one level per step. Each tree's
-    ``RowGroups`` arrays are views into the forest's.
+    breadth-first search of the whole forest, one level per step.
     """
     lengths = np.fromiter((ex.n for ex in examples), dtype=np.intp, count=len(examples))
     starts = np.cumsum(lengths) - lengths
     n = int(lengths.sum())
-    offset = np.repeat(starts, lengths)  # the first token of each token's tree
     heads = np.fromiter(itertools.chain.from_iterable(ex.heads for ex in examples), dtype=np.intp, count=n)
     child = np.flatnonzero(heads >= 0)
-    head = heads[child] + offset[child]
+    head = heads[child] + np.repeat(starts, lengths)[child]
     loops = np.arange(n) if include_self_loop else starts[lengths == 1]
     # One key per (token, neighbour) pair; sorted, they list each token's neighbours in order.
     pairs = np.sort(np.concatenate([loops * (n + 1), child * n + head, head * n + child]))
     token, members = np.divmod(pairs, n)
-    members -= offset[token]
 
     dist = np.full(n, -1)
     for start, ex in zip(starts.tolist(), examples):
@@ -251,17 +244,7 @@ def build_trees(examples: Sequence[Example], include_self_loop: bool = True) -> 
             break
         level += 1
         dist[reached] = level
-
-    sizes = np.bincount(token, minlength=n)
-    rows = [*starts.tolist(), n]
-    cuts = np.searchsorted(token, rows).tolist()
-    dist = dist.tolist()
-    trees = []
-    for e in range(len(examples)):
-        first, end = rows[e], rows[e + 1]
-        hood = RowGroups(sizes[first:end], members[cuts[e] : cuts[e + 1]], end - first, symmetric=True)
-        trees.append(DependencyTree(end - first, hood, tuple(dist[first:end])))
-    return trees
+    return DependencyTree(n, RowGroups(np.bincount(token, minlength=n), members, n, symmetric=True), dist)
 
 
 def syntax_scores(tree: DependencyTree, starts: Sequence[int] = (0,)) -> np.ndarray:
@@ -448,7 +431,7 @@ def convert_conllu(conllu_path, aspects_path) -> list[Example]:
             label = entry["label"]
         except (TypeError, KeyError) as err:
             raise LoadError(f"aspect entry {pos}: missing field {err}") from None
-        if not isinstance(sent_idx, int) or not 0 <= sent_idx < len(sentences):
+        if type(sent_idx) is not int or not 0 <= sent_idx < len(sentences):
             raise LoadError(f"aspect entry {pos}: sentence_index {sent_idx!r} out of range")
         tokens, heads = sentences[sent_idx]
         try:

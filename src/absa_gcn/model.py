@@ -31,7 +31,6 @@ and checkpoints all read it.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -39,8 +38,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import LABELS, DependencyTree, EmbeddingTable, Example, build_trees, syntax_scores, write_atomically
-from .data import build_tree  # noqa: F401  unused here; perfbench's tracer wraps it under this module's name
+from .data import LABELS, DependencyTree, EmbeddingTable, Example, build_tree, syntax_scores, write_atomically
 from .tensor import (
     DimensionError,
     RowGroups,
@@ -131,41 +129,21 @@ class Batch:
 def make_batch(examples, include_self_loop: bool = True) -> Batch:
     """Lay the examples end to end in the order given.
 
-    The forest's neighbourhoods are the examples' cached ones joined with
-    their node ids offset by ``starts``: a few array operations per batch.
-    The tree-based scores are computed for the whole forest.
+    The batch's forest and its tree-based scores are built here, by a few
+    array operations for the whole batch.
     """
     if not examples:
         raise ValueError("a batch needs at least one example")
-    trees = _trees(examples, include_self_loop)
-    lengths = [tree.n for tree in trees]
+    forest = build_tree(examples, include_self_loop)
+    lengths = [ex.n for ex in examples]
     starts = np.cumsum([0] + lengths[:-1])
-    hoods = [tree.neighborhoods for tree in trees]
-    members = np.concatenate([h.members for h in hoods]) + np.repeat(starts, [h.members.size for h in hoods])
-    n = sum(lengths)
-    forest = DependencyTree(
-        n=n,
-        neighborhoods=RowGroups(np.concatenate([h.sizes for h in hoods]), members, n, symmetric=True),
-        path_len_to_aspect=tuple(itertools.chain.from_iterable(tree.path_len_to_aspect for tree in trees)),
-    )
     return Batch(
         examples=tuple(examples),
         starts=starts,
-        owner=np.repeat(np.arange(len(trees)), lengths),
+        owner=np.repeat(np.arange(len(lengths)), lengths),
         tree=forest,
         syn=syntax_scores(forest, starts.tolist()),
     )
-
-
-def _trees(examples, include_self_loop: bool) -> list[DependencyTree]:
-    """The examples' trees, kept on the examples; those not built yet are built together."""
-    missing = [ex for ex in examples if include_self_loop not in (ex.graph_cache or ())]
-    if missing:
-        for ex, tree in zip(missing, build_trees(missing, include_self_loop=include_self_loop)):
-            if ex.graph_cache is None:
-                object.__setattr__(ex, "graph_cache", {})  # a cache, not part of the frozen value
-            ex.graph_cache[include_self_loop] = tree
-    return [ex.graph_cache[include_self_loop] for ex in examples]
 
 
 @dataclass

@@ -105,9 +105,7 @@ def evaluate(model: ModelState, data: list[Example], hp: HyperParams | None = No
     golds, preds = [], []
     sums = {"div": 0.0, "const": 0.0, "pred": 0.0, "total": 0.0}
     for start in range(0, len(data), EVAL_CHUNK):
-        # No name keeps a pass's trace, so its tape is freed before the next
-        # pass: the trees that pass caches on its examples would otherwise lie
-        # scattered through the dead tape's memory and keep it resident.
+        # No name keeps a pass's trace, so its tape is freed before the next pass.
         _tally(total_loss(data[start : start + EVAL_CHUNK], model, hp)[1], golds, preds, sums)
     means = {k: v / len(data) for k, v in sums.items()}
     return compute_metrics(golds, preds, means)
@@ -154,7 +152,9 @@ def train(
     or logged loss that is not finite raises ``TrainingDiverged``. Without a dev
     set, the final model's loss on the last mini-batch (one forward pass, no
     backward) must be finite as well, or a diverging last step would go
-    unnoticed.
+    unnoticed. An ``initial_state`` must hold ``config.hyperparams``, the
+    ones the run trains with and the model it returns keeps; other ones
+    raise ``ValueError``.
     """
     if not train_set:
         raise ValueError("training set is empty")
@@ -163,6 +163,8 @@ def train(
     seeds = np.random.SeedSequence(config.seed).spawn(3)
 
     if initial_state is not None:
+        if initial_state.hp != hp:
+            raise ValueError(f"initial_state has hyperparameters {initial_state.hp}, the config {hp}")
         model = initial_state
     else:
         if table is None:

@@ -73,7 +73,7 @@ def test_criterion_2_oracle_equivalence():
             tokens=[f"t{i}" for i in range(n)], heads=heads,
             aspect_from=start, aspect_to=end, label="neutral",
         )
-        tree = build_tree(ex)
+        tree = build_tree([ex])
 
         h_prev = Tensor(rng.uniform(-1, 1, (n, 6)))
         w = Tensor(rng.uniform(-1, 1, (5, 6)))

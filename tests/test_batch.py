@@ -11,11 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from absa_gcn.data import LABELS, Example, build_random_table, build_tree, build_trees, syntax_scores
+from absa_gcn.data import LABELS, Example, build_random_table, build_tree, syntax_scores
 from absa_gcn.model import HyperParams, ModelState, make_batch, total_loss
 from absa_gcn.tensor import Tensor, backward, mul, segment_mean_rows, sum_all
 from absa_gcn.trainer import compute_metrics, evaluate
-from conftest import dense_adjacency, oracle_losses
+from conftest import dense_adjacency, neighbor_sets, oracle_losses
 
 WORDS = [f"w{i}" for i in range(8)]
 TERMS = ("div", "const", "pred", "total")
@@ -204,13 +204,16 @@ def test_tree_aggregation_is_the_dense_adjacency_and_its_transpose(forest, inclu
 @given(forest=st.lists(tree_heads(), min_size=1, max_size=6), include_self_loop=st.booleans())
 def test_trees_built_together_are_the_trees_built_one_by_one(forest, include_self_loop):
     exs = [Example([f"t{i}" for i in range(len(h))], h, len(h) // 2, len(h), "neutral") for h in forest]
-    for ex, tree in zip(exs, build_trees(exs, include_self_loop)):
-        alone = build_tree(ex, include_self_loop)
-        assert tree.n == alone.n and tree.path_len_to_aspect == alone.path_len_to_aspect
-        np.testing.assert_array_equal(tree.neighborhoods.sizes, alone.neighborhoods.sizes)
-        np.testing.assert_array_equal(tree.neighborhoods.members, alone.neighborhoods.members)
+    together = build_tree(exs, include_self_loop)
+    alone = [build_tree([ex], include_self_loop) for ex in exs]
+    starts = np.cumsum([0] + [tree.n for tree in alone[:-1]])
+    assert together.n == sum(tree.n for tree in alone)
+    np.testing.assert_array_equal(together.neighborhoods.sizes, np.concatenate([t.neighborhoods.sizes for t in alone]))
+    offset = [t.neighborhoods.members + start for t, start in zip(alone, starts)]
+    np.testing.assert_array_equal(together.neighborhoods.members, np.concatenate(offset))
+    np.testing.assert_array_equal(together.path_len_to_aspect, np.concatenate([t.path_len_to_aspect for t in alone]))
     # A batch's scores are each tree's own, to the bit.
-    alone_scores = np.concatenate([syntax_scores(build_tree(ex)) for ex in exs])
+    alone_scores = np.concatenate([syntax_scores(tree) for tree in alone])
     assert make_batch(exs, include_self_loop).syn.tobytes() == alone_scores.tobytes()
 
 
@@ -219,9 +222,9 @@ def test_trees_built_together_are_the_trees_built_one_by_one(forest, include_sel
 def test_a_batch_joins_the_examples_neighbourhoods_with_offsets(forest, include_self_loop):
     exs = _forest(forest)
     batch = make_batch(exs, include_self_loop)
-    joined = batch.tree.neighborhoods
-    trees = [ex.graph_cache[include_self_loop] for ex in exs]
-    np.testing.assert_array_equal(joined.sizes, np.concatenate([t.neighborhoods.sizes for t in trees]))
-    offset = [t.neighborhoods.members + start for t, start in zip(trees, batch.starts)]
-    np.testing.assert_array_equal(joined.members, np.concatenate(offset))
-    assert joined.n_in == batch.tree.n == sum(ex.n for ex in exs)
+    hoods = neighbor_sets(batch.tree)
+    for e, (ex, start) in enumerate(zip(exs, batch.starts.tolist())):
+        own = neighbor_sets(build_tree([ex], include_self_loop))
+        assert hoods[start : start + ex.n] == tuple(tuple(j + start for j in hood) for hood in own)
+        assert batch.owner[start : start + ex.n].tolist() == [e] * ex.n
+    assert batch.tree.neighborhoods.n_in == batch.tree.n == batch.owner.size == sum(ex.n for ex in exs)

@@ -86,6 +86,9 @@ def test_parse_cycle_reports_line_number(tmp_path):
         ('{"tokens":["a"],"heads":[-1],"aspect_from":0,"aspect_to":1}', "label"),
         ('{"tokens":["a"],"heads":[-1],"aspect_from":0,"aspect_to":1,"label":"bogus"}', "bogus"),
         ("", "empty line"),
+        ('{"tokens":"ab","heads":[1,-1],"aspect_from":0,"aspect_to":1,"label":"neutral"}', "'tokens' must be a JSON array"),
+        ('{"tokens":{"a":1,"b":2},"heads":[1,-1],"aspect_from":0,"aspect_to":1,"label":"neutral"}', "'tokens' must be a JSON array"),
+        ('{"tokens":["a","b"],"heads":{"1":0,"-1":0},"aspect_from":0,"aspect_to":1,"label":"neutral"}', "'heads' must be a JSON array"),
     ],
 )
 def test_parse_errors_fail_whole_load(tmp_path, line, fragment):
@@ -95,6 +98,7 @@ def test_parse_errors_fail_whole_load(tmp_path, line, fragment):
     with pytest.raises(LoadError) as err:
         parse_corpus(path)
     assert fragment in str(err.value)
+    assert err.value.line == 2
 
 
 def test_bundled_sample_counts_match_manifest_and_raw_scan():
@@ -127,37 +131,37 @@ def test_corpus_roundtrip_and_determinism(tmp_path):
 
 def test_chain_tree_distances():
     ex = Example(tokens=["a", "b", "c"], heads=[-1, 0, 1], aspect_from=0, aspect_to=1, label="neutral")
-    tree = build_tree(ex)
-    assert tree.path_len_to_aspect == (0, 1, 2)
+    tree = build_tree([ex])
+    assert tree.path_len_to_aspect.tolist() == [0, 1, 2]
     assert neighbor_sets(tree) == ((0, 1), (0, 1, 2), (1, 2))
 
 
 def test_single_token_tree():
     ex = Example(tokens=["x"], heads=[-1], aspect_from=0, aspect_to=1, label="neutral")
-    tree = build_tree(ex)
+    tree = build_tree([ex])
     assert neighbor_sets(tree) == ((0,),)
-    assert tree.path_len_to_aspect == (0,)
+    assert tree.path_len_to_aspect.tolist() == [0]
     # without self loops an isolated token still keeps itself
-    assert neighbor_sets(build_tree(ex, include_self_loop=False)) == ((0,),)
+    assert neighbor_sets(build_tree([ex], include_self_loop=False)) == ((0,),)
 
 
 def test_star_tree_distances():
     ex = Example(
         tokens=["hub", "s1", "s2", "s3"], heads=[-1, 0, 0, 0], aspect_from=0, aspect_to=1, label="neutral"
     )
-    tree = build_tree(ex)
+    tree = build_tree([ex])
     assert set(tree.path_len_to_aspect) == {0, 1}
     assert tree.path_len_to_aspect[0] == 0
 
 
 def test_self_loop_flag_only_affects_membership():
     ex = Example(tokens=["a", "b", "c"], heads=[-1, 0, 1], aspect_from=0, aspect_to=1, label="neutral")
-    with_loops = build_tree(ex, include_self_loop=True)
-    without = build_tree(ex, include_self_loop=False)
+    with_loops = build_tree([ex], include_self_loop=True)
+    without = build_tree([ex], include_self_loop=False)
     for i in range(3):
         assert i in neighbor_sets(with_loops)[i]
         assert i not in neighbor_sets(without)[i]
-    assert with_loops.path_len_to_aspect == without.path_len_to_aspect
+    assert with_loops.path_len_to_aspect.tolist() == without.path_len_to_aspect.tolist()
 
 
 def _floyd_warshall(n, heads):
@@ -182,7 +186,7 @@ def test_bfs_distances_match_floyd_warshall_on_random_trees():
         start = int(rng.integers(n))
         end = min(n, start + int(rng.integers(1, 3)))
         ex = Example(tokens=[f"t{i}" for i in range(n)], heads=heads, aspect_from=start, aspect_to=end, label="neutral")
-        tree = build_tree(ex)
+        tree = build_tree([ex])
         dist = _floyd_warshall(n, heads)
         expected = dist[:, start:end].min(axis=1)
         npt.assert_array_equal(np.asarray(tree.path_len_to_aspect, dtype=float), expected)
@@ -194,7 +198,7 @@ def test_neighbor_symmetry_and_self_loops_on_random_trees():
         n = int(rng.integers(1, 16))
         heads = random_tree_heads(n, rng)
         ex = Example(tokens=[f"t{i}" for i in range(n)], heads=heads, aspect_from=0, aspect_to=1, label="neutral")
-        hoods = neighbor_sets(build_tree(ex))
+        hoods = neighbor_sets(build_tree([ex]))
         for i in range(n):
             assert i in hoods[i]
             for j in hoods[i]:
@@ -207,17 +211,17 @@ def test_neighbor_symmetry_and_self_loops_on_random_trees():
 
 def test_syntax_scores_chain_frozen_values():
     ex = Example(tokens=["a", "b", "c"], heads=[-1, 0, 1], aspect_from=0, aspect_to=1, label="neutral")
-    npt.assert_allclose(syntax_scores(build_tree(ex)), [0.66524, 0.24473, 0.09003], atol=1e-4)
+    npt.assert_allclose(syntax_scores(build_tree([ex])), [0.66524, 0.24473, 0.09003], atol=1e-4)
 
 
 def test_syntax_scores_star_frozen_values():
     ex = Example(tokens=["hub", "s1", "s2"], heads=[-1, 0, 0], aspect_from=0, aspect_to=1, label="neutral")
-    npt.assert_allclose(syntax_scores(build_tree(ex)), [0.57612, 0.21194, 0.21194], atol=1e-4)
+    npt.assert_allclose(syntax_scores(build_tree([ex])), [0.57612, 0.21194, 0.21194], atol=1e-4)
 
 
 def test_syntax_scores_single_token():
     ex = Example(tokens=["x"], heads=[-1], aspect_from=0, aspect_to=1, label="neutral")
-    npt.assert_array_equal(syntax_scores(build_tree(ex)), [1.0])
+    npt.assert_array_equal(syntax_scores(build_tree([ex])), [1.0])
 
 
 def test_syntax_scores_sum_to_one_and_peak_on_aspect():
@@ -228,7 +232,7 @@ def test_syntax_scores_sum_to_one_and_peak_on_aspect():
         start = int(rng.integers(n))
         end = min(n, start + 1)
         ex = Example(tokens=[f"t{i}" for i in range(n)], heads=heads, aspect_from=start, aspect_to=end, label="neutral")
-        scores = syntax_scores(build_tree(ex))
+        scores = syntax_scores(build_tree([ex]))
         assert abs(scores.sum() - 1.0) < 1e-9
         assert np.all(scores > 0)
         assert start <= int(np.argmax(scores)) < end
@@ -409,3 +413,9 @@ def test_conllu_sidecar_errors(tmp_path):
     aspects.write_text('[{"from": 0, "to": 1, "label": "neutral"}]')
     with pytest.raises(LoadError, match="missing field"):
         convert_conllu(conllu, aspects)
+    # A bool is an int to isinstance, but true must not select sentence 1.
+    conllu.write_text("1\thi\t_\t_\t_\t_\t0\t_\t_\t_\n\n1\tho\t_\t_\t_\t_\t0\t_\t_\t_\n")
+    for flag in ("true", "false"):
+        aspects.write_text(f'[{{"sentence_index": {flag}, "from": 0, "to": 1, "label": "neutral"}}]')
+        with pytest.raises(LoadError, match="sentence_index"):
+            convert_conllu(conllu, aspects)

@@ -91,14 +91,14 @@ def test_encode_zero_projection_gives_zero_sentence_vector():
 
 def test_gcn_single_token_identity_weights():
     ex = _example(["x"], [-1])
-    tree = build_tree(ex)
+    tree = build_tree([ex])
     out = gcn_layer(Tensor([[-2.0, 3.0]]), tree, Tensor(np.eye(2)), Tensor(np.zeros(2)))
     npt.assert_array_equal(out.data, [[0.0, 3.0]])
 
 
 def test_gcn_two_node_hand_case():
     ex = _example(["a", "b"], [-1, 0])
-    tree = build_tree(ex)
+    tree = build_tree([ex])
     assert neighbor_sets(tree) == ((0, 1), (0, 1))
     out = gcn_layer(Tensor([[2.0, 0.0], [0.0, 4.0]]), tree, Tensor(np.eye(2)), Tensor(np.zeros(2)))
     npt.assert_allclose(out.data, [[1.0, 2.0], [1.0, 2.0]], atol=1e-15)
@@ -111,7 +111,7 @@ def test_gcn_matches_dense_adjacency_oracle():
         heads = random_tree_heads(n, rng)
         ex = _example([f"t{i}" for i in range(n)], heads)
         include = bool(rng.integers(2))
-        tree = build_tree(ex, include_self_loop=include)
+        tree = build_tree([ex], include_self_loop=include)
         h_prev = Tensor(rng.uniform(-1, 1, (n, 5)))
         w = Tensor(rng.uniform(-1, 1, (4, 5)))
         b = Tensor(rng.uniform(-1, 1, 4))

@@ -67,7 +67,7 @@ def test_contrastive_corpus_pairs_opposite_labels():
 def test_contrastive_distractor_is_far_from_both_aspects():
     corpus = make_contrastive_corpus(10, seed=2)
     for ex in corpus[::2]:
-        tree = build_tree(ex)
+        tree = build_tree([ex])
         distractor_positions = [
             i for i, tok in enumerate(ex.tokens)
             if tok in CUE_POLARITY and i not in (2, 4)

@@ -5,8 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-import absa_gcn.model as model_module
-from absa_gcn.data import Example, build_random_table, build_trees
+from absa_gcn.data import Example, build_random_table
 from absa_gcn.model import HyperParams, total_loss
 from absa_gcn.optim import AdamState, adam_step
 from absa_gcn.tensor import add_n, backward, scale
@@ -98,44 +97,6 @@ def test_evaluate_is_pure_and_deterministic():
     assert a == b
 
 
-def test_trees_are_built_once_per_example_and_setting(monkeypatch):
-    corpus = _tiny_corpus()
-    table = build_random_table(corpus, dim=6, seed=1)
-    model = init_model_state(table, HyperParams(hidden=6, layers=2), seed=1)
-    fresh = evaluate(model, _tiny_corpus())
-    calls = []
-
-    def counting(examples, include_self_loop=True):
-        calls.extend([include_self_loop] * len(examples))
-        return build_trees(examples, include_self_loop=include_self_loop)
-
-    monkeypatch.setattr(model_module, "build_trees", counting)
-    first = evaluate(model, corpus)
-    second = evaluate(model, corpus)
-    assert first == second == fresh
-    assert calls == [True] * len(corpus)
-    evaluate(model, corpus, replace(model.hp, include_self_loop=False))
-    assert calls == [True] * len(corpus) + [False] * len(corpus)
-
-
-def test_a_second_epoch_builds_no_tree_and_reuses_each_examples_index(monkeypatch):
-    corpus = _tiny_corpus()
-    calls = []
-
-    def counting(examples, include_self_loop=True):
-        calls.extend(examples)
-        return build_trees(examples, include_self_loop=include_self_loop)
-
-    monkeypatch.setattr(model_module, "build_trees", counting)
-    config = TrainConfig(epochs=1, batch_size=4, seed=3, hyperparams=HyperParams(hidden=6, layers=2))
-    train(corpus, None, config)
-    assert sorted(map(id, calls)) == sorted(map(id, corpus))
-    index = [ex.graph_cache[True].neighborhoods for ex in corpus]
-    train(corpus, None, replace(config, epochs=2))
-    assert len(calls) == len(corpus)
-    assert all(ex.graph_cache[True].neighborhoods is hood for ex, hood in zip(corpus, index))
-
-
 def test_evaluate_empty_rejected():
     corpus = _tiny_corpus()
     table = build_random_table(corpus, dim=4, seed=0)
@@ -166,6 +127,17 @@ def test_frozen_table_is_untouched_by_training():
     assert table.vectors.data.tobytes() == before.tobytes()
     assert table.vectors.grad is None
     assert not np.array_equal(model.tensors["w_sent"].data, weights)  # the rest did train
+
+
+def test_an_initial_state_must_carry_the_configs_hyperparameters():
+    # The run trains with config.hyperparams and saves the state's own hp, so the two must agree.
+    corpus = _tiny_corpus()
+    hp = HyperParams(hidden=6, layers=2)
+    initial = init_model_state(build_random_table(corpus, dim=6, seed=1), replace(hp, gate_on=False), seed=1)
+    before = initial.tensors["w_sent"].data.copy()
+    with pytest.raises(ValueError, match="hyperparameters"):
+        train(corpus, None, TrainConfig(epochs=1, hyperparams=hp), initial_state=initial)
+    assert initial.tensors["w_sent"].data.tobytes() == before.tobytes()
 
 
 def test_epoch_zero_loss_matches_independent_oracle():
