@@ -17,6 +17,7 @@ import contextlib
 import itertools
 import json
 import os
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -273,18 +274,21 @@ class EmbeddingTable:
     """Word-vector lookup with an unknown-word row.
 
     Lookups try the exact token first, then a case-insensitive match, then
-    fall back to the unknown row.
+    fall back to the unknown row. The vocabulary and its lower-case map are
+    read-only once built, so copies of a table may share them.
     """
 
     vocabulary: dict[str, int]
     vectors: Tensor
     dim: int
     unk_index: int
-    _lowercase: dict[str, int] = field(default_factory=dict, repr=False)
+    _lowercase: dict[str, int] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for word, idx in self.vocabulary.items():
-            self._lowercase.setdefault(word.lower(), idx)
+        if self._lowercase is None:
+            self._lowercase = {}
+            for word, idx in self.vocabulary.items():
+                self._lowercase.setdefault(word.lower(), idx)
 
     def row_index(self, token: str) -> int:
         idx = self.vocabulary.get(token)
@@ -297,8 +301,33 @@ def load_embeddings(path, trainable: bool = True) -> EmbeddingTable:
     """Read a text embedding file: one ``word v1 ... vd`` per line.
 
     Vocabulary order follows the file; an unknown-word row equal to the
-    component-wise mean of all loaded vectors is appended at the end. A
-    non-numeric or non-finite entry fails the load with its line number.
+    component-wise mean of all loaded vectors is appended at the end. Words
+    and values are separated by any whitespace ``str.split`` knows, and a
+    value is any spelling ``float`` reads (``1_000``, ``.5``, ``-0.0``,
+    non-ASCII digits). An empty line, a duplicate word, a line of another
+    dimension, or a non-numeric or non-finite entry fails the load with its
+    line number.
+
+    A canonical file (one space between fields, LF or CRLF line ends, values
+    spelled in ASCII) is read by numpy's C text reader. Any other file, and
+    every error, goes to the line parser, with the same values and messages.
+    """
+    words, matrix = _read_canonical_embeddings(path) or _parse_embedding_lines(path)
+    matrix[-1] = matrix[:-1].mean(axis=0)
+    return EmbeddingTable(
+        vocabulary=words,
+        vectors=Tensor(matrix, trainable=trainable),
+        dim=matrix.shape[1],
+        unk_index=len(words),
+    )
+
+
+def _parse_embedding_lines(path) -> tuple[dict[str, int], np.ndarray]:
+    """The words and an ``(n + 1, d)`` matrix of their vectors, parsed line by line.
+
+    The last row is left for the unknown word. This parser is the judge of
+    every file: it owns each error message and line number, and the C reader
+    may only return what it returns.
     """
     words: dict[str, int] = {}
     rows: list[np.ndarray] = []
@@ -327,13 +356,55 @@ def load_embeddings(path, trainable: bool = True) -> EmbeddingTable:
         raise LoadError("no vectors")
     matrix = np.empty((len(rows) + 1, dim))
     np.stack(rows, out=matrix[:-1])
-    matrix[-1] = matrix[:-1].mean(axis=0)
-    return EmbeddingTable(
-        vocabulary=words,
-        vectors=Tensor(matrix, trainable=trainable),
-        dim=dim,
-        unk_index=len(words),
-    )
+    return words, matrix
+
+
+def _read_canonical_embeddings(path) -> tuple[dict[str, int], np.ndarray] | None:
+    """What ``_parse_embedding_lines`` returns, read by numpy's C text reader, or None.
+
+    The C reader takes the file's lines, splits each on single spaces,
+    refuses a row whose field count changes or with a carriage return inside,
+    strips the whitespace ``str.split`` knows around a value and parses it as
+    ``float`` does, unless it needs ``float``'s extras (``1_0``, non-ASCII
+    digits). A converter collects column 0, the words. What it cannot see is
+    checked after: a skipped blank line, a word ``str.split`` would split, a
+    repeated word, a non-finite value. Any of these, and any exception or
+    warning, means None, and the line parser judges the file.
+    """
+    words: list[str] = []
+    lines = 0
+
+    def decoded(fh):
+        nonlocal lines
+        for lines, line in _utf8_lines(fh):
+            yield line
+
+    try:  # whatever goes wrong here, the line parser reports or reads the file
+        with open(path, "rb") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = np.loadtxt(
+                decoded(fh),
+                dtype=np.float64,
+                delimiter=" ",
+                comments=None,
+                quotechar=None,
+                converters={0: lambda word: words.append(word) or 0.0},
+                ndmin=2,
+            )
+    except Exception:
+        return None
+    n, dim = block.shape[0], block.shape[1] - 1
+    vocabulary = {word: i for i, word in enumerate(words)}
+    if not (
+        n == lines == len(vocabulary)
+        and dim >= 1
+        and all(word.split() == [word] for word in words)
+        and np.isfinite(block).all()
+    ):
+        return None
+    matrix = np.empty((n + 1, dim))
+    matrix[:-1] = block[:, 1:]
+    return vocabulary, matrix
 
 
 def build_random_table(examples, dim: int, seed, trainable: bool = True) -> EmbeddingTable:
@@ -422,6 +493,8 @@ def convert_conllu(conllu_path, aspects_path) -> list[Example]:
         raise LoadError(f"malformed aspect JSON: {err.msg}") from None
     if not isinstance(entries, list):
         raise LoadError("aspect sidecar must be a JSON array")
+    if not entries:
+        raise LoadError("aspect sidecar holds no aspects")
     examples = []
     for pos, entry in enumerate(entries):
         try:

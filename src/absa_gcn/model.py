@@ -249,12 +249,9 @@ class ModelState:
             p.zero_grad()
 
     def clone(self) -> "ModelState":
-        """Deep copy of all tensors (including the embedding table)."""
-        table = EmbeddingTable(
-            vocabulary=dict(self.table.vocabulary),
-            vectors=Tensor(self.table.vectors.data.copy(), trainable=self.table.vectors.trainable),
-            dim=self.table.dim,
-            unk_index=self.table.unk_index,
+        """Deep copy of all tensors (including the embedding table); the read-only vocabulary is shared."""
+        table = replace(
+            self.table, vectors=Tensor(self.table.vectors.data.copy(), trainable=self.table.vectors.trainable)
         )
         tensors = {
             name: Tensor(t.data.copy(), trainable=t.trainable) for name, t in self.named_tensors()

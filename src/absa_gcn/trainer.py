@@ -7,7 +7,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import LABELS, EmbeddingTable, Example, build_random_table
+# build_random_table is looked up on ``data`` at each call, so a wrapper set there (perfbench's tracer) sees it.
+from . import data
+from .data import LABELS, EmbeddingTable, Example
 from .model import HyperParams, ModelState, total_loss
 from .optim import AdamState, adam_step
 from .tensor import backward
@@ -168,7 +170,7 @@ def train(
         model = initial_state
     else:
         if table is None:
-            table = build_random_table(train_set, dim=hp.hidden, seed=seeds[0])
+            table = data.build_random_table(train_set, dim=hp.hidden, seed=seeds[0])
         model = init_model_state(table, hp, seeds[1])
 
     adam = AdamState(learning_rate=config.learning_rate)
@@ -253,7 +255,7 @@ def run_ablations(
 
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     if table is None:
-        table = build_random_table(train_set, dim=config.hyperparams.hidden, seed=seeds[0])
+        table = data.build_random_table(train_set, dim=config.hyperparams.hidden, seed=seeds[0])
     base = init_model_state(table, config.hyperparams, seeds[1])
 
     results: dict[str, AblationResult] = {}

@@ -644,6 +644,18 @@ def test_convert_to_stdout_prints_the_bytes_of_the_converted_file(tmp_path, caps
     assert printed.encode("utf-8") == (tmp_path / "converted.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("to_file", [True, False])
+def test_convert_with_an_empty_sidecar_is_exit_3_and_writes_nothing(tmp_path, capsys, to_file):
+    aspects = _write_bytes(tmp_path / "aspects.json", b"[]")
+    out = tmp_path / "conv"
+    out.mkdir()
+    argv = ["convert", "--conllu", str(ASSETS / "sample.conllu"), "--aspects", aspects]
+    assert main([*argv, "--out", str(out)] if to_file else argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "data error: aspect sidecar holds no aspects\n")
+    assert list(out.iterdir()) == []
+
+
 def test_convert_missing_sidecar_is_config_error(tmp_path):
     code = main(["convert", "--conllu", str(ASSETS / "sample.conllu")])
     assert code == EXIT_CONFIG

@@ -1,9 +1,13 @@
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import absa_gcn.data as data
 from absa_gcn.data import (
     Example,
     LoadError,
@@ -359,6 +363,177 @@ def test_embedding_gradients_flow_to_used_rows(tmp_path):
     backward(sum_all(_embed(["a", "a"], table)))
     npt.assert_array_equal(table.vectors.grad[0], [2.0, 2.0])  # used twice
     npt.assert_array_equal(table.vectors.grad[1], [0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# embeddings: the C reader against the line parser
+
+
+def _line_parser_table(path):
+    """What ``load_embeddings`` must return, from the line parser alone: (words, matrix bytes) or the error."""
+    try:
+        words, matrix = data._parse_embedding_lines(path)
+    except LoadError as err:
+        return str(err)
+    matrix[-1] = matrix[:-1].mean(axis=0)
+    return words, matrix.tobytes()
+
+
+def _loaded_table(path):
+    try:
+        table = load_embeddings(path)
+    except LoadError as err:
+        return str(err)
+    return table.vocabulary, table.vectors.data.tobytes()
+
+
+def _assert_c_reader_agrees(path):
+    """``load_embeddings`` equals the line parser, and the C reader returns the same table or nothing."""
+    expected = _line_parser_table(path)
+    assert _loaded_table(path) == expected
+    fast = data._read_canonical_embeddings(path)
+    if fast is not None:
+        words, matrix = fast
+        matrix[-1] = matrix[:-1].mean(axis=0)
+        assert (words, matrix.tobytes()) == expected
+    return fast is not None
+
+
+# What a canonical file holds, and the odd spellings, words and separators the grammar mixes in.
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(lambda x: "%.6f" % x),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:e}"),
+    st.sampled_from(["-0.0", ".5", "1.", "+2", "1E-3", "-7e+02"]),
+)
+_ODD_VALUES = st.sampled_from(["1_000", "\u0661", "nan", "infinity", "-Inf", "1e400", "x", "0x1p3", ""])
+_WORD_STEMS = st.sampled_from(["w", "Food", "#", '"q', "\ufeffthe"])
+_ODD_WORDS = st.text(st.sampled_from("ab#\"\u00a0\u2028\u0085\x1c\ufeff"), min_size=1, max_size=3)
+_LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n"])
+_ODD_SEPARATORS = st.sampled_from(["  ", "\t", " \t", "\r"])
+_ODD_EDGES = st.sampled_from([" ", "\t", "\u00a0"])
+
+
+@st.composite
+def _embedding_texts(draw):
+    """An embedding file's text: canonical, or with some share of odd choices."""
+    odd_percent = draw(st.sampled_from([0, 2, 10, 30]))
+
+    def pick(usual, odd):
+        return draw(odd if draw(st.integers(0, 99)) < odd_percent else usual)
+
+    dim = draw(st.integers(1, 4))
+    none = st.just("")
+    lines = []
+    for i in range(draw(st.integers(1, 5))):
+        count = dim + (pick(st.just(0), st.sampled_from([1, -1])) if i else 0)
+        word = pick(_WORD_STEMS.map(lambda stem: f"{stem}{i}"), _ODD_WORDS)
+        line = word + "".join(pick(st.just(" "), _ODD_SEPARATORS) + pick(_NUMBERS, _ODD_VALUES) for _ in range(count))
+        lines.append(pick(none, _ODD_EDGES) + line + pick(none, _ODD_EDGES) + draw(_LINE_ENDS))
+        lines.append(pick(none, st.sampled_from(["\n", "\r\n", " \n"])))
+    text = "".join(lines)
+    return text[:-1] if draw(st.booleans()) and text.endswith("\n") else text
+
+
+@pytest.fixture(scope="module")
+def vec_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("vectors") / "vec.txt"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_embedding_texts())
+def test_load_embeddings_equals_the_line_parser_on_drawn_files(vec_path, text):
+    vec_path.write_bytes(text.encode("utf-8"))
+    _assert_c_reader_agrees(vec_path)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # A later line with a value too many: ``usecols`` would drop it, the C reader's column check refuses it.
+        ("a 1.0 2.0\nb 3.0 4.0 5.0\n", "line 2: dimension 3 != 2"),
+        # The C reader skips a blank line.
+        ("a 1.0\n\nb 2.0\n", "line 2: expected 'word v1 ... vd'"),
+        ("a 1.0\nb 2.0\n\n", "line 3: expected 'word v1 ... vd'"),
+        # The C reader takes a word holding a character str.split splits on as one word.
+        ("a 1.0\nb\u00a0c 2.0\n", "line 2: non-numeric vector entry"),
+        ("a 1.0\nb\u2028c 2.0\n", "line 2: non-numeric vector entry"),
+        ("a 1.0\nb\x85c 2.0\n", "line 2: non-numeric vector entry"),
+        ("a 1.0\nb\x1fc 2.0\n", "line 2: non-numeric vector entry"),
+        ("a 1.0\nb\x1cc 2.0\n", "line 2: non-numeric vector entry"),
+        ("a 1.0\na\u00a0 2.0\n", "line 2: duplicate word 'a'"),
+        # The C reader reads these, but the line parser refuses them.
+        ("a 1.0\nb infinity\n", "line 2: non-finite vector entry"),
+        ("a 1.0\nb 1e400\n", "line 2: non-finite vector entry"),
+        ("a 1.0\na 2.0\n", "line 2: duplicate word 'a'"),
+        (" 1.0\n", "line 1: expected 'word v1 ... vd'"),
+        ("a\n", "line 1: expected 'word v1 ... vd'"),
+        # The C reader warns on a file without data.
+        ("", "no vectors"),
+        ("\n", "line 1: expected 'word v1 ... vd'"),
+    ],
+)
+def test_the_c_readers_divergences_end_in_the_line_parsers_error(tmp_path, text, error):
+    path = tmp_path / "vec.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert data._read_canonical_embeddings(path) is None
+        with pytest.raises(LoadError) as err:
+            load_embeddings(path)
+    assert str(err.value) == error
+    assert [str(warning.message) for warning in caught] == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a 1_0 2.0\n",  # float reads underscores, the C reader does not
+        "a \u0661 2.0\n",  # an Arabic-Indic digit
+        "a\t1.0\t2.0\n",  # tab separators
+        "a  1.0 2.0\n",  # a run of spaces
+        " a 1.0 2.0 \n",  # leading and trailing spaces
+        "a 1.0\r 2.0\n",  # a carriage return inside a line
+        "a\x1c 1.0 2.0\n",  # a word ending in a character str.split splits on
+    ],
+)
+def test_spellings_only_the_line_parser_reads_take_it(tmp_path, text):
+    path = tmp_path / "vec.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert data._read_canonical_embeddings(path) is None
+    assert isinstance(_loaded_table(path), tuple)
+    _assert_c_reader_agrees(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a 0.5\n",  # one value on one line: 2-D without the line parser's help
+        "a 0.5 1\r\nb -2 3e-2\r\n",  # CRLF line ends
+        "a 0.5\nb 1.5",  # no final line end
+        "a 1.0\u00a0 2.0\n",  # whitespace str.split knows beside a separator
+    ],
+)
+def test_canonical_layouts_are_read_by_the_c_reader(tmp_path, text):
+    path = tmp_path / "vec.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert _assert_c_reader_agrees(path)
+
+
+def test_canonical_files_never_reach_the_line_parser(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(500, 20)) * 10.0 ** rng.integers(-5, 5, size=(500, 20))
+    generated = tmp_path / "vec.txt"
+    generated.write_text("".join(f"w{i} " + " ".join(map(repr, row.tolist())) + "\n" for i, row in enumerate(values)))
+    paths = [ASSETS / "sample_embeddings.txt", generated]
+    expected = [_line_parser_table(path) for path in paths]
+
+    def refuse(path):
+        raise AssertionError(f"{path} went to the line parser")
+
+    monkeypatch.setattr(data, "_parse_embedding_lines", refuse)
+    assert [_loaded_table(path) for path in paths] == expected
+    assert load_embeddings(generated).vectors.data[:-1].tobytes() == values.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,22 @@ def test_ablation_flags_do_not_touch_prediction_term():
         npt.assert_array_equal(trace.class_probs.data, full_trace.class_probs.data)
 
 
+def test_a_clone_shares_the_vocabulary_and_copies_every_array():
+    state, _ = _random_model(seed=23, tokens=("Alpha", "beta", "GAMMA", "delta"))
+    clone = state.clone()
+    for token in ("Alpha", "alpha", "ALPHA", "beta", "Beta", "gamma", "GAMMA", "zeta", ""):
+        assert clone.table.row_index(token) == state.table.row_index(token)
+    assert state.table.row_index("zeta") == state.table.unk_index
+    assert clone.table.vocabulary is state.table.vocabulary
+    assert clone.table.vectors.trainable == state.table.vectors.trainable
+    npt.assert_array_equal(clone.table.vectors.data, state.table.vectors.data)
+    assert not np.shares_memory(clone.table.vectors.data, state.table.vectors.data)
+    for (name, a), (_, b) in zip(state.named_tensors(), clone.named_tensors()):
+        assert not np.shares_memory(a.data, b.data), name
+    clone.table.vectors.data[0] += 1.0
+    assert not np.array_equal(clone.table.vectors.data[0], state.table.vectors.data[0])
+
+
 def test_gate_off_equals_saturated_ones_gates():
     state, _ = _random_model(seed=21)
     ex = _fixed_example()

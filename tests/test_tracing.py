@@ -4,8 +4,8 @@
 callers look it up by. If a caller stops using that name, the wrapper is
 never called and the benchmark's per-layer metric for it reads 0 without any
 error. A tiny seeded run with a dev set, then an evaluation, set up as the
-benchmark sets up its rounds, must call every traced function but the
-embedding-file reader.
+benchmark sets up its rounds, plus a tiny embedding file and a run that
+builds its own table, must call every traced function.
 """
 
 import pathlib
@@ -36,13 +36,18 @@ def test_a_default_run_calls_every_traced_function(tmp_path):
         config = trainer.TrainConfig(epochs=2, batch_size=4, seed=1, hyperparams=hp)
         model, _ = trainer.train(train_set, dev_set, config, initial_state=state)
         trainer.evaluate(model, dev_set)
+        # As ``absa-gcn train`` does: an embedding file is read, and without one ``train`` builds the table.
+        (tmp_path / "vectors.txt").write_text("great 0.5 -0.25\nfood 0.125 1.0\n")
+        data.load_embeddings(tmp_path / "vectors.txt")
+        trainer.train(train_set, None, trainer.TrainConfig(epochs=1, batch_size=4, seed=1, hyperparams=hp))
     finally:
         tracer.uninstall()
     calls = Counter()
     for (name, _), (_, _, count) in tracer.totals().items():
         calls[name] += count
-    # The table is a seeded random one, so the run reads no embedding file.
-    expected = {name for _, _, name in TRACED} - {"data.load_embeddings"} | {"tensor.trace", "optim.adam_step"}
+    expected = {name for _, _, name in TRACED} | {"tensor.trace", "optim.adam_step"}
     assert sorted(name for name in expected if calls[name] == 0) == []
     assert calls["data.build_tree"] >= 1
+    # Once by the set-up, once inside the ``train`` that got no table.
+    assert calls["data.build_random_table"] == 2
     assert tracer.counts["tape_nodes"] > 0
