@@ -306,14 +306,17 @@ def load_embeddings(path, trainable: bool = True) -> EmbeddingTable:
     value is any spelling ``float`` reads (``1_000``, ``.5``, ``-0.0``,
     non-ASCII digits). An empty line, a duplicate word, a line of another
     dimension, or a non-numeric or non-finite entry fails the load with its
-    line number.
+    line number; finite values whose mean overflows fail it without one.
 
     A canonical file (one space between fields, LF or CRLF line ends, values
     spelled in ASCII) is read by numpy's C text reader. Any other file, and
     every error, goes to the line parser, with the same values and messages.
     """
     words, matrix = _read_canonical_embeddings(path) or _parse_embedding_lines(path)
-    matrix[-1] = matrix[:-1].mean(axis=0)
+    with np.errstate(over="ignore"):
+        matrix[-1] = matrix[:-1].mean(axis=0)
+    if not np.isfinite(matrix[-1]).all():
+        raise LoadError("the unknown-word row, the mean of the vectors, overflows")
     return EmbeddingTable(
         vocabulary=words,
         vectors=Tensor(matrix, trainable=trainable),

@@ -6,7 +6,8 @@ hidden vectors with a sigmoid gate computed from the aspect embedding, then
 score the sentence three ways:
 
 * a diversity penalty that keeps per-layer gates from collapsing onto each
-  other (dot products of pooled own-gate vs cross-gate regulated vectors),
+  other (dot products of each layer's pooled vectors gated by its own gate
+  and by another layer's),
 * a consistency penalty pulling the model's token-importance distribution
   toward the tree-distance-based one (forward KL, tree side constant),
 * the classification loss itself (negative log-likelihood of the gold
@@ -161,9 +162,9 @@ class ForwardTrace:
     sentence_vec: Tensor | None = None        # (B, hidden)
     hidden_layers: list[Tensor] = field(default_factory=list)      # each (n, hidden)
     gates: list[Tensor] = field(default_factory=list)              # each (B, hidden)
-    regulated: list[Tensor] = field(default_factory=list)          # each (n, hidden)
-    pooled_regulated: list[Tensor] = field(default_factory=list)   # each (B, hidden)
-    pooled_cross: dict[tuple[int, int], Tensor] = field(default_factory=dict)
+    pooled_hidden: list[Tensor] = field(default_factory=list)      # each (B, hidden), a max-pooled layer
+    pooled_regulated: list[Tensor] = field(default_factory=list)   # each (B, hidden), pooled_hidden * gate
+    regulated: Tensor | None = None           # (n, hidden), the last layer gated token by token
     overall: Tensor | None = None             # (B, 2*hidden)
     syn: np.ndarray | None = None             # (n,) constant target
     mod: Tensor | None = None                 # (n,)
@@ -318,12 +319,19 @@ def _mean_over_layer_pairs(own: list[Tensor], other, normalize: bool) -> Tensor:
 
 
 def diversity_loss(trace: ForwardTrace, normalize: bool = False) -> Tensor:
-    """Mean over ordered layer pairs of pooled own-gate vs cross-gate products.
+    """Mean over ordered layer pairs (l, l') of layer l's pooled vectors gated by gate l and by gate l'.
 
-    With a single layer there are no pairs and the loss is zero.
+    A gate is one non-negative row per example and rounding is monotone, so
+    gating a layer's max-pooled rows equals max-pooling its gated token rows,
+    bit for bit: ``maxpool(h * g[owner]) == maxpool(h) * g``. Both sides of a
+    pair are therefore ``(B, hidden)`` products, ``pooled_regulated[l]`` and
+    ``pooled_hidden[l] * gates[l']``. Where rounding ties rows of ``h * g``
+    (a gate of 0 ties them all), the gate's gradient is the first argmax row
+    of ``h``, the subgradient of exact arithmetic. With a single layer there
+    are no pairs and the loss is zero.
     """
-    cross = trace.pooled_cross
-    return _mean_over_layer_pairs(trace.pooled_regulated, lambda l, lp: cross[(l, lp)], normalize)
+    pooled, gates = trace.pooled_hidden, trace.gates
+    return _mean_over_layer_pairs(trace.pooled_regulated, lambda l, lp: mul(pooled[l], gates[lp]), normalize)
 
 
 def gatediv_baseline_loss(gates: list[Tensor], normalize: bool = False) -> Tensor:
@@ -334,7 +342,7 @@ def gatediv_baseline_loss(gates: list[Tensor], normalize: bool = False) -> Tenso
 def model_scores(trace: ForwardTrace, params: ModelState) -> Tensor:
     """Model-side token importances: per-example softmax of transformed-vector dot products."""
     overall_sig = sigmoid(_affine(trace.overall, params, "score_overall"))
-    token_sig = sigmoid(_affine(trace.regulated[-1], params, "score_token"))
+    token_sig = sigmoid(_affine(trace.regulated, params, "score_token"))
     raw = dot(token_sig, gather_rows(overall_sig, trace.batch.owner))
     return segment_softmax(raw, trace.batch.starts)
 
@@ -405,23 +413,17 @@ def total_loss(examples, params: ModelState, hp: HyperParams | None = None):
     else:
         trace.gates = [Tensor(np.ones((count, hp.hidden))) for _ in range(hp.layers)]
 
-    trace.regulated = [regulate(h, g, batch.owner) for h, g in zip(trace.hidden_layers, trace.gates)]
-    trace.pooled_regulated = [maxpool_rows(r, batch.starts) for r in trace.regulated]
-
-    div_active = hp.div_on and hp.gate_on and hp.layers >= 2
-    if div_active and not hp.gatediv_baseline:
-        for l in range(hp.layers):
-            for lp in range(hp.layers):
-                if lp != l:
-                    cross = regulate(trace.hidden_layers[l], trace.gates[lp], batch.owner)
-                    trace.pooled_cross[(l, lp)] = maxpool_rows(cross, batch.starts)
+    # Pool, then gate (see ``diversity_loss``); only model_scores reads gated token rows.
+    trace.pooled_hidden = [maxpool_rows(layer, batch.starts) for layer in trace.hidden_layers]
+    trace.pooled_regulated = [mul(pooled, g) for pooled, g in zip(trace.pooled_hidden, trace.gates)]
+    trace.regulated = regulate(trace.hidden_layers[-1], trace.gates[-1], batch.owner)
 
     trace.overall = concat(sentence_vec, trace.pooled_regulated[-1])
     trace.syn = batch.syn
     trace.mod = model_scores(trace, params)
     trace.class_probs = predict(trace.overall, params)
 
-    if div_active:
+    if hp.div_on and hp.gate_on and hp.layers >= 2:
         if hp.gatediv_baseline:
             l_div = gatediv_baseline_loss(trace.gates, normalize=hp.normalize_div)
         else:
@@ -443,7 +445,7 @@ def total_loss(examples, params: ModelState, hp: HyperParams | None = None):
 # checkpointing
 
 _CHECKPOINT_FORMAT = "absa-gcn-checkpoint"
-_MAGIC = b"\x93ABSAGCN"  # 0x93 never starts UTF-8 text, so no version 1 file begins with it
+_MAGIC = b"\x93ABSAGCN"  # 0x93 never starts UTF-8 text, so no JSON file (a version 1 checkpoint) begins with it
 _DTYPE = "<f8"
 
 
@@ -474,33 +476,29 @@ def save_checkpoint(path, params: ModelState) -> None:
 
 
 def load_checkpoint(path) -> ModelState:
-    """Read a checkpoint of version 2 or 1 (one JSON object), told apart by its first bytes.
+    """Read a checkpoint that ``save_checkpoint`` wrote, checking it before use.
 
-    Before any value is read, the tensors must match the table (one row per
-    word plus the unknown row) and the ``parameter_shapes`` of the stored
-    hyperparameters by name and shape, and a version 2 file must hold exactly
-    the bytes its header implies. Every value must be finite. A failed check
-    raises ``CheckpointError``.
+    Before any value is read, the header must name this format, version 2
+    and its dtype, and list each word of the vocabulary once; the tensors
+    must match the table (one row per word plus the unknown row) and the
+    ``parameter_shapes`` of the stored hyperparameters by name and shape; and
+    the file must hold exactly the bytes its header implies. Every value must
+    be finite. A failed check, and any other file (a version 1 checkpoint,
+    one JSON object, among them), raises ``CheckpointError``.
     """
     try:
         with open(path, "rb") as fh:
-            if fh.read(len(_MAGIC)) == _MAGIC:
-                return _load_version_2(fh, os.fstat(fh.fileno()).st_size)
-            fh.seek(0)
-            payload = json.loads(fh.read().decode("utf-8"))
-        if not isinstance(payload, dict) or (payload.get("format"), payload.get("version")) != (_CHECKPOINT_FORMAT, 1):
-            raise CheckpointError("not a checkpoint file")
-        entries = [("embeddings", payload["embeddings"]), *payload["parameters"].items()]
-        values = {name: np.asarray(e["values"], dtype=np.float64).reshape(e["shape"]) for name, e in entries}
-        return _build_model(payload, [(name, values[name].shape) for name, _ in entries], lambda shapes: values)
+            return _read_checkpoint(fh, os.fstat(fh.fileno()).st_size)
     except CheckpointError:
         raise
     except (TypeError, KeyError, ValueError, AttributeError) as err:  # decoding and JSON errors are ValueErrors
         raise CheckpointError(f"not a valid checkpoint: {err}") from None
 
 
-def _load_version_2(fh, size: int) -> ModelState:
-    """The model in a ``size``-byte version 2 file whose magic ``fh`` has just read."""
+def _read_checkpoint(fh, size: int) -> ModelState:
+    """The model in the ``size``-byte checkpoint file ``fh``, read from its start."""
+    if fh.read(len(_MAGIC)) != _MAGIC:
+        raise CheckpointError("not a valid checkpoint: no version 2 magic bytes (version 1 is no longer read)")
     start = len(_MAGIC) + 8
     length = int.from_bytes(fh.read(8), "little")
     if start + length > size:
@@ -510,23 +508,11 @@ def _load_version_2(fh, size: int) -> ModelState:
     if (header.get("format"), header.get("version"), header.get("dtype")) != (_CHECKPOINT_FORMAT, 2, _DTYPE):
         raise CheckpointError(f"not a version 2 checkpoint of dtype {_DTYPE!r}")
 
-    def read_blocks(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-        expected = start + length + 8 * sum(math.prod(shapes[name]) for name, _ in stored)
-        if size != expected:
-            raise CheckpointError(f"the file has {size} bytes, its header implies {expected}")
-        blocks = {name: np.empty(shapes[name], dtype=_DTYPE) for name, _ in stored}
-        for name, block in blocks.items():
-            if fh.readinto(block.data) != block.nbytes:
-                raise CheckpointError(f"tensor {name!r} is cut short")
-        return blocks
-
-    return _build_model(header, stored, read_blocks)
-
-
-def _build_model(header: dict, stored: list[tuple[str, tuple]], read_values) -> ModelState:
-    """Check names and shapes, then read the values with ``read_values(shapes)`` and check them."""
     hp = HyperParams(**header["hyperparams"])
     vocab_rows, dim = header["vocabulary"], header["embedding_dim"]
+    vocabulary = {word: i for i, word in enumerate(vocab_rows)}
+    if len(vocabulary) != len(vocab_rows):
+        raise CheckpointError(f"the vocabulary lists {len(vocab_rows)} words, of which {len(vocabulary)} differ")
     shapes = {"embeddings": (len(vocab_rows) + 1, dim), **parameter_shapes(hp, dim)}
     names = sorted(name for name, _ in stored)
     if names != sorted(shapes):
@@ -537,10 +523,16 @@ def _build_model(header: dict, stored: list[tuple[str, tuple]], read_values) -> 
     unk_index = header["unk_index"]
     if type(unk_index) is not int or unk_index != len(vocab_rows):
         raise CheckpointError(f"unk_index {unk_index!r} is not {len(vocab_rows)}, the row after the vocabulary")
-    values = read_values(shapes)
-    for name, block in values.items():
+    expected = start + length + 8 * sum(math.prod(shape) for _, shape in stored)
+    if size != expected:
+        raise CheckpointError(f"the file has {size} bytes, its header implies {expected}")
+
+    blocks = {name: np.empty(shape, dtype=_DTYPE) for name, shape in stored}
+    for name, block in blocks.items():
+        if fh.readinto(block.data) != block.nbytes:
+            raise CheckpointError(f"tensor {name!r} is cut short")
         if not np.isfinite(block).all():
             raise CheckpointError(f"tensor {name!r} holds a non-finite value")
-    vectors = Tensor(values.pop("embeddings"), trainable=header["embeddings_trainable"])
-    table = EmbeddingTable({word: i for i, word in enumerate(vocab_rows)}, vectors, dim, unk_index)
-    return ModelState(table, hp, {name: Tensor(block, trainable=True) for name, block in values.items()})
+    vectors = Tensor(blocks.pop("embeddings"), trainable=header["embeddings_trainable"])
+    table = EmbeddingTable(vocabulary, vectors, dim, unk_index)
+    return ModelState(table, hp, {name: Tensor(block, trainable=True) for name, block in blocks.items()})

@@ -5,7 +5,7 @@ import os
 import pathlib
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -270,6 +270,19 @@ def test_train_with_embeddings_file(tmp_path):
     assert load_checkpoint(out / "checkpoint.bin").table.dim == 5
 
 
+def test_train_with_embeddings_whose_mean_overflows_is_exit_3(tmp_path, capsys):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("the 1e308 1.0\nfood 1e308 2.0\nwas 1.0 1.0\n")
+    out = tmp_path / "run"
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would be two more stderr lines
+        code = main(["train", "--train", SAMPLE, "--embeddings", str(vectors), "--out", str(out), "--epochs", "1"])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == "data error: the unknown-word row, the mean of the vectors, overflows\n"
+    assert os.listdir(out) == []
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -287,6 +300,22 @@ def test_eval_with_garbage_checkpoint_is_exit_4(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "other"}')
     assert main(["eval", "--checkpoint", str(bad), "--test", SAMPLE]) == EXIT_CHECKPOINT
+
+
+def test_eval_on_a_version_1_checkpoint_is_exit_4(tmp_path, capsys):
+    checkpoint, corpus = _tampered_checkpoint(tmp_path, lambda model: None)
+    model = load_checkpoint(checkpoint)
+    entries = {"embeddings": model.table.vectors, **model.tensors}
+    values = {name: {"shape": list(t.shape), "values": t.data.ravel().tolist()} for name, t in entries.items()}
+    old = tmp_path / "model.json"  # version 1: the whole model as one JSON object
+    old.write_text(json.dumps({
+        "format": "absa-gcn-checkpoint", "version": 1, "hyperparams": asdict(model.hp),
+        "embedding_dim": model.table.dim, "unk_index": model.table.unk_index, "embeddings_trainable": True,
+        "vocabulary": sorted(model.table.vocabulary, key=model.table.vocabulary.get),
+        "embeddings": values.pop("embeddings"), "parameters": values,
+    }))
+    assert main(["eval", "--checkpoint", str(old), "--test", corpus]) == EXIT_CHECKPOINT
+    _one_error_line(capsys, "checkpoint error: not a valid checkpoint: no version 2 magic bytes")
 
 
 def _tampered_checkpoint(tmp_path, tamper):

@@ -300,6 +300,24 @@ def test_load_embeddings_rejects_non_finite_entries(tmp_path, entry):
         load_embeddings(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "the 1e308 1.0\nfood 1e308 2.0\nwas 1.0 1.0\n",  # read by the C reader
+        "the  -1e308 1.0\nfood -1.7976931348623157e308 2.0\n",  # read by the line parser
+    ],
+)
+def test_finite_vectors_whose_mean_overflows_fail_the_load_without_a_warning(tmp_path, text):
+    path = tmp_path / "vec.txt"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(LoadError) as err:
+            load_embeddings(path)
+    assert str(err.value) == "the unknown-word row, the mean of the vectors, overflows"
+    assert [str(warning.message) for warning in caught] == []
+
+
 def test_load_embeddings_matches_python_float_parse(tmp_path):
     rng = np.random.default_rng(2)
     values = rng.normal(size=(6, 4)) * 10.0 ** rng.integers(-300, 300, size=(6, 4))
@@ -369,14 +387,22 @@ def test_embedding_gradients_flow_to_used_rows(tmp_path):
 # embeddings: the C reader against the line parser
 
 
+def _with_unknown_row(words, matrix):
+    """(words, matrix bytes) with the mean of the vectors as the last row, or the error if that mean overflows."""
+    with np.errstate(over="ignore"):
+        matrix[-1] = matrix[:-1].mean(axis=0)
+    if not np.isfinite(matrix[-1]).all():
+        return "the unknown-word row, the mean of the vectors, overflows"
+    return words, matrix.tobytes()
+
+
 def _line_parser_table(path):
     """What ``load_embeddings`` must return, from the line parser alone: (words, matrix bytes) or the error."""
     try:
         words, matrix = data._parse_embedding_lines(path)
     except LoadError as err:
         return str(err)
-    matrix[-1] = matrix[:-1].mean(axis=0)
-    return words, matrix.tobytes()
+    return _with_unknown_row(words, matrix)
 
 
 def _loaded_table(path):
@@ -393,9 +419,7 @@ def _assert_c_reader_agrees(path):
     assert _loaded_table(path) == expected
     fast = data._read_canonical_embeddings(path)
     if fast is not None:
-        words, matrix = fast
-        matrix[-1] = matrix[:-1].mean(axis=0)
-        assert (words, matrix.tobytes()) == expected
+        assert _with_unknown_row(*fast) == expected
     return fast is not None
 
 

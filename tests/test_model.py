@@ -1,6 +1,4 @@
 import contextlib
-import dataclasses
-import io
 import json
 import os
 import re
@@ -8,6 +6,9 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import absa_gcn.model as model_module
 import absa_gcn.tensor as tensor_module
@@ -33,7 +34,7 @@ from absa_gcn.model import (
     total_loss,
 )
 from absa_gcn.synthetic import random_tree_heads
-from absa_gcn.tensor import DimensionError, Tape, Tensor, backward
+from absa_gcn.tensor import DimensionError, Tape, Tensor, backward, maxpool_rows, mul
 from absa_gcn.trainer import ABLATION_VARIANTS, init_model_state
 from conftest import dense_adjacency, neighbor_sets, oracle_losses
 from corpora import random_example
@@ -149,35 +150,77 @@ def test_regulate_identity_and_annihilator_and_mask():
     npt.assert_array_equal(masked, [[0.0, 2.0], [0.0, 4.0]])
 
 
+_NEAR_ONE = [1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0)), 1.0 + 2.0**-51]
+_RELU_VALUES = st.one_of(st.just(0.0), st.sampled_from(_NEAR_ONE), st.floats(0.0, 1e6, allow_subnormal=True))
+_GATE_VALUES = st.one_of(
+    st.sampled_from([1.0, float(np.nextafter(1.0, 0.0)), 1e-300, 2.2250738585072014e-308, 1e-310, 5e-324]),
+    st.floats(5e-324, 1.0, allow_subnormal=True),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gating_a_pooled_layer_is_byte_equal_to_pooling_its_gated_rows(data):
+    """``maxpool(h) * g == maxpool(h * g[owner])`` to the bit, the identity ``total_loss`` pools on."""
+    lengths = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    width = data.draw(st.integers(1, 4))
+    h = data.draw(hnp.arrays(np.float64, (sum(lengths), width), elements=_RELU_VALUES))
+    g = data.draw(hnp.arrays(np.float64, (len(lengths), width), elements=_GATE_VALUES))
+    starts = np.cumsum([0] + lengths[:-1])
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    gated_after = mul(maxpool_rows(Tensor(h), starts), Tensor(g)).data
+    gated_before = maxpool_rows(regulate(Tensor(h), Tensor(g), owner), starts).data
+    assert gated_after.tobytes() == gated_before.tobytes()
+
+
+def test_a_zero_gate_gets_the_argmax_rows_of_the_layers_as_its_gradient(monkeypatch):
+    """Every row of ``h * 0`` ties at 0, yet the gate's gradient takes ``h``'s first argmax row, not its first row."""
+    state, _ = _random_model(seed=5)
+    hp = HyperParams(hidden=8, layers=2, con_on=False, beta=0.0)  # the loss is the diversity term alone
+    gates = [Tensor(np.zeros((1, 8)), trainable=True), Tensor(np.full((1, 8), 0.5), trainable=True)]
+    layer_gates = iter(gates)  # compute_gate runs once per layer, in layer order
+    monkeypatch.setattr(model_module, "compute_gate", lambda aspect_vec, w, b: next(layer_gates))
+    loss, trace = total_loss(_example(["alpha", "beta", "gamma", "delta"], [-1, 0, 1, 1]), state, hp)
+    backward(loss)
+
+    h0, h1 = (layer.data for layer in trace.hidden_layers)
+    # d/dg0 of the mean over the pairs (0, 1) and (1, 0) of (P0 g0).(P0 g1) and (P1 g1).(P1 g0), with g1 = 0.5
+    argmax_rows = (h0.max(axis=0) ** 2 + h1.max(axis=0) ** 2) * 0.5 / 2
+    first_rows = (h0[0] * h0.max(axis=0) + h1[0] * h1.max(axis=0)) * 0.5 / 2
+    npt.assert_allclose(gates[0].grad[0], argmax_rows, rtol=1e-12)
+    assert np.abs(argmax_rows - first_rows).max() > 1e-3  # the case tells the two rules apart
+
+
 # ---------------------------------------------------------------------------
 # diversity losses
 
 
-def _trace_with_pooled(own, cross):
+def _trace_with_pooled(pooled, gates):
+    """A trace holding max-pooled layer rows and their gates, each ``(B, hidden)``, gated as ``total_loss`` gates them."""
     trace = ForwardTrace()
-    trace.pooled_regulated = [Tensor(v) for v in own]
-    trace.pooled_cross = {k: Tensor(v) for k, v in cross.items()}
+    trace.pooled_hidden = [Tensor(p) for p in pooled]
+    trace.gates = [Tensor(g) for g in gates]
+    trace.pooled_regulated = [mul(p, g) for p, g in zip(trace.pooled_hidden, trace.gates)]
     return trace
 
 
 def test_diversity_loss_hand_case_zero():
-    trace = _trace_with_pooled(
-        [[1.0, 0.0], [2.0, 2.0]],
-        {(0, 1): [0.0, 1.0], (1, 0): [1.0, -1.0]},
-    )
+    # own-gated rows [1, 0] and [0, 2] meet cross-gated rows [0, 1] and [2, 0]
+    trace = _trace_with_pooled([[[1.0, 1.0]], [[2.0, 2.0]]], [[[1.0, 0.0]], [[0.0, 1.0]]])
     assert diversity_loss(trace).item() == 0.0
 
 
 def test_diversity_loss_hand_case_nonzero():
+    # example 0: [1, 1].[0.5, 2] + [1, 1].[2, 0.5] = 5; example 1: [3, 0].[3, 0] + [0, 4].[0, 4] = 25
     trace = _trace_with_pooled(
-        [[1.0, 2.0], [1.0, 1.0]],
-        {(0, 1): [3.0, 1.0], (1, 0): [2.0, 2.0]},
+        [[[1.0, 2.0], [3.0, 0.0]], [[2.0, 1.0], [0.0, 4.0]]],
+        [[[1.0, 0.5], [1.0, 1.0]], [[0.5, 1.0], [1.0, 1.0]]],
     )
-    assert diversity_loss(trace).item() == pytest.approx((5.0 + 4.0) / 2.0, abs=1e-15)
+    assert diversity_loss(trace).item() == pytest.approx((5.0 + 25.0) / 2.0, abs=1e-15)
 
 
 def test_diversity_loss_single_layer_is_zero():
-    trace = _trace_with_pooled([[1.0, 2.0]], {})
+    trace = _trace_with_pooled([[[1.0, 2.0]]], [[[0.5, 0.5]]])
     assert diversity_loss(trace).item() == 0.0
 
 
@@ -216,7 +259,7 @@ def test_model_scores_identical_rows_uniform():
     state, hp = _random_model()
     trace = ForwardTrace(batch=_batch_of_one(4))
     row = np.linspace(-1, 1, hp.hidden)
-    trace.regulated = [Tensor(np.tile(row, (4, 1)))]
+    trace.regulated = Tensor(np.tile(row, (4, 1)))
     trace.overall = Tensor(np.linspace(0, 1, 2 * hp.hidden)[None, :])
     mod = model_scores(trace, state)
     npt.assert_allclose(mod.data, np.full(4, 0.25), atol=1e-12)
@@ -225,7 +268,7 @@ def test_model_scores_identical_rows_uniform():
 def test_model_scores_single_token():
     state, hp = _random_model()
     trace = ForwardTrace(batch=_batch_of_one(1))
-    trace.regulated = [Tensor(np.random.default_rng(0).uniform(-1, 1, (1, hp.hidden)))]
+    trace.regulated = Tensor(np.random.default_rng(0).uniform(-1, 1, (1, hp.hidden)))
     trace.overall = Tensor(np.zeros((1, 2 * hp.hidden)))
     npt.assert_array_equal(model_scores(trace, state).data, [1.0])
 
@@ -239,7 +282,7 @@ def test_model_scores_zero_overall_transform_matches_script():
     rng = np.random.default_rng(7)
     rows = rng.uniform(-1, 1, (5, hp.hidden))
     trace = ForwardTrace(batch=_batch_of_one(5))
-    trace.regulated = [Tensor(rows)]
+    trace.regulated = Tensor(rows)
     trace.overall = Tensor(rng.uniform(-1, 1, (1, 2 * hp.hidden)))
     mod = model_scores(trace, state).data
 
@@ -398,8 +441,10 @@ def test_gate_off_equals_saturated_ones_gates():
     hp_on = HyperParams(hidden=8, layers=2, div_on=False)
     _, trace_on = total_loss(ex, forced, hp_on)
 
-    for a, b in zip(trace_off.regulated, trace_on.regulated):
+    assert len(trace_off.pooled_regulated) == len(trace_on.pooled_regulated) == 2
+    for a, b in zip(trace_off.pooled_regulated, trace_on.pooled_regulated):
         npt.assert_array_equal(a.data, b.data)
+    npt.assert_array_equal(trace_off.regulated.data, trace_on.regulated.data)
     npt.assert_array_equal(trace_off.class_probs.data, trace_on.class_probs.data)
     assert trace_off.losses.div == 0.0
 
@@ -488,7 +533,18 @@ def test_a_batch_tape_has_one_linear_node_per_affine_map():
     ops = _tape_ops(HyperParams(hidden=8, layers=2), [random_example(rng) for _ in range(32)])
     # sentence, two GCN layers, two gates, two importance scores, two classifier maps
     assert ops.count("linear") == 9
-    assert len(ops) == 59
+    assert len(ops) == 55
+    # the embeddings and each layer are pooled once; only the last layer's token rows are gated (one gather)
+    assert (ops.count("maxpool_rows"), ops.count("gather_rows"), ops.count("mul")) == (3, 3, 5)
+
+
+def test_a_three_layer_tape_pools_each_layer_once():
+    rng = np.random.default_rng(8)
+    ops = _tape_ops(HyperParams(hidden=8, layers=3), [random_example(rng) for _ in range(32)])
+    assert len(ops) == 70
+    # the embeddings and three layers are pooled once each; the last layer's gated token rows,
+    # then 3 own-gate and 6 cross-gate (B, hidden) products
+    assert (ops.count("maxpool_rows"), ops.count("mul")) == (4, 1 + 3 + 6)
 
 
 def test_the_model_calls_every_op_of_the_tensor_library():
@@ -604,30 +660,6 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         npt.assert_array_equal(trace_a.mod.data, trace_b.mod.data)
 
 
-def _json_dump_checkpoint(state) -> str:
-    """A version 1 checkpoint: the whole payload as one json.dump."""
-    payload = {
-        "format": "absa-gcn-checkpoint",
-        "version": 1,
-        "hyperparams": dataclasses.asdict(state.hp),
-        "embedding_dim": state.table.dim,
-        "unk_index": state.table.unk_index,
-        "embeddings_trainable": state.table.vectors.trainable,
-        "vocabulary": sorted(state.table.vocabulary, key=state.table.vocabulary.get),
-        "embeddings": {
-            "shape": list(state.table.vectors.shape),
-            "values": state.table.vectors.data.ravel().tolist(),
-        },
-        "parameters": {
-            name: {"shape": list(t.shape), "values": t.data.ravel().tolist()}
-            for name, t in state.named_tensors()
-        },
-    }
-    out = io.StringIO()
-    json.dump(payload, out)
-    return out.getvalue() + "\n"
-
-
 EDGE_VALUES = [-0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308, -1.7976931348623157e308]
 
 
@@ -660,13 +692,6 @@ def test_checkpoint_round_trips_every_bit(tmp_path):
     again = tmp_path / "again.bin"
     save_checkpoint(again, loaded)
     assert again.read_bytes() == path.read_bytes()
-
-
-def test_version_1_checkpoint_loads_to_identical_tensors(tmp_path):
-    state = _edge_model(seed=79)
-    path = tmp_path / "model.json"
-    path.write_text(_json_dump_checkpoint(state), encoding="utf-8")
-    _assert_bit_equal(state, load_checkpoint(path))
 
 
 class _DiskFull:
@@ -729,27 +754,6 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize(
-    "tamper, message",
-    [
-        (lambda p: p["parameters"].pop("b_cls_out"), "parameter names"),
-        (lambda p: p["parameters"].update(w_extra=p["parameters"]["b_cls_out"]), "parameter names"),
-        (lambda p: p["hyperparams"].update(layers=1), "parameter names"),
-        (lambda p: p["hyperparams"].update(hidden=9), "has shape"),
-        (lambda p: p.update(embedding_dim=5), "has shape"),
-        (lambda p: p["vocabulary"].pop(), "tensor 'embeddings' has shape"),
-        (lambda p: p["embeddings"]["values"].__setitem__(3, float("inf")), "non-finite"),
-    ],
-)
-def test_checkpoint_must_match_the_shapes_of_its_hyperparameters(tmp_path, tamper, message):
-    path = tmp_path / "model.json"
-    payload = json.loads(_json_dump_checkpoint(_random_model(seed=81)[0]))
-    tamper(payload)
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointError, match=message):
-        load_checkpoint(path)
-
-
 def _split_version_2(data: bytes):
     """Magic, header and tensor bytes of a version 2 file."""
     length = int.from_bytes(data[8:16], "little")
@@ -765,14 +769,33 @@ def _with_shape(header, name, shape):
     return {**header, "tensors": [{**t, "shape": shape} if t["name"] == name else t for t in header["tensors"]]}
 
 
-def _poison_block(header, body):
-    """The tensor bytes with the last value of ``b_cls_out`` set to NaN."""
+def _with_hyperparams(header, **changes):
+    return {**header, "hyperparams": {**header["hyperparams"], **changes}}
+
+
+def _poison_block(header, body, name="b_cls_out", value=np.nan):
+    """The tensor bytes with the last value of tensor ``name`` set to ``value``."""
     end = 0
     for t in header["tensors"]:
         end += 8 * int(np.prod(t["shape"]))
-        if t["name"] == "b_cls_out":
-            return body[: end - 8] + np.array([np.nan], dtype="<f8").tobytes() + body[end:]
-    raise AssertionError("no b_cls_out")
+        if t["name"] == name:
+            return body[: end - 8] + np.array([value], dtype="<f8").tobytes() + body[end:]
+    raise AssertionError(f"no {name}")
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [(lambda h, b: (h, _poison_block(h, b, "embeddings", np.inf)), "non-finite")],
+)
+def test_checkpoint_must_match_the_shapes_of_its_hyperparameters(tmp_path, tamper, message):
+    # Header edits that break a shape are cases of the version 2 test below;
+    # this one keeps every shape and puts an infinity in the embedding table.
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _random_model(seed=81)[0])
+    magic, header, body = _split_version_2(path.read_bytes())
+    path.write_bytes(_join_version_2(magic, *tamper(header, body)))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize(
@@ -795,10 +818,19 @@ def _poison_block(header, body):
         (lambda m, h, b: _join_version_2(m, h, b)[:-1], "bytes, its header implies"),
         (lambda m, h, b: _join_version_2(m, h, b) + b"\0", "bytes, its header implies"),
         (lambda m, h, b: _join_version_2(m, h, _poison_block(h, b)), "tensor 'b_cls_out' holds a non-finite value"),
+        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, layers=1), b), "parameter names"),
+        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, hidden=9), b), "tensor 'w_sent' has shape"),
+        (lambda m, h, b: _join_version_2(m, {**h, "embedding_dim": 5}, b), "tensor 'embeddings' has shape"),
+        (lambda m, h, b: _join_version_2(m, {**h, "vocabulary": h["vocabulary"][:-1]}, b), "tensor 'embeddings' has shape"),
+        (
+            lambda m, h, b: _join_version_2(m, {**h, "vocabulary": [*h["vocabulary"][:-1], h["vocabulary"][0]]}, b),
+            "the vocabulary lists 4 words, of which 3 differ",
+        ),
     ],
     ids=[
         "bad-magic", "header-past-end", "header-not-json", "dtype", "version", "shape",
         "missing-name", "extra-name", "one-byte-short", "one-byte-over", "non-finite",
+        "layers-1", "hidden-9", "embedding-dim-5", "word-missing", "word-repeated",
     ],
 )
 def test_version_2_checkpoint_is_validated_before_use(tmp_path, corrupt, message):
