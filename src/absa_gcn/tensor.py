@@ -13,6 +13,15 @@ lookup into a large embedding table costs work in proportion to the rows it
 touched, not to the table. Every other operation, including ``gather_rows``
 on an operation's output, returns dense gradients for the tape to add.
 
+Each tensor records the gradient rows written since its last ``zero_grad``
+in ``Tensor.grad_rows``: ``gather_rows`` marks the rows it wrote, and the
+tape's dense add into a leaf marks every row. ``zero_grad`` clears only the
+recorded rows, and the optimizer updates only rows ever recorded. A fresh
+tensor's record is unknown (``None``), so every row counts as written and
+``zero_grad`` swaps in a new zero buffer. That buffer lies on 4 KB pages of
+its own anonymous map: numpy advises 2 MB pages for arrays of 4 MiB or more,
+and a first write to one scattered row would map a whole one.
+
 Supported shapes are scalars ``()``, vectors ``(n,)`` and matrices ``(n, d)``.
 There is no broadcasting: the elementwise operations take operands of equal
 shape, which keeps every backward rule small enough to audit by hand. The
@@ -38,6 +47,8 @@ needs no scatter and no sort.
 from __future__ import annotations
 
 import itertools
+import math
+import mmap
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,11 +65,18 @@ class Tensor:
     never touched by a backward pass still report an all-zero gradient. It
     comes from ``np.zeros``, whose pages stay unmapped until first written,
     so a model that is only evaluated keeps no resident gradient memory.
+
+    ``grad_rows`` flags the rows of ``grad`` written since the last
+    ``zero_grad`` (one flag per matrix row or vector entry, one for a
+    scalar), or is ``None`` while unknown, as for a fresh tensor. Code that
+    writes ``grad`` by hand after a ``zero_grad`` must mark its rows there,
+    or the next ``zero_grad`` and the optimizer miss them.
+
     ``tape_id`` is assigned when the tensor is recorded on a tape and orders
     the operations topologically.
     """
 
-    __slots__ = ("data", "grad", "trainable", "tape_id", "op", "parents", "_backward")
+    __slots__ = ("data", "grad", "grad_rows", "trainable", "tape_id", "op", "parents", "_backward")
 
     def __init__(self, values, trainable: bool = False):
         data = np.asarray(values, dtype=np.float64)
@@ -66,6 +84,7 @@ class Tensor:
             raise DimensionError("tensor must be non-empty, got shape %r" % (data.shape,))
         self.data = data
         self.grad = np.zeros(data.shape) if trainable else None
+        self.grad_rows: np.ndarray | None = None
         self.trainable = trainable
         self.tape_id: int | None = None
         self.op: str | None = None
@@ -80,12 +99,34 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
+        """Zeros in every written row of ``grad``, and an empty record."""
+        if self.grad is None:
+            return
+        if self.grad_rows is None:
+            self.grad = _zeros(self.data.shape)
+            self.grad_rows = np.zeros(self.data.shape[:1], dtype=bool)
+        else:
+            self.grad[self.grad_rows] = 0.0
+            self.grad_rows[...] = False
 
     def __repr__(self) -> str:
         kind = self.op or ("param" if self.trainable else "const")
         return f"Tensor({kind}, shape={self.shape})"
+
+
+def _zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """Float64 zeros on their own anonymous map, advised against huge pages where that advice exists."""
+    buf = mmap.mmap(-1, 8 * math.prod(shape))
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
+
+
+def _add_dense(leaf: Tensor, grad) -> None:
+    """``grad`` added into a trainable leaf's gradient, every row marked written."""
+    leaf.grad += grad
+    if leaf.grad_rows is not None:
+        leaf.grad_rows[...] = True
 
 
 def _record(data: np.ndarray, op: str, parents: Sequence[Tensor], backward) -> Tensor:
@@ -135,7 +176,7 @@ class Tape:
     def backward(self, root: Tensor) -> None:
         pending: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}
         if root.trainable:
-            root.grad += 1.0
+            _add_dense(root, 1.0)
         for out in reversed(self.entries):
             grad_out = pending.pop(id(out), None)
             if grad_out is None:
@@ -150,7 +191,7 @@ class Tape:
                     else:
                         buf += grad
                 elif parent.trainable:
-                    parent.grad += grad
+                    _add_dense(parent, grad)
 
 
 def backward(loss: Tensor) -> None:
@@ -374,11 +415,12 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     """Select rows of a matrix; gradients scatter-add back to the source.
 
     On a leaf the backward pass sums the gradients of repeated indices into
-    one row each, adds those rows into ``a.grad`` (and does nothing for a
-    frozen leaf), and returns no gradient for the tape. The sums run in
-    index order, as a dense ``np.add.at`` would, so ``a.grad`` ends up
-    bit-identical to adding a dense scatter of the whole table (but for the
-    sign of a zero in an untouched row, which adding ``+0.0`` would clear).
+    one row each, adds those rows into ``a.grad`` and marks them in
+    ``a.grad_rows`` (and does nothing for a frozen leaf), and returns no
+    gradient for the tape. The sums run in index order, as a dense
+    ``np.add.at`` would, so ``a.grad`` ends up bit-identical to adding a
+    dense scatter of the whole table (but for the sign of a zero in an
+    untouched row, which adding ``+0.0`` would clear).
     On an operation's output it returns that dense scatter.
     """
     if a.data.ndim != 2:
@@ -396,9 +438,12 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
             if a.trainable:
                 slot: dict[int, int] = {}
                 inverse = [slot.setdefault(i, len(slot)) for i in idx.tolist()]
-                summed = np.zeros((len(slot), g.shape[1]))
+                rows = list(slot)
+                summed = np.zeros((len(rows), g.shape[1]))
                 np.add.at(summed, inverse, g)
-                a.grad[list(slot)] += summed
+                a.grad[rows] += summed
+                if a.grad_rows is not None:
+                    a.grad_rows[rows] = True
             return (None,)
 
     else:

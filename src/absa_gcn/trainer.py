@@ -156,7 +156,9 @@ def train(
     backward) must be finite as well, or a diverging last step would go
     unnoticed. An ``initial_state`` must hold ``config.hyperparams``, the
     ones the run trains with and the model it returns keeps; other ones
-    raise ``ValueError``.
+    raise ``ValueError``. It is trained in place: without a dev set it is
+    the returned model, and with one the returned model is a copy of it
+    taken at the best epoch.
     """
     if not train_set:
         raise ValueError("training set is empty")

@@ -1,10 +1,20 @@
 """Shared independent oracles: plain-numpy forward pass and graph helpers.
 
 Everything here deliberately avoids the package's tensor machinery so the
-tests compare two unrelated computation routes.
+tests compare two unrelated computation routes. ``resident_bytes`` reads the
+process's resident set, which sees memory that ``tracemalloc`` does not:
+pages of an anonymous map, and zero pages a first write maps.
 """
 
+import os
+
 import numpy as np
+
+
+def resident_bytes() -> int:
+    """The process's resident set in bytes, from ``/proc/self/statm`` (Linux only)."""
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
 def softmax_np(x):

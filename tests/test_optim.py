@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from absa_gcn.optim import AdamState, adam_step
-from absa_gcn.tensor import Tensor
+from absa_gcn.tensor import Tensor, add, backward, gather_rows, mul, sum_all
 
 
 def test_zero_gradients_leave_parameters_unchanged():
@@ -170,16 +170,85 @@ def test_live_row_steps_byte_equal_to_dense_formula(run):
         assert state.second_moment["w"].tobytes() == ref[2].tobytes()
 
 
+def _gathered_loss(w, ids, coefficients):
+    """``sum(w[ids] * coefficients)``: its gradient reaches ``w`` through ``gather_rows`` alone."""
+    return sum_all(mul(gather_rows(w, ids), Tensor(coefficients)))
+
+
+@st.composite
+def gathered_runs(draw):
+    """A table shape and, per step, gathered ids, rows whose gradient cancels, a dense-gradient flag and a seed."""
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 3))
+    ids = st.lists(st.integers(0, rows - 1), max_size=6)
+    cancel = st.sets(st.integers(0, rows - 1), max_size=2)
+    steps = draw(st.lists(st.tuples(ids, cancel, st.booleans()), min_size=1, max_size=6))
+    return (rows, cols), steps, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gathered_runs())
+@example(((8, 2), [([5, 1, 5, 5], set(), False), ([], set(), False), ([], {3}, False), ([0], set(), True)], 1))
+@example(((10, 3), [([9, 2, 2], {4, 7}, False), ([2, 0], set(), False), ([], set(), False)], 2))
+@example(((3, 1), [([], set(), True), ([1, 1], set(), False)], 3))
+def test_recorded_row_steps_byte_equal_to_dense_reference(run):
+    # Each step zeroes the gradient, runs a backward pass whose gradient
+    # reaches the table through gather_rows (unsorted and repeated ids; a
+    # cancelling row is gathered twice with opposite coefficients, so its
+    # summed gradient is exactly zero), optionally through a dense product
+    # with the whole table too, and takes an Adam step. The reference zeroes
+    # the whole gradient, scatters densely and applies the textbook formula.
+    shape, steps, seed = run
+    rng = np.random.default_rng(seed)
+    lr = 0.001
+    w = Tensor(rng.normal(size=shape) * lr, trainable=True)
+    w.data[rng.random(shape) < 0.1] = -0.0
+    start = w.data.copy()
+    state = AdamState(learning_rate=lr)
+    ref = [w.data.copy(), np.zeros(shape), np.zeros(shape)]
+    touched = np.zeros(shape[0], dtype=bool)
+    for t, (ids, cancel, dense) in enumerate(steps, start=1):
+        values = rng.normal(size=(len(ids), shape[1])) * 10.0 ** rng.integers(-6, 3, size=(len(ids), shape[1]))
+        pairs = rng.normal(size=(len(cancel), shape[1]))
+        ids = [i for i in ids if i not in cancel] + sorted(cancel) * 2
+        coefficients = np.concatenate([values[: len(ids) - 2 * len(cancel)], pairs, -pairs])
+        order = rng.permutation(len(ids))
+        ids, coefficients = [ids[i] for i in order], coefficients[order]
+        g = np.zeros(shape)
+        np.add.at(g, ids, coefficients)
+        terms = [_gathered_loss(w, ids, coefficients)] if ids else []
+        if dense:
+            d = rng.normal(size=shape)
+            g += d
+            terms.append(sum_all(mul(w, Tensor(d))))
+        w.zero_grad()
+        if terms:
+            backward(terms[0] if len(terms) == 1 else add(*terms))
+        adam_step([("w", w)], state)
+        ref = _textbook_step(ref, g, t, lr=lr)
+        touched[ids] = True
+        touched |= dense
+        assert w.grad.tobytes() == g.tobytes()
+        assert w.data.tobytes() == ref[0].tobytes()
+        assert state.first_moment["w"].tobytes() == ref[1].tobytes()
+        assert state.second_moment["w"].tobytes() == ref[2].tobytes()
+        assert w.data[~touched].tobytes() == start[~touched].tobytes()
+
+
 def test_second_step_on_a_few_live_rows_allocates_little():
     # The moments are allocated once, on the first step; after that a step
-    # touching about 100 of 20 001 rows allocates only the live-row scan
-    # and the gathered rows.
+    # whose backward pass gathered about 100 of 20 001 rows allocates only
+    # the gathered rows. tracemalloc does not see the gradient, which is
+    # memory-mapped: tests/test_tensor.py reads the resident set for it.
     rng = np.random.default_rng(11)
     w = Tensor(rng.normal(size=(20_001, 300)), trainable=True)
     rows = rng.choice(20_001, size=100, replace=False)
-    w.grad[rows] = rng.normal(size=(100, 300))
     state = AdamState()
+    w.zero_grad()
+    backward(_gathered_loss(w, rows, rng.normal(size=(100, 300))))
     adam_step([("embeddings", w)], state)
+    w.zero_grad()
+    backward(_gathered_loss(w, rows, rng.normal(size=(100, 300))))
     tracemalloc.start()
     try:
         adam_step([("embeddings", w)], state)

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -34,7 +35,7 @@ from absa_gcn.tensor import (
     tanh,
 )
 from absa_gcn.gradcheck import numeric_gradient, relative_error
-from conftest import softmax_np
+from conftest import resident_bytes, softmax_np
 
 
 def test_tensor_rejects_empty():
@@ -431,6 +432,32 @@ def test_backward_accumulates_without_zeroing():
     npt.assert_array_equal(x.grad, [2.0, 2.0])
     x.zero_grad()
     npt.assert_array_equal(x.grad, [0.0, 0.0])
+
+
+def test_zero_grad_after_a_hand_write_clears_every_row():
+    # A fresh tensor's record is unknown, so the first zero_grad cannot
+    # trust it and clears every row, -0.0 included.
+    w = Tensor(np.ones((5, 3)), trainable=True)
+    w.grad[...] = np.arange(15.0).reshape(5, 3)
+    w.grad[4] = -0.0
+    w.zero_grad()
+    assert w.grad.tobytes() == np.zeros((5, 3)).tobytes()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the resident set from /proc/self/statm")
+def test_zeroing_and_a_backward_pass_on_a_few_rows_of_a_large_table_map_little_memory():
+    # The first zero_grad swaps in a gradient on 4 KB pages; a backward pass
+    # gathering 100 rows, and the zero_grad after it, map the pages of those
+    # rows, not the whole 48 MB gradient.
+    rng = np.random.default_rng(12)
+    w = Tensor(rng.normal(size=(20_001, 300)), trainable=True)
+    rows = rng.choice(20_001, size=100, replace=False)
+    coefficients = Tensor(rng.normal(size=(100, 300)))
+    before = resident_bytes()
+    w.zero_grad()
+    backward(sum_all(mul(gather_rows(w, rows), coefficients)))
+    w.zero_grad()
+    assert resident_bytes() - before < w.data.nbytes / 4
 
 
 def test_backward_requires_scalar():
