@@ -87,7 +87,6 @@ OPTIONS = (
     Option("con", "--no-con", bool, "con_on", _MODEL),
     Option("gatediv", "--gatediv", bool, "gatediv_baseline", _MODEL),
     Option("include_self_loop", None, bool, "include_self_loop"),
-    Option("normalize_div", None, bool, "normalize_div"),
     Option("epochs", "--epochs", int, "epochs", _TRAINING),
     Option("batch_size", "--batch-size", int, "batch_size", _TRAINING),
     Option("learning_rate", "--lr", float, "learning_rate", _TRAINING),

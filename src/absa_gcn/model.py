@@ -35,7 +35,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -55,14 +56,12 @@ from .tensor import (
     maxpool_rows,
     mul,
     pick,
-    reciprocal,
     relu,
     scale,
     segment_mean_rows,
     segment_softmax,
     sigmoid,
     softmax_rows,
-    sqrt,
     sum_all,
     tanh,
 )
@@ -88,15 +87,21 @@ class HyperParams:
     div_on: bool = True
     con_on: bool = True
     gatediv_baseline: bool = False
-    normalize_div: bool = False
 
     def __post_init__(self):
+        # A checkpoint header may hold any JSON value here. ``f.type`` is the annotation's
+        # text, and a bool, an int to ``isinstance``, is a number for no field.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = isinstance(value, int if f.type == "int" else (int, float)) and not isinstance(value, bool)
+            if not (isinstance(value, bool) if f.type == "bool" else number):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.hidden <= 0:
             raise ValueError("hidden must be positive")
         if self.layers < 1:
             raise ValueError("need at least one graph convolution layer")
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (math.isfinite(value) and value >= 0):
+            if not 0 <= value <= sys.float_info.max:  # exact for an int too large for a float
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
@@ -297,28 +302,16 @@ def regulate(hidden: Tensor, gate: Tensor, owner) -> Tensor:
     return mul(hidden, gather_rows(gate, owner))
 
 
-def _pair_similarity(a: Tensor, b: Tensor, normalize: bool) -> Tensor:
-    if not normalize:
-        return dot(a, b)
-    norms = mul(sqrt(dot(a, a)), sqrt(dot(b, b)))
-    return mul(dot(a, b), reciprocal(clamp_min(norms, PROB_FLOOR)))
-
-
-def _mean_over_layer_pairs(own: list[Tensor], other, normalize: bool) -> Tensor:
-    """Sum over examples of the mean similarity of ``own[l]`` and ``other(l, lp)``."""
+def _mean_over_layer_pairs(own: list[Tensor], other) -> Tensor:
+    """Sum over examples of the mean dot product of ``own[l]`` and ``other(l, lp)``."""
     n_layers = len(own)
     if n_layers < 2:
         return Tensor(np.zeros(()))
-    terms = [
-        _pair_similarity(own[l], other(l, lp), normalize)
-        for l in range(n_layers)
-        for lp in range(n_layers)
-        if lp != l
-    ]
+    terms = [dot(own[l], other(l, lp)) for l in range(n_layers) for lp in range(n_layers) if lp != l]
     return scale(sum_all(add_n(terms)), 1.0 / (n_layers * (n_layers - 1)))
 
 
-def diversity_loss(trace: ForwardTrace, normalize: bool = False) -> Tensor:
+def diversity_loss(trace: ForwardTrace) -> Tensor:
     """Mean over ordered layer pairs (l, l') of layer l's pooled vectors gated by gate l and by gate l'.
 
     A gate is one non-negative row per example and rounding is monotone, so
@@ -331,12 +324,12 @@ def diversity_loss(trace: ForwardTrace, normalize: bool = False) -> Tensor:
     are no pairs and the loss is zero.
     """
     pooled, gates = trace.pooled_hidden, trace.gates
-    return _mean_over_layer_pairs(trace.pooled_regulated, lambda l, lp: mul(pooled[l], gates[lp]), normalize)
+    return _mean_over_layer_pairs(trace.pooled_regulated, lambda l, lp: mul(pooled[l], gates[lp]))
 
 
-def gatediv_baseline_loss(gates: list[Tensor], normalize: bool = False) -> Tensor:
+def gatediv_baseline_loss(gates: list[Tensor]) -> Tensor:
     """Diversity measured directly between the gate vectors themselves."""
-    return _mean_over_layer_pairs(gates, lambda l, lp: gates[lp], normalize)
+    return _mean_over_layer_pairs(gates, lambda l, lp: gates[lp])
 
 
 def model_scores(trace: ForwardTrace, params: ModelState) -> Tensor:
@@ -425,9 +418,9 @@ def total_loss(examples, params: ModelState, hp: HyperParams | None = None):
 
     if hp.div_on and hp.gate_on and hp.layers >= 2:
         if hp.gatediv_baseline:
-            l_div = gatediv_baseline_loss(trace.gates, normalize=hp.normalize_div)
+            l_div = gatediv_baseline_loss(trace.gates)
         else:
-            l_div = diversity_loss(trace, normalize=hp.normalize_div)
+            l_div = diversity_loss(trace)
     else:
         l_div = Tensor(np.zeros(()))
 
@@ -479,12 +472,14 @@ def load_checkpoint(path) -> ModelState:
     """Read a checkpoint that ``save_checkpoint`` wrote, checking it before use.
 
     Before any value is read, the header must name this format, version 2
-    and its dtype, and list each word of the vocabulary once; the tensors
-    must match the table (one row per word plus the unknown row) and the
-    ``parameter_shapes`` of the stored hyperparameters by name and shape; and
-    the file must hold exactly the bytes its header implies. Every value must
-    be finite. A failed check, and any other file (a version 1 checkpoint,
-    one JSON object, among them), raises ``CheckpointError``.
+    and its dtype, hold hyperparameters of the right types, and list each
+    word of the vocabulary once; the tensors must match the table (one row
+    per word plus the unknown row) and the ``parameter_shapes`` of the stored
+    hyperparameters by name, order and shape; and the file must hold exactly
+    the bytes its header implies. A stored ``normalize_div`` (a removed
+    setting) must be false. Every value must be finite. A failed check, and
+    any other file (a version 1 checkpoint, one JSON object, among them),
+    raises ``CheckpointError``.
     """
     try:
         with open(path, "rb") as fh:
@@ -508,18 +503,29 @@ def _read_checkpoint(fh, size: int) -> ModelState:
     if (header.get("format"), header.get("version"), header.get("dtype")) != (_CHECKPOINT_FORMAT, 2, _DTYPE):
         raise CheckpointError(f"not a version 2 checkpoint of dtype {_DTYPE!r}")
 
-    hp = HyperParams(**header["hyperparams"])
-    vocab_rows, dim = header["vocabulary"], header["embedding_dim"]
+    settings = dict(header["hyperparams"])
+    # Headers written before the setting was removed store it, as false unless a config file set it.
+    if settings.pop("normalize_div", False) is not False:
+        raise CheckpointError("the model was trained with normalize_div, a setting this version no longer has")
+    hp = HyperParams(**settings)
+    vocab_rows, dim, trainable = header["vocabulary"], header["embedding_dim"], header["embeddings_trainable"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise CheckpointError(f"embedding_dim {dim!r} is not a positive integer")
+    if not isinstance(trainable, bool):
+        raise CheckpointError(f"embeddings_trainable {trainable!r} is not true or false")
     vocabulary = {word: i for i, word in enumerate(vocab_rows)}
     if len(vocabulary) != len(vocab_rows):
         raise CheckpointError(f"the vocabulary lists {len(vocab_rows)} words, of which {len(vocabulary)} differ")
+    # The table and the 10 + 4 * layers of ``parameter_shapes``, counted first: its work grows with the claimed layers.
+    count = 11 + 4 * hp.layers
+    if len(stored) != count:
+        raise CheckpointError(f"the header lists {len(stored)} tensors, not the {count} of a {hp.layers}-layer model")
     shapes = {"embeddings": (len(vocab_rows) + 1, dim), **parameter_shapes(hp, dim)}
-    names = sorted(name for name, _ in stored)
-    if names != sorted(shapes):
-        raise CheckpointError(f"parameter names {names} do not match the model's {sorted(shapes)}")
-    for name, shape in stored:
-        if shape != shapes[name]:
-            raise CheckpointError(f"tensor {name!r} has shape {shape}, expected {shapes[name]}")
+    for (name, shape), (want, want_shape) in zip(stored, shapes.items()):
+        if name != want:
+            raise CheckpointError(f"the header lists tensor {name!r} where the model has {want!r}")
+        if shape != want_shape:
+            raise CheckpointError(f"tensor {name!r} has shape {shape}, expected {want_shape}")
     unk_index = header["unk_index"]
     if type(unk_index) is not int or unk_index != len(vocab_rows):
         raise CheckpointError(f"unk_index {unk_index!r} is not {len(vocab_rows)}, the row after the vocabulary")
@@ -533,6 +539,6 @@ def _read_checkpoint(fh, size: int) -> ModelState:
             raise CheckpointError(f"tensor {name!r} is cut short")
         if not np.isfinite(block).all():
             raise CheckpointError(f"tensor {name!r} holds a non-finite value")
-    vectors = Tensor(blocks.pop("embeddings"), trainable=header["embeddings_trainable"])
+    vectors = Tensor(blocks.pop("embeddings"), trainable=trainable)
     table = EmbeddingTable(vocabulary, vectors, dim, unk_index)
     return ModelState(table, hp, {name: Tensor(block, trainable=True) for name, block in blocks.items()})

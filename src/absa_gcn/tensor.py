@@ -106,7 +106,11 @@ class Tensor:
             self.grad = _zeros(self.data.shape)
             self.grad_rows = np.zeros(self.data.shape[:1], dtype=bool)
         else:
-            self.grad[self.grad_rows] = 0.0
+            # The tape's dense add marks every row, and a fill clears those faster than the mask does.
+            if np.count_nonzero(self.grad_rows) == self.grad_rows.size:
+                self.grad.fill(0.0)
+            else:
+                self.grad[self.grad_rows] = 0.0
             self.grad_rows[...] = False
 
     def __repr__(self) -> str:
@@ -265,20 +269,6 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     """Entries below ``floor`` raised to it; a NaN stays NaN, so a loss built on it is not finite."""
     below = a.data < floor
     return _record(np.where(below, floor, a.data), "clamp_min", (a,), lambda g: (g * ~below,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0):
-        raise ValueError("sqrt requires non-negative entries")
-    out = np.sqrt(a.data)
-    return _record(out, "sqrt", (a,), lambda g: (g / (2.0 * out),))
-
-
-def reciprocal(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise ValueError("reciprocal requires positive entries")
-    out = 1.0 / a.data
-    return _record(out, "reciprocal", (a,), lambda g: (-g * out * out,))
 
 
 # ---------------------------------------------------------------------------

@@ -86,21 +86,15 @@ def oracle_losses(ex, state, hp):
     regulated = [h * g for h, g in zip(hidden, gates)]
     pooled = [r.max(axis=0) for r in regulated]
 
-    def similarity(a, b):
-        value = float(a @ b)
-        if hp.normalize_div:
-            value /= max(float(np.sqrt(a @ a) * np.sqrt(b @ b)), 1e-12)
-        return value
-
     L = hp.layers
     div = 0.0
     if hp.div_on and hp.gate_on and L >= 2:
         pairs = [(l, lp) for l in range(L) for lp in range(L) if lp != l]
         if hp.gatediv_baseline:
-            div = sum(similarity(gates[l], gates[lp]) for l, lp in pairs) / (L * (L - 1))
+            div = sum(float(gates[l] @ gates[lp]) for l, lp in pairs) / (L * (L - 1))
         else:
             div = sum(
-                similarity(pooled[l], (hidden[l] * gates[lp]).max(axis=0)) for l, lp in pairs
+                float(pooled[l] @ (hidden[l] * gates[lp]).max(axis=0)) for l, lp in pairs
             ) / (L * (L - 1))
 
     overall = np.concatenate([sentence, pooled[-1]])

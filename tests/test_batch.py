@@ -77,7 +77,6 @@ hyperparams = st.builds(
     div_on=st.booleans(),
     con_on=st.booleans(),
     gatediv_baseline=st.booleans(),
-    normalize_div=st.booleans(),
 )
 
 

@@ -82,6 +82,9 @@ def test_read_config_rejects_unknown_key_and_bad_value(tmp_path):
     path.write_text("seed = abc\n")
     with pytest.raises(cli.ConfigError):
         read_config(str(path))
+    path.write_text("normalize_div = false\n")  # a removed setting
+    with pytest.raises(cli.ConfigError, match="unknown key 'normalize_div'"):
+        read_config(str(path))
 
 
 def _config_file(tmp_path, line):
@@ -128,6 +131,12 @@ OPTION = {option.key: option for option in cli.OPTIONS}
 
 def test_every_numeric_option_has_an_out_of_range_case():
     assert {option.key for option in cli.OPTIONS if option.kind in (int, float)} == set(OUT_OF_RANGE)
+
+
+def test_every_model_and_training_field_is_set_by_exactly_one_option():
+    settable = [f.name for f in fields(HyperParams)] + [f.name for f in fields(TrainConfig) if f.name != "hyperparams"]
+    setters = [option.field for option in cli.OPTIONS]
+    assert {name: setters.count(name) for name in settable} == dict.fromkeys(settable, 1)
 
 
 @pytest.mark.parametrize("form", ["flag", "config"])

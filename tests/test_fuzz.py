@@ -1,13 +1,17 @@
-"""Random bytes through the command line, and random examples through the corpus format.
+"""Random and mutated bytes through the command line, and random examples through the corpus format.
 
 Every input kind a command reads (a corpus, an embedding file, CoNLL-U, an
-aspect sidecar, a config file, a checkpoint) is replaced by random bytes. The
-command must end in a documented exit code with one line on stderr and no
-traceback. The examples are derandomized, so a failure reproduces.
+aspect sidecar, a config file, a checkpoint) is replaced by random bytes, and
+then by a valid file of its kind with a few bytes flipped, inserted or
+deleted or, in JSON, one value replaced by a value of another type. The
+command must succeed, or end in a documented exit code with one line on
+stderr and no traceback. The examples are derandomized, so a failure
+reproduces.
 """
 
 import contextlib
 import io
+import json
 import pathlib
 
 import numpy as np
@@ -17,9 +21,7 @@ from hypothesis import strategies as st
 
 from absa_gcn import cli
 from absa_gcn.data import LABELS, Example, LoadError, load_embeddings, parse_corpus, write_corpus
-from absa_gcn.model import HyperParams, save_checkpoint
 from absa_gcn.synthetic import random_tree_heads
-from absa_gcn.trainer import TrainConfig, train
 
 ASSETS = pathlib.Path(__file__).resolve().parents[1] / "src" / "absa_gcn" / "assets"
 SAMPLE = str(ASSETS / "sample_corpus.jsonl")
@@ -56,12 +58,17 @@ def _is_embedding_file(path: str) -> bool:
 
 @pytest.fixture(scope="module")
 def good(tmp_path_factory):
-    """Valid files for the inputs that are not fuzzed: a tiny checkpoint, a sidecar, an empty corpus."""
+    """Valid files: a tiny checkpoint from ``train``, a config file for ``eval``, a sidecar, an empty corpus."""
     root = tmp_path_factory.mktemp("inputs")
-    good = {"out": str(root / "out"), "checkpoint": str(root / "tiny.bin"), "empty": str(root / "empty.jsonl")}
+    good = {"out": str(root / "out"), "checkpoint": str(root / "checkpoint.bin"), "empty": str(root / "empty.jsonl")}
     (root / "out").mkdir()
-    model, _ = train(parse_corpus(SAMPLE), None, TrainConfig(epochs=1, hyperparams=HyperParams(hidden=4, layers=1)))
-    save_checkpoint(good["checkpoint"], model)
+    assert _run(["train", "--train", SAMPLE, "--epochs", "1", "--hidden", "4", "--out", str(root)]) == (0, "")
+    # eval reads only the paths; the other keys are settings it ignores, so no size in the file reaches a model.
+    good["config"] = str(root / "eval.cfg")
+    pathlib.Path(good["config"]).write_text(
+        f"# evaluate the tiny model\ncheckpoint = {good['checkpoint']}\ntest = {SAMPLE}\n"
+        "hidden = 8\nlayers = 2\nalpha = 0.5\ngate = false\nlearning_rate = 0.01\nseed = 3\n"
+    )
     # No sentence has this index, so even a CoNLL-U file that parses ends in a data error.
     good["aspects"] = str(root / "aspects.json")
     pathlib.Path(good["aspects"]).write_text('[{"sentence_index": 1000000, "from": 0, "to": 1, "label": "neutral"}]')
@@ -80,6 +87,105 @@ def test_random_bytes_as_each_input_end_in_one_error_line(good, kind, payload):
     code, err = _run(_commands(fuzz, good)[kind])
     assert code in (cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_CHECKPOINT), (payload, code, err)
     assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err, (payload, err)
+
+
+# ---------------------------------------------------------------------------
+# mutations of valid inputs
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+CONFIG_VALUES = ["true", "false", "0", "-1", "8", "0.5", "1e400", "nan", "abc", "", "/", "é"]
+
+
+@st.composite
+def byte_edits(draw, data: bytes) -> bytes:
+    """``data`` with one to four bytes flipped, inserted or deleted."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(out) - 1))
+        edit = draw(st.sampled_from(["flip", "insert", "delete"]))
+        if edit == "flip":
+            out[at] ^= 1 << draw(st.integers(0, 7))
+        elif edit == "insert":
+            out.insert(at, draw(st.integers(0, 255)))
+        else:
+            del out[at]
+    return bytes(out)
+
+
+@st.composite
+def swapped(draw, value):
+    """A JSON value with one value in it, at any depth, replaced by a value of another type."""
+    children = list(value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ())
+    if children and draw(st.integers(0, 4)):
+        key, child = draw(st.sampled_from(children))
+        out = dict(value) if isinstance(value, dict) else list(value)
+        out[key] = draw(swapped(child))
+        return out
+    return draw(JSON_VALUES.filter(lambda new: type(new) is not type(value)))
+
+
+@st.composite
+def json_swaps(draw, data: bytes) -> bytes:
+    """A JSON file with one value swapped, or a JSON Lines file with one value swapped in one line."""
+    if not data.startswith(b"{"):
+        return json.dumps(draw(swapped(json.loads(data)))).encode()
+    lines = data.decode().splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    lines[at] = json.dumps(draw(swapped(json.loads(lines[at]))))
+    return "\n".join(lines).encode() + b"\n"
+
+
+@st.composite
+def header_swaps(draw, data: bytes) -> bytes:
+    """A checkpoint whose JSON header has one value swapped, its length field kept true."""
+    length = int.from_bytes(data[8:16], "little")
+    header = json.dumps(draw(swapped(json.loads(data[16 : 16 + length])))).encode()
+    return data[:8] + len(header).to_bytes(8, "little") + header + data[16 + length :]
+
+
+@st.composite
+def config_swaps(draw, data: bytes) -> bytes:
+    """A config file with one setting's value replaced by text of another kind."""
+    lines = data.decode().splitlines()
+    at = draw(st.integers(1, len(lines) - 1))
+    value = draw(st.sampled_from(CONFIG_VALUES) | st.text(max_size=8))
+    lines[at] = f"{lines[at].split('=')[0]}= {value}"
+    return "\n".join(lines).encode() + b"\n"
+
+
+def _mutation_cases(good: dict) -> dict:
+    """For each input kind: a valid file's bytes, the command line that reads ``good["fuzz"]`` as it, its JSON swaps."""
+    fuzz, conllu, aspects = good["fuzz"], str(ASSETS / "sample.conllu"), str(ASSETS / "sample_aspects.json")
+    # The model's sizes come from the flags; only the table's width comes from the embedding file.
+    train = ["train", "--train", SAMPLE, "--embeddings", fuzz, "--epochs", "1", "--hidden", "4", "--out", good["out"]]
+    cases = {
+        "corpus": (SAMPLE, ["eval", "--checkpoint", good["checkpoint"], "--test", fuzz], json_swaps),
+        "embeddings": (str(ASSETS / "sample_embeddings.txt"), train, None),
+        "conllu": (conllu, ["convert", "--conllu", fuzz, "--aspects", aspects], None),
+        "aspects": (aspects, ["convert", "--conllu", conllu, "--aspects", fuzz], json_swaps),
+        "config": (good["config"], ["eval", "--config", fuzz], config_swaps),
+        "checkpoint": (good["checkpoint"], ["eval", "--checkpoint", fuzz, "--test", SAMPLE], header_swaps),
+    }
+    return {kind: (pathlib.Path(path).read_bytes(), argv, swaps) for kind, (path, argv, swaps) in cases.items()}
+
+
+@pytest.mark.parametrize("kind", ["corpus", "embeddings", "conllu", "aspects", "config", "checkpoint"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_valid_inputs_succeed_or_end_in_one_error_line(good, kind, data):
+    original, argv, swaps = _mutation_cases(good)[kind]
+    payload = data.draw(byte_edits(original) if swaps is None else byte_edits(original) | swaps(original))
+    pathlib.Path(good["fuzz"]).write_bytes(payload)
+    code, err = _run(argv)
+    if code == cli.EXIT_OK:
+        assert err == "", (payload, err)
+    else:
+        assert code in (cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_CHECKPOINT, cli.EXIT_DIVERGED), (payload, code, err)
+        assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err, (payload, err)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

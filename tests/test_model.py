@@ -556,7 +556,7 @@ def test_the_model_calls_every_op_of_the_tensor_library():
     }
     rng = np.random.default_rng(9)
     examples = [random_example(rng) for _ in range(4)]
-    variants = [*ABLATION_VARIANTS.values(), {"normalize_div": True}, {"include_self_loop": False}]
+    variants = [*ABLATION_VARIANTS.values(), {"include_self_loop": False}]
     recorded = set()
     for variant in variants:
         recorded.update(_tape_ops(HyperParams(hidden=8, layers=2, **variant), examples))
@@ -769,6 +769,10 @@ def _with_shape(header, name, shape):
     return {**header, "tensors": [{**t, "shape": shape} if t["name"] == name else t for t in header["tensors"]]}
 
 
+def _renamed(header, name, new_name):
+    return {**header, "tensors": [{**t, "name": new_name} if t["name"] == name else t for t in header["tensors"]]}
+
+
 def _with_hyperparams(header, **changes):
     return {**header, "hyperparams": {**header["hyperparams"], **changes}}
 
@@ -810,15 +814,24 @@ def test_checkpoint_must_match_the_shapes_of_its_hyperparameters(tmp_path, tampe
             lambda m, h, b: _join_version_2(m, _with_shape(h, "w_cls_out", [8, 3]), b),
             "tensor 'w_cls_out' has shape (8, 3), expected (3, 8)",
         ),
-        (lambda m, h, b: _join_version_2(m, {**h, "tensors": h["tensors"][:-1]}, b[:-24]), "parameter names"),
+        (lambda m, h, b: _join_version_2(m, {**h, "tensors": h["tensors"][:-1]}, b[:-24]), "lists 18 tensors, not the 19"),
         (
             lambda m, h, b: _join_version_2(m, {**h, "tensors": [*h["tensors"], {"name": "w_extra", "shape": [1]}]}, b + bytes(8)),
-            "parameter names",
+            "lists 20 tensors, not the 19",
+        ),
+        (
+            lambda m, h, b: _join_version_2(m, _renamed(h, "w_gate_0", "w_extra"), b),
+            "the header lists tensor 'w_extra' where the model has 'w_gate_0'",
+        ),
+        (
+            lambda m, h, b: _join_version_2(m, {**h, "tensors": [*h["tensors"][:-2], *h["tensors"][:-3:-1]]}, b),
+            "the header lists tensor 'b_cls_out' where the model has 'w_cls_out'",
         ),
         (lambda m, h, b: _join_version_2(m, h, b)[:-1], "bytes, its header implies"),
         (lambda m, h, b: _join_version_2(m, h, b) + b"\0", "bytes, its header implies"),
         (lambda m, h, b: _join_version_2(m, h, _poison_block(h, b)), "tensor 'b_cls_out' holds a non-finite value"),
-        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, layers=1), b), "parameter names"),
+        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, layers=1), b), "lists 19 tensors, not the 15 of a 1-layer"),
+        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, layers=10**9), b), "not the 4000000011 of a 1000000000-layer"),
         (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, hidden=9), b), "tensor 'w_sent' has shape"),
         (lambda m, h, b: _join_version_2(m, {**h, "embedding_dim": 5}, b), "tensor 'embeddings' has shape"),
         (lambda m, h, b: _join_version_2(m, {**h, "vocabulary": h["vocabulary"][:-1]}, b), "tensor 'embeddings' has shape"),
@@ -826,11 +839,26 @@ def test_checkpoint_must_match_the_shapes_of_its_hyperparameters(tmp_path, tampe
             lambda m, h, b: _join_version_2(m, {**h, "vocabulary": [*h["vocabulary"][:-1], h["vocabulary"][0]]}, b),
             "the vocabulary lists 4 words, of which 3 differ",
         ),
+        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, hidden=8.0), b), "hidden must be of type int, got 8.0"),
+        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, layers="2"), b), "layers must be of type int, got '2'"),
+        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, layers=True), b), "layers must be of type int, got True"),
+        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, gate_on="no"), b), "gate_on must be of type bool, got 'no'"),
+        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, div_on=1), b), "div_on must be of type bool, got 1"),
+        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, alpha=False), b), "alpha must be of type float, got False"),
+        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, beta="1.0"), b), "beta must be of type float, got '1.0'"),
+        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, beta=10**400), b), "beta must be finite and non-negative"),
+        (lambda m, h, b: _join_version_2(m, {**h, "embedding_dim": 6.0}, b), "embedding_dim 6.0 is not a positive integer"),
+        (lambda m, h, b: _join_version_2(m, {**h, "embedding_dim": 0}, b), "embedding_dim 0 is not a positive integer"),
+        (lambda m, h, b: _join_version_2(m, {**h, "embeddings_trainable": "yes"}, b), "embeddings_trainable 'yes' is not true or false"),
+        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, normalize_div=True), b), "trained with normalize_div"),
+        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, normalize_div=None), b), "trained with normalize_div"),
     ],
     ids=[
         "bad-magic", "header-past-end", "header-not-json", "dtype", "version", "shape",
-        "missing-name", "extra-name", "one-byte-short", "one-byte-over", "non-finite",
-        "layers-1", "hidden-9", "embedding-dim-5", "word-missing", "word-repeated",
+        "missing-name", "extra-name", "renamed", "reordered", "one-byte-short", "one-byte-over", "non-finite",
+        "layers-1", "layers-1e9", "hidden-9", "embedding-dim-5", "word-missing", "word-repeated",
+        "hidden-float", "layers-str", "layers-bool", "gate-str", "div-int", "alpha-bool", "beta-str", "beta-huge",
+        "embedding-dim-float", "embedding-dim-0", "trainable-str", "normalize-div-true", "normalize-div-null",
     ],
 )
 def test_version_2_checkpoint_is_validated_before_use(tmp_path, corrupt, message):
@@ -839,6 +867,17 @@ def test_version_2_checkpoint_is_validated_before_use(tmp_path, corrupt, message
     path.write_bytes(corrupt(*_split_version_2(path.read_bytes())))
     with pytest.raises(CheckpointError, match=re.escape(message)):
         load_checkpoint(path)
+
+
+def test_a_header_that_stores_normalize_div_false_loads_the_same_model(tmp_path):
+    # Every checkpoint written while the setting existed stores it, false unless a config file set it.
+    state = _edge_model(seed=83)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, state)
+    magic, header, body = _split_version_2(path.read_bytes())
+    assert "normalize_div" not in header["hyperparams"]
+    path.write_bytes(_join_version_2(magic, _with_hyperparams(header, normalize_div=False), body))
+    _assert_bit_equal(state, load_checkpoint(path))
 
 
 def test_trainer_init_keeps_biases_zero_and_weights_bounded():
