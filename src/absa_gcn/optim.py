@@ -3,23 +3,27 @@
 A row of a matrix parameter is *live* once a backward pass has recorded it
 in the parameter's ``grad_rows`` (see ``tensor``), or at once for every row
 while that record is unknown. A row that has never been recorded has held
-only the ``+0.0`` gradient that ``zero_grad`` left, so it keeps ``m = v = 0``
-exactly, since ``b * 0`` and ``(1 - b) * 0`` are zeros (``+0.0`` after the
-addition), and then the update ``p -= lr * 0 / (sqrt(0) + eps)`` subtracts
-zero: every bit of ``p``, ``m`` and ``v`` stays as it was. So ``adam_step``
-may skip such rows and still leave every array byte-equal to the dense
-update. A recorded row whose gradient is exactly zero (also ``-0.0``) goes
-through the same update as in the dense step, so treating it as live changes
-nothing either. This needs a finite, non-negative learning rate, a finite,
-positive epsilon and betas in [0, 1), which ``AdamState`` checks: otherwise
-``0 * lr``, ``0 / eps`` or ``0 / bias`` need not be a positive zero.
+only the ``+0.0`` gradient that ``zero_grad`` left, so its moments would be
+``m = v = 0`` exactly, since ``b * 0`` and ``(1 - b) * 0`` are zeros (``+0.0``
+after the addition), and then the update ``p -= lr * 0 / (sqrt(0) + eps)``
+subtracts zero: every bit of ``p`` stays as it was. So ``adam_step`` skips
+such rows and keeps no moments for them, and every array still comes out
+byte-equal to the dense update of all rows. A recorded row whose gradient is
+exactly zero (also ``-0.0``) goes through the same update as in the dense
+step, so treating it as live changes nothing either. This needs a finite,
+non-negative learning rate, a finite, positive epsilon and betas in [0, 1),
+which ``AdamState`` checks: otherwise ``0 * lr``, ``0 / eps`` or ``0 / bias``
+need not be a positive zero.
 
-When fewer than half the rows of a matrix are live, the step gathers the live
-rows, updates the copy and writes it back; otherwise it updates the whole
-arrays in place, as it always does for vectors and scalars. Below half, the
-gathered step is the faster one, even counting the copies (measured on a
-20 001 x 300 table). Each element goes through the
-same operations in the same order either way, so the two paths round alike.
+The moments of a matrix hold one row per live row, in the order the rows
+went live; a row's place there never changes. When every row is live and
+in row order, as for the dense weights, whose first backward pass records
+every row, the step updates the parameter and the moments in place.
+Otherwise it gathers the live rows of the parameter and its gradient,
+updates them against the moments' rows in use and writes them back. Each
+element goes through the same operations in the same order either way, so
+the two paths round alike. Vectors and scalars keep moments of their own
+shape and are always updated in place.
 """
 
 from __future__ import annotations
@@ -37,16 +41,17 @@ from .tensor import Tensor
 class AdamState:
     """Per-parameter moment accumulators plus the shared step counter.
 
-    The moments of a parameter are allocated once, on its first step, with
-    ``np.zeros``, whose pages stay unmapped until written (2 MB pages for a
-    large table). Unlike the gradient they are not put on 4 KB pages: they
-    are freed when training ends, and the checkpoint written next reuses
-    their pages. On a VM that hands idle memory back to its host, moving
-    them to 4 KB pages made that save 1.5x slower (20 001 x 300 table).
-    ``live_rows`` holds the live-row mask of each matrix parameter (see the
-    module docstring).
-    ``scratch`` holds the two work arrays of an update, kept across steps and
-    sized to the largest parameter seen so far.
+    For a matrix parameter, ``live_rows`` holds the live-row mask and
+    ``rows`` the live rows in the order they went live; a longer array
+    replaces ``rows[name]`` when rows go live, so a list read earlier stays
+    as it was. ``first_moment`` and ``second_moment`` hold the moments of
+    ``rows[name]``, row for row, in their first ``rows[name].size`` rows; the
+    rest are zeros kept for rows that go live later. That capacity doubles
+    when it runs out, up to the parameter's row count. So a table of which
+    a training set reaches a few hundred rows keeps moments for those rows
+    only. For a vector or scalar the moments have the parameter's shape.
+    ``scratch`` holds the two work arrays of an update, kept across steps
+    and sized to the largest update so far.
     """
 
     learning_rate: float = 0.001
@@ -57,6 +62,7 @@ class AdamState:
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
     live_rows: dict[str, np.ndarray] = field(default_factory=dict)
+    rows: dict[str, np.ndarray] = field(default_factory=dict)
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)))
 
     def __post_init__(self):
@@ -67,6 +73,15 @@ class AdamState:
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
 
+    def moved_rows(self, name: str) -> np.ndarray | None:
+        """The rows of matrix parameter ``name`` that steps have moved, in the order they went live.
+
+        ``None`` for a vector or scalar, and for a matrix before its first
+        step: nothing says which of its rows will move. No other row of a
+        matrix has changed (module docstring).
+        """
+        return self.rows.get(name)
+
 
 def _update(p, g, m, v, state: AdamState, bias1: float, bias2: float) -> None:
     """``p``, ``m`` and ``v`` updated in place from ``g``.
@@ -75,6 +90,8 @@ def _update(p, g, m, v, state: AdamState, bias1: float, bias2: float) -> None:
     p -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in that order in the two
     scratch arrays instead of one temporary per operation.
     """
+    if state.scratch.shape[1] < p.size:
+        state.scratch = np.empty((2, p.size))
     a, b = (w[: p.size].reshape(p.shape) for w in state.scratch)
     b1, b2 = state.beta1, state.beta2
     m *= b1
@@ -92,13 +109,38 @@ def _update(p, g, m, v, state: AdamState, bias1: float, bias2: float) -> None:
     p -= a
 
 
+def _live_rows(name: str, p: Tensor, state: AdamState) -> np.ndarray:
+    """The live rows of matrix ``p`` in the order they went live, the newly recorded ones appended."""
+    live = state.live_rows.get(name)
+    if live is None:
+        live = state.live_rows[name] = np.zeros(p.data.shape[0], dtype=bool)
+        state.rows[name] = np.empty(0, dtype=np.intp)
+        state.first_moment[name] = np.zeros((0, p.data.shape[1]))
+        state.second_moment[name] = np.zeros((0, p.data.shape[1]))
+    rows = state.rows[name]
+    if rows.size == live.size:
+        return rows
+    new = np.flatnonzero(~live if p.grad_rows is None else ~live & p.grad_rows)
+    if new.size:
+        live[new] = True
+        rows = state.rows[name] = np.concatenate([rows, new])
+        m, v = state.first_moment[name], state.second_moment[name]
+        if rows.size > m.shape[0]:
+            capacity = min(live.size, max(rows.size, 2 * m.shape[0]))
+            for moments, old in ((state.first_moment, m), (state.second_moment, v)):
+                moments[name] = np.zeros((capacity, old.shape[1]))
+                moments[name][: old.shape[0]] = old
+    return rows
+
+
 def adam_step(params: Iterable[tuple[str, Tensor]], state: AdamState) -> None:
     """Apply one Adam update, reading gradients from each parameter tensor.
 
-    Moment buffers are created on a parameter name's first step and must keep
-    the parameter's shape afterwards. The step counter increases by exactly
-    one. Rows of a matrix parameter that no backward pass has recorded yet
-    are left alone, which changes no bit of the result (module docstring).
+    Moment buffers are created on a parameter name's first step, and the
+    parameter must keep its shape afterwards. The step counter increases by
+    exactly one. Rows of a matrix parameter that no backward pass has
+    recorded yet are left alone and get no moments, which changes no bit of
+    the result (module docstring).
     """
     state.step_count += 1
     t = state.step_count
@@ -109,22 +151,17 @@ def adam_step(params: Iterable[tuple[str, Tensor]], state: AdamState) -> None:
             raise RuntimeError(f"parameter {name!r} has no gradient buffer")
         if p.grad.shape != p.data.shape:
             raise RuntimeError(f"parameter {name!r} gradient shape mismatch")
-        if name not in state.first_moment:
-            state.first_moment[name] = np.zeros(p.data.shape)
-            state.second_moment[name] = np.zeros(p.data.shape)
-            if p.data.ndim == 2:
-                state.live_rows[name] = np.zeros(p.data.shape[0], dtype=bool)
-        m, v = state.first_moment[name], state.second_moment[name]
-        if state.scratch.shape[1] < p.data.size:
-            state.scratch = np.empty((2, p.data.size))
-
-        live = state.live_rows.get(name)
-        if live is not None and not live.all():
-            live |= True if p.grad_rows is None else p.grad_rows
-            rows = np.flatnonzero(live)
-            if 2 * rows.size < live.size:
-                part = [x[rows] for x in (p.data, p.grad, m, v)]
-                _update(*part, state, bias1, bias2)
-                p.data[rows], m[rows], v[rows] = part[0], part[2], part[3]
-                continue
-        _update(p.data, p.grad, m, v, state, bias1, bias2)
+        if p.data.ndim < 2:
+            if name not in state.first_moment:
+                state.first_moment[name] = np.zeros(p.data.shape)
+                state.second_moment[name] = np.zeros(p.data.shape)
+            _update(p.data, p.grad, state.first_moment[name], state.second_moment[name], state, bias1, bias2)
+            continue
+        rows = _live_rows(name, p, state)
+        m, v = state.first_moment[name][: rows.size], state.second_moment[name][: rows.size]
+        if rows.size == p.data.shape[0] and (rows[1:] > rows[:-1]).all():
+            _update(p.data, p.grad, m, v, state, bias1, bias2)
+        else:
+            part = p.data[rows]
+            _update(part, p.grad[rows], m, v, state, bias1, bias2)
+            p.data[rows] = part

@@ -132,6 +132,24 @@ def init_model_state(table: EmbeddingTable, hp: HyperParams, seed) -> ModelState
     return ModelState.initialize(table, hp, np.random.default_rng(seed))
 
 
+def _snapshot(model: ModelState, adam: AdamState) -> list:
+    """Each parameter with what steps have moved of it so far: its moved rows and their values, or all of it."""
+    saved = []
+    for name, t in model.parameters():
+        rows = adam.moved_rows(name)
+        saved.append((name, t, rows, t.data.copy() if rows is None else t.data[rows]))
+    return saved
+
+
+def _restore(adam: AdamState, snapshot: list) -> None:
+    """The parameters set back to ``snapshot``, which must hold every row ``adam`` has moved since."""
+    for name, _, rows, _ in snapshot:
+        if rows is not None and adam.moved_rows(name).size != rows.size:
+            raise RuntimeError(f"rows of {name!r} moved after the best epoch's snapshot, which does not hold them")
+    for _, t, rows, values in snapshot:
+        t.data[... if rows is None else rows] = values
+
+
 # A run checks its own losses (``TrainingDiverged``), so numpy's overflow
 # warnings on the way to a non-finite loss would only repeat that report.
 @np.errstate(over="ignore", invalid="ignore")
@@ -147,18 +165,25 @@ def train(
     Each mini-batch is one forward pass over the disjoint union of its
     examples' trees and one backward pass.
 
-    Returns ``(model, log)``. With a dev set the returned model is the one
-    from the epoch with the best dev accuracy (earliest epoch wins ties);
-    otherwise it is the final-epoch model. The log holds one dict per epoch
-    and split, including an epoch-0 entry for the untrained state. A batch
-    or logged loss that is not finite raises ``TrainingDiverged``. Without a dev
-    set, the final model's loss on the last mini-batch (one forward pass, no
-    backward) must be finite as well, or a diverging last step would go
-    unnoticed. An ``initial_state`` must hold ``config.hyperparams``, the
-    ones the run trains with and the model it returns keeps; other ones
-    raise ``ValueError``. It is trained in place: without a dev set it is
-    the returned model, and with one the returned model is a copy of it
-    taken at the best epoch.
+    Returns ``(model, log)``: the model trained, which is ``initial_state``
+    when one is given (it is trained in place). With a dev set it holds the
+    parameters of the epoch with the best dev accuracy (earliest epoch wins
+    ties), otherwise those of the final epoch. The log holds one dict per
+    epoch and split, including an epoch-0 entry for the untrained state. A
+    batch or logged loss that is not finite raises ``TrainingDiverged``.
+    Without a dev set, the final model's loss on the last mini-batch (one
+    forward pass, no backward) must be finite as well, or a diverging last
+    step would go unnoticed. An ``initial_state`` must hold
+    ``config.hyperparams``, the ones the run trains with and the model it
+    returns keeps; other ones raise ``ValueError``.
+
+    The best epoch is kept as a snapshot, not as a copy of the model: of
+    each parameter, the rows Adam has moved (``AdamState.moved_rows``), which
+    for the table are the rows the training set reaches. Every epoch visits
+    every training example, so no row goes live after the first epoch, and
+    the first snapshot is taken after it. ``_restore`` checks that, and
+    raises ``RuntimeError`` rather than return a model whose later-moved
+    rows it could not restore.
     """
     if not train_set:
         raise ValueError("training set is empty")
@@ -183,7 +208,7 @@ def train(
     if dev_set:
         log.append(_log_entry(0, "dev", evaluate(model, dev_set, hp)))
 
-    best_model = None
+    best = None
     best_score = -1.0
     order = np.arange(len(train_set))
     for epoch in range(1, config.epochs + 1):
@@ -206,11 +231,11 @@ def train(
             log.append(_log_entry(epoch, "dev", dev_metrics))
             if dev_metrics.accuracy > best_score:
                 best_score = dev_metrics.accuracy
-                best_model = None  # free the last copy before making the next
-                best_model = model.clone()
+                best = _snapshot(model, adam)
 
     if dev_set:
-        return best_model, log
+        _restore(adam, best)
+        return model, log
     _check_finite(total_loss(batch, model, hp)[1].losses.total, "on the last batch after the last step")
     return model, log
 

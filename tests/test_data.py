@@ -618,3 +618,26 @@ def test_conllu_sidecar_errors(tmp_path):
         aspects.write_text(f'[{{"sentence_index": {flag}, "from": 0, "to": 1, "label": "neutral"}}]')
         with pytest.raises(LoadError, match="sentence_index"):
             convert_conllu(conllu, aspects)
+
+
+def test_an_atomic_write_drops_the_cached_pages_of_the_large_file_it_replaces(tmp_path, monkeypatch):
+    # Only a file of _DROP_CACHE_BYTES or more is advised; a smaller one, a
+    # missing target, a link to a large file and a directory are left alone
+    # (the write over a directory fails as before).
+    advised = []
+    monkeypatch.setattr(data.os, "posix_fadvise", lambda fd, start, size, advice: advised.append(advice), raising=False)
+    monkeypatch.setattr(data.os, "POSIX_FADV_DONTNEED", 4, raising=False)
+    (tmp_path / "old.txt").write_text("o" * data._DROP_CACHE_BYTES)
+    (tmp_path / "small.txt").write_text("o" * (data._DROP_CACHE_BYTES - 1))
+    (tmp_path / "link.txt").symlink_to(tmp_path / "old.txt")
+    (tmp_path / "dir").mkdir()
+    names = ("link.txt", "small.txt", "new.txt", "old.txt")
+    for name in names:
+        with data.write_atomically(tmp_path / name) as fh:
+            fh.write("new")
+    with pytest.raises(IsADirectoryError), data.write_atomically(tmp_path / "dir") as fh:
+        fh.write("new")
+    assert advised == [4]
+    assert [(tmp_path / name).read_text() for name in names] == ["new"] * 4
+    assert not (tmp_path / "link.txt").is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", *sorted(names)]

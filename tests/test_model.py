@@ -694,6 +694,26 @@ def test_checkpoint_round_trips_every_bit(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_a_loaded_table_keeps_its_values_when_the_model_writes_or_the_file_is_saved_over(tmp_path, monkeypatch):
+    # A loaded table maps the file copy-on-write (here whatever its size): a
+    # write into the table changes the model, not the file, and a save over
+    # the file renames a new one into place and leaves the mapped one as it was.
+    monkeypatch.setattr(model_module, "_MAP_TABLE_BYTES", 0)
+    state = _edge_model(seed=81)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, state)
+    saved = path.read_bytes()
+    loaded = load_checkpoint(path)
+    assert not loaded.table.vectors.data.flags.owndata
+    loaded.table.vectors.data[0] = 0.5
+    assert path.read_bytes() == saved
+    assert load_checkpoint(path).table.vectors.data[0].tobytes() == state.table.vectors.data[0].tobytes()
+    loaded.table.vectors.data[0] = state.table.vectors.data[0]
+    save_checkpoint(path, _random_model(seed=82)[0])
+    assert path.read_bytes() != saved
+    _assert_bit_equal(state, loaded)
+
+
 class _DiskFull:
     """A file whose writes fail after the first ``allowed``."""
 

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,28 @@ from hypothesis import strategies as st
 
 from absa_gcn.optim import AdamState, adam_step
 from absa_gcn.tensor import Tensor, add, backward, gather_rows, mul, sum_all
+from conftest import resident_bytes
+
+
+def _moments_by_row(state, name, shape):
+    """The first and second moments of ``name`` as ``shape`` arrays, read row for row through its live rows.
+
+    A matrix row that is not live has no moments; the dense update leaves
+    them at +0.0. The live rows must be the rows of the live-row mask, each
+    once, and the moment rows past them must hold +0.0.
+    """
+    if len(shape) < 2:
+        return state.first_moment[name], state.second_moment[name]
+    live, rows = state.live_rows[name], state.rows[name]
+    assert live.shape == shape[:1] and live[rows].all() and np.count_nonzero(live) == rows.size
+    assert state.moved_rows(name) is rows
+    full = []
+    for m in (state.first_moment[name], state.second_moment[name]):
+        assert m[rows.size :].tobytes() == np.zeros(m[rows.size :].shape).tobytes()
+        dense = np.zeros(shape)
+        dense[rows] = m[: rows.size]
+        full.append(dense)
+    return full
 
 
 def test_zero_gradients_leave_parameters_unchanged():
@@ -93,6 +116,7 @@ def test_bitwise_equal_to_textbook_formula():
         assert state.scratch is scratch and scratch.shape == (2, 35)
         for name, p in params:
             ref_w, m, v = ref[name]
+            moments = _moments_by_row(state, name, p.shape)
             g = p.grad
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
@@ -101,8 +125,8 @@ def test_bitwise_equal_to_textbook_formula():
             ref_w = ref_w - lr * m_hat / (np.sqrt(v_hat) + eps)
             ref[name] = [ref_w, m, v]
             assert p.data.tobytes() == ref_w.tobytes()
-            assert state.first_moment[name].tobytes() == m.tobytes()
-            assert state.second_moment[name].tobytes() == v.tobytes()
+            assert moments[0].tobytes() == m.tobytes()
+            assert moments[1].tobytes() == v.tobytes()
 
 
 def test_matches_reference_recurrence():
@@ -143,13 +167,15 @@ def touched_row_runs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(touched_row_runs())
 @example(((4, 2), [{0}, set(), set(), {1, 2}, {3}, set()], 1))  # idle after one touch; 1/4 -> 3/4 -> 4/4 live
-@example(((6, 3), [{0, 1, 2, 3}, {4}, set()], 2))  # 4/6 live at once, then every row
+@example(((6, 3), [{0, 1, 2, 3}, {4}, set()], 2))  # 4/6 live at once, then 5/6
+@example(((4, 2), [{2, 3}, {0, 1}, set()], 4))  # every row live, but not in row order
 @example(((5,), [{0}, {1, 2, 3, 4}], 3))
 def test_live_row_steps_byte_equal_to_dense_formula(run):
-    # Rows not touched at a step hold +0.0 or -0.0 gradients; a touched row's
-    # gradient is exactly zero about a quarter of the time. Every array must
-    # come out byte-equal to the dense update of all rows, step after step,
-    # whichever side of half the live rows fall on.
+    # Each step zeroes the gradient, writes it and records the touched rows,
+    # so only the rows touched so far are live. Rows not touched at a step
+    # hold +0.0 or -0.0 gradients; a touched row's gradient is exactly zero
+    # about a quarter of the time. Every array must come out byte-equal to
+    # the dense update of all rows, step after step.
     shape, steps, seed = run
     rng = np.random.default_rng(seed)
     lr = 0.001
@@ -162,12 +188,15 @@ def test_live_row_steps_byte_equal_to_dense_formula(run):
         for row in sorted(touched):
             if rng.random() >= 0.25:
                 g[row] = rng.normal(size=shape[1:]) * 10.0 ** rng.integers(-6, 3, size=shape[1:])
+        w.zero_grad()
         w.grad[...] = g
+        w.grad_rows[sorted(touched)] = True
         adam_step([("w", w)], state)
         ref = _textbook_step(ref, g, t, lr=lr)
         assert w.data.tobytes() == ref[0].tobytes()
-        assert state.first_moment["w"].tobytes() == ref[1].tobytes()
-        assert state.second_moment["w"].tobytes() == ref[2].tobytes()
+        m, v = _moments_by_row(state, "w", shape)
+        assert m.tobytes() == ref[1].tobytes()
+        assert v.tobytes() == ref[2].tobytes()
 
 
 def _gathered_loss(w, ids, coefficients):
@@ -230,16 +259,17 @@ def test_recorded_row_steps_byte_equal_to_dense_reference(run):
         touched |= dense
         assert w.grad.tobytes() == g.tobytes()
         assert w.data.tobytes() == ref[0].tobytes()
-        assert state.first_moment["w"].tobytes() == ref[1].tobytes()
-        assert state.second_moment["w"].tobytes() == ref[2].tobytes()
+        m, v = _moments_by_row(state, "w", shape)
+        assert m.tobytes() == ref[1].tobytes()
+        assert v.tobytes() == ref[2].tobytes()
         assert w.data[~touched].tobytes() == start[~touched].tobytes()
 
 
 def test_second_step_on_a_few_live_rows_allocates_little():
-    # The moments are allocated once, on the first step; after that a step
-    # whose backward pass gathered about 100 of 20 001 rows allocates only
-    # the gathered rows. tracemalloc does not see the gradient, which is
-    # memory-mapped: tests/test_tensor.py reads the resident set for it.
+    # The moments grow only when rows go live; a second step whose backward
+    # pass gathered the same 100 of 20 001 rows allocates only the gathered
+    # rows. tracemalloc does not see the gradient, which is memory-mapped:
+    # tests/test_tensor.py reads the resident set for it.
     rng = np.random.default_rng(11)
     w = Tensor(rng.normal(size=(20_001, 300)), trainable=True)
     rows = rng.choice(20_001, size=100, replace=False)
@@ -256,6 +286,24 @@ def test_second_step_on_a_few_live_rows_allocates_little():
     finally:
         tracemalloc.stop()
     assert peak < w.data.nbytes / 4
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the resident set from /proc/self/statm")
+def test_a_first_step_on_a_few_live_rows_of_a_large_table_maps_little_memory():
+    # The moments hold one row per live row and the scratch arrays are sized
+    # to the update, so a first step on 100 of 20 001 rows maps about those
+    # rows, not two moment arrays of the whole 48 MB table.
+    rng = np.random.default_rng(13)
+    w = Tensor(rng.normal(size=(20_001, 300)), trainable=True)
+    rows = rng.choice(20_001, size=100, replace=False)
+    w.zero_grad()
+    backward(_gathered_loss(w, rows, rng.normal(size=(100, 300))))
+    state = AdamState()
+    before = resident_bytes()
+    adam_step([("embeddings", w)], state)
+    assert resident_bytes() - before < 8 * 2**20
+    assert state.first_moment["embeddings"].shape == state.second_moment["embeddings"].shape == (100, 300)
+    assert state.scratch.shape == (2, 100 * 300)
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,15 @@
 callers look it up by. If a caller stops using that name, the wrapper is
 never called and the benchmark's per-layer metric for it reads 0 without any
 error. A tiny seeded run with a dev set, then an evaluation, set up as the
-benchmark sets up its rounds, plus a tiny embedding file and a run that
-builds its own table, must call every traced function.
+benchmark sets up its rounds, plus a tiny embedding file, a run that
+builds its own table and an ablation run (the one caller of
+``ModelState.clone``), must call every traced function.
 """
 
 import pathlib
 import sys
 from collections import Counter
+from dataclasses import replace
 
 from absa_gcn import data, trainer
 from absa_gcn.model import HyperParams
@@ -40,6 +42,8 @@ def test_a_default_run_calls_every_traced_function(tmp_path):
         (tmp_path / "vectors.txt").write_text("great 0.5 -0.25\nfood 0.125 1.0\n")
         data.load_embeddings(tmp_path / "vectors.txt")
         trainer.train(train_set, None, trainer.TrainConfig(epochs=1, batch_size=4, seed=1, hyperparams=hp))
+        # Each ablation variant trains a clone of one initial model.
+        trainer.run_ablations(train_set, dev_set, replace(config, epochs=1), table=state.table, variants=["full"])
     finally:
         tracer.uninstall()
     calls = Counter()
@@ -50,4 +54,6 @@ def test_a_default_run_calls_every_traced_function(tmp_path):
     assert calls["data.build_tree"] >= 1
     # Once by the set-up, once inside the ``train`` that got no table.
     assert calls["data.build_random_table"] == 2
+    # Only the ablation clones a model: ``train`` keeps its best epoch as a snapshot.
+    assert calls["model.clone"] == 1
     assert tracer.counts["tape_nodes"] > 0

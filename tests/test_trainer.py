@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from absa_gcn import trainer as trainer_module
 from absa_gcn.data import Example, build_random_table
 from absa_gcn.model import HyperParams, total_loss
 from absa_gcn.optim import AdamState, adam_step
@@ -227,6 +228,63 @@ def test_best_epoch_selection_prefers_earliest_tie():
     final, _ = train(corpus, corpus, config)
     for (na, a), (nb, b) in zip(best.parameters(), final.parameters()):
         npt.assert_array_equal(a.data, b.data)
+
+
+def _best_epoch_run(trainable: bool):
+    """A corpus, dev set, config and initial-state factory whose best dev epoch (2 of 6) is not the last."""
+    corpus, dev = make_overfit_corpus(12, seed=32), make_overfit_corpus(8, seed=62)
+    hp = HyperParams(hidden=6, layers=2)
+    config = TrainConfig(epochs=6, batch_size=4, learning_rate=0.05, seed=2, hyperparams=hp)
+
+    def initial():
+        return init_model_state(build_random_table(corpus, dim=6, seed=2, trainable=trainable), hp, seed=2)
+
+    return corpus, dev, config, initial
+
+
+def _model_bytes(model) -> list[bytes]:
+    return [model.table.vectors.data.tobytes()] + [t.data.tobytes() for _, t in model.named_tensors()]
+
+
+@pytest.mark.parametrize("trainable", [True, False], ids=["trained-table", "frozen-table"])
+def test_best_epoch_model_is_the_initial_state_byte_equal_to_a_run_stopped_there(trainable):
+    # Training goes on for four epochs after the best one, so the model the
+    # run returns holds the snapshot written back, not what it ended with.
+    corpus, dev, config, initial = _best_epoch_run(trainable)
+    state = initial()
+    model, log = train(corpus, dev, config, initial_state=state)
+    accuracies = [e["accuracy"] for e in log if e["split"] == "dev" and e["epoch"] >= 1]
+    best = 1 + accuracies.index(max(accuracies))
+    assert best == 2
+    stopped, _ = train(corpus, None, replace(config, epochs=best), initial_state=initial())
+    final, _ = train(corpus, None, config, initial_state=initial())
+    assert model is state
+    assert _model_bytes(model) == _model_bytes(stopped)
+    assert _model_bytes(model) != _model_bytes(final)
+    # The table moves after the best epoch only if it trains.
+    assert (model.table.vectors.data.tobytes() != final.table.vectors.data.tobytes()) == trainable
+
+
+def test_a_table_row_live_after_the_best_epoch_snapshot_raises(monkeypatch):
+    # The snapshot holds only the table rows live when it was taken. A row
+    # that goes live later (here the unknown-word row, which no training
+    # example reaches, moved in epoch 3) could not be set back, so the run
+    # must fail rather than return a model that mixes two epochs.
+    corpus, dev, config, initial = _best_epoch_run(True)
+    state = initial()
+    unknown = state.table.unk_index
+
+    def adam_step_moving_the_unknown_row(params, adam):
+        if adam.step_count == 6:  # the first step of epoch 3: three batches per epoch
+            state.table.vectors.grad[unknown] = 1.0
+            state.table.vectors.grad_rows[unknown] = True
+        adam_step(params, adam)
+
+    monkeypatch.setattr(trainer_module, "adam_step", adam_step_moving_the_unknown_row)
+    before = state.table.vectors.data[unknown].copy()
+    with pytest.raises(RuntimeError, match="'embeddings' moved after the best epoch"):
+        train(corpus, dev, config, initial_state=state)
+    assert state.table.vectors.data[unknown].tobytes() != before.tobytes()
 
 
 def test_without_dev_returns_final_model():
