@@ -32,7 +32,7 @@ from .data import (
     LABELS, LoadError, convert_conllu, corpus_line, load_embeddings, parse_corpus, write_atomically, write_corpus,
 )
 from .gradcheck import CHECK_HYPERPARAMS, build_check_setup, check_model_gradients
-from .model import CheckpointError, HyperParams, load_checkpoint, save_checkpoint, total_loss
+from .model import CheckpointError, HyperParams, load_checkpoint, model_scores, save_checkpoint, total_loss
 from .trainer import EVAL_CHUNK, TrainConfig, TrainingDiverged, evaluate, run_ablations, train
 
 EXIT_OK = 0
@@ -221,12 +221,14 @@ def _require_finite(values, what: str) -> None:
 def cmd_train(settings: dict) -> int:
     train_path = _require_file(settings, "train")
     out = _out_dir(settings)
+    checkpoint_path = settings.get("checkpoint") or os.path.join(out, "checkpoint.bin")
+    if os.path.isdir(checkpoint_path) or not os.path.isdir(os.path.dirname(checkpoint_path) or "."):
+        raise ConfigError(f"checkpoint path is not a file in an existing directory: {checkpoint_path}")
     config = train_config(settings)
     train_set = parse_corpus(train_path)
     dev_set = parse_corpus(_require_file(settings, "dev")) if settings.get("dev") else None
     table = _load_table(settings)
     model, log = train(train_set, dev_set, config, table=table)
-    checkpoint_path = settings.get("checkpoint") or os.path.join(out, "checkpoint.bin")
     save_checkpoint(checkpoint_path, model)
     _write_json_lines(os.path.join(out, "metrics.jsonl"), log)
     final = log[-1]
@@ -273,8 +275,8 @@ def cmd_ablate(settings: dict) -> int:
 def cmd_gradcheck(settings: dict) -> int:
     with _range_checks():
         hp = replace(CHECK_HYPERPARAMS, **_arguments(settings, HyperParams))
-        ex, state, hp = build_check_setup(hp=hp, **_arguments(settings, build_check_setup))
-    report = check_model_gradients(ex, state, hp)
+        ex, state = build_check_setup(hp=hp, **_arguments(settings, build_check_setup))
+    report = check_model_gradients(ex, state)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -288,7 +290,8 @@ def cmd_scores(settings: dict) -> int:
     rows = []
     for start in range(0, len(data), EVAL_CHUNK):
         _, trace = total_loss(data[start : start + EVAL_CHUNK], model)
-        _require_finite(trace.mod.data, "importance score")
+        mod = (trace.mod if trace.mod is not None else model_scores(trace, model)).data  # a -Con model builds none
+        _require_finite(mod, "importance score")
         _require_finite(trace.class_probs.data, "class probability")
         bounds = [*trace.batch.starts.tolist(), trace.syn.size]
         for e, ex in enumerate(trace.batch.examples):
@@ -297,7 +300,7 @@ def cmd_scores(settings: dict) -> int:
                 "aspect_from": ex.aspect_from,
                 "aspect_to": ex.aspect_to,
                 "syn": trace.syn[bounds[e] : bounds[e + 1]].tolist(),
-                "mod": trace.mod.data[bounds[e] : bounds[e + 1]].tolist(),
+                "mod": mod[bounds[e] : bounds[e + 1]].tolist(),
                 "predicted": LABELS[int(trace.class_probs.data[e].argmax())],
                 "gold": ex.label,
             })

@@ -90,9 +90,7 @@ def _check_example(tokens, heads, aspect_from, aspect_to, label) -> None:
             steps += 1
             if steps > n:
                 raise ValueError(f"cycle reachable from token {i}")
-    if isinstance(aspect_from, bool) or isinstance(aspect_to, bool):
-        raise ValueError("aspect span bounds must be integers")
-    if not (isinstance(aspect_from, int) and isinstance(aspect_to, int)):
+    if any(isinstance(bound, bool) or not isinstance(bound, int) for bound in (aspect_from, aspect_to)):
         raise ValueError("aspect span bounds must be integers")
     if not 0 <= aspect_from < aspect_to <= n:
         raise ValueError(f"aspect span [{aspect_from}, {aspect_to}) invalid for {n} tokens")

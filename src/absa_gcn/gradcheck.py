@@ -67,7 +67,7 @@ class GradCheckReport:
 
 def build_check_setup(
     seed: int = 0, tokens: int = 5, embed_dim: int = 8, hp: HyperParams = CHECK_HYPERPARAMS
-) -> tuple[Example, ModelState, HyperParams]:
+) -> tuple[Example, ModelState]:
     """A random example and model small enough to difference exhaustively.
 
     Weights and biases are drawn uniformly away from zero-crossing plateaus
@@ -90,13 +90,12 @@ def build_check_setup(
 
     table = build_random_table([ex], dim=embed_dim, seed=rng)
     state = ModelState.initialize(table, hp, rng, weight_scale=0.4, bias_scale=0.2)
-    return ex, state, hp
+    return ex, state
 
 
 def check_model_gradients(
     ex: Example,
     state: ModelState,
-    hp: HyperParams,
     step: float = 1e-5,
     tolerance: float = 1e-4,
     floor: float = 1e-3,
@@ -108,11 +107,11 @@ def check_model_gradients(
     keeps finite-difference noise from flagging healthy tiny gradients.
     """
     state.zero_grads()
-    loss, _ = total_loss(ex, state, hp)
+    loss, _ = total_loss(ex, state)
     backward(loss)
 
     def forward() -> float:
-        value, _ = total_loss(ex, state, hp)
+        value, _ = total_loss(ex, state)
         return value.item()
 
     report = GradCheckReport(tolerance=tolerance)

@@ -32,6 +32,7 @@ and checkpoints all read it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import mmap
@@ -159,21 +160,21 @@ class ForwardTrace:
 
     ``B`` is the batch's example count and ``n`` its token count: token rows
     lie end to end as in ``Batch``, and each per-example quantity has one row
-    per example.
+    per example. A pass builds only what its loss reads (``total_loss``); each
+    per-layer list is in layer order and ends with the last layer's entry.
     """
 
     batch: Batch | None = None
     embeddings: Tensor | None = None          # (n, d)
-    aspect_vec: Tensor | None = None          # (B, d)
+    aspect_vec: Tensor | None = None          # (B, d), each aspect span's mean embedding, built for the gates
     sentence_vec: Tensor | None = None        # (B, hidden)
     hidden_layers: list[Tensor] = field(default_factory=list)      # each (n, hidden)
-    gates: list[Tensor] = field(default_factory=list)              # each (B, hidden)
+    gates: list[Tensor] = field(default_factory=list)              # each (B, hidden), a layer's
     pooled_hidden: list[Tensor] = field(default_factory=list)      # each (B, hidden), a max-pooled layer
-    pooled_regulated: list[Tensor] = field(default_factory=list)   # each (B, hidden), pooled_hidden * gate
-    regulated: Tensor | None = None           # (n, hidden), the last layer gated token by token
+    pooled_regulated: list[Tensor] = field(default_factory=list)   # each pooled_hidden entry times its gate, if any
     overall: Tensor | None = None             # (B, 2*hidden)
     syn: np.ndarray | None = None             # (n,) constant target
-    mod: Tensor | None = None                 # (n,)
+    mod: Tensor | None = None                 # (n,), built for the consistency term
     class_probs: Tensor | None = None         # (B, 3)
     losses: LossTerms | None = None
 
@@ -276,13 +277,10 @@ def _affine(x: Tensor, params: ModelState, name: str) -> Tensor:
 
 
 def encode(batch: Batch, table: EmbeddingTable, params: ModelState):
-    """Token embeddings, mean aspect-span vectors and pooled sentence vectors."""
+    """Token embeddings and pooled sentence vectors."""
     E = gather_rows(table.vectors, [table.row_index(tok) for ex in batch.examples for tok in ex.tokens])
-    starts = batch.starts.tolist()
-    spans = [range(s + ex.aspect_from, s + ex.aspect_to) for s, ex in zip(starts, batch.examples)]
-    aspect_vec = segment_mean_rows(E, RowGroups.of(spans, E.shape[0]))
     sentence_vec = tanh(_affine(maxpool_rows(E, batch.starts), params, "sent"))
-    return E, aspect_vec, sentence_vec
+    return E, sentence_vec
 
 
 def gcn_layer(h_prev: Tensor, tree: DependencyTree, w: Tensor, b: Tensor) -> Tensor:
@@ -306,8 +304,6 @@ def regulate(hidden: Tensor, gate: Tensor, owner) -> Tensor:
 def _mean_over_layer_pairs(own: list[Tensor], other) -> Tensor:
     """Sum over examples of the mean dot product of ``own[l]`` and ``other(l, lp)``."""
     n_layers = len(own)
-    if n_layers < 2:
-        return Tensor(np.zeros(()))
     terms = [dot(own[l], other(l, lp)) for l in range(n_layers) for lp in range(n_layers) if lp != l]
     return scale(sum_all(add_n(terms)), 1.0 / (n_layers * (n_layers - 1)))
 
@@ -321,8 +317,8 @@ def diversity_loss(trace: ForwardTrace) -> Tensor:
     pair are therefore ``(B, hidden)`` products, ``pooled_regulated[l]`` and
     ``pooled_hidden[l] * gates[l']``. Where rounding ties rows of ``h * g``
     (a gate of 0 ties them all), the gate's gradient is the first argmax row
-    of ``h``, the subgradient of exact arithmetic. With a single layer there
-    are no pairs and the loss is zero.
+    of ``h``, the subgradient of exact arithmetic. It needs two or more
+    layers; ``total_loss`` builds it only then.
     """
     pooled, gates = trace.pooled_hidden, trace.gates
     return _mean_over_layer_pairs(trace.pooled_regulated, lambda l, lp: mul(pooled[l], gates[lp]))
@@ -334,9 +330,16 @@ def gatediv_baseline_loss(gates: list[Tensor]) -> Tensor:
 
 
 def model_scores(trace: ForwardTrace, params: ModelState) -> Tensor:
-    """Model-side token importances: per-example softmax of transformed-vector dot products."""
+    """Model-side token importances: per-example softmax of transformed-vector dot products.
+
+    The token side is the last layer's rows, gated token by token by the
+    last gate when the trace has gates.
+    """
+    tokens = trace.hidden_layers[-1]
+    if trace.gates:
+        tokens = regulate(tokens, trace.gates[-1], trace.batch.owner)
     overall_sig = sigmoid(_affine(trace.overall, params, "score_overall"))
-    token_sig = sigmoid(_affine(trace.regulated, params, "score_token"))
+    token_sig = sigmoid(_affine(tokens, params, "score_token"))
     raw = dot(token_sig, gather_rows(overall_sig, trace.batch.owner))
     return segment_softmax(raw, trace.batch.starts)
 
@@ -375,64 +378,58 @@ def prediction_loss(class_probs: Tensor, gold_index) -> Tensor:
 # full objective
 
 
-def total_loss(examples, params: ModelState, hp: HyperParams | None = None):
+def total_loss(examples, params: ModelState):
     """Run the full pipeline on a mini-batch of examples; one ``Example`` runs as the batch ``[ex]``.
 
     Returns ``(loss, trace)``: ``loss`` is the mean objective over the
     examples, a scalar tensor ready for ``backward``, and ``trace`` records
-    every intermediate with the loss terms summed over the examples.
-    Ablation switches: ``gate_on=False`` replaces gates with constant ones
-    (which also disables the diversity term), ``div_on``/``con_on`` drop
-    their terms, and ``gatediv_baseline`` swaps the diversity term for
-    gate-vector products.
+    the intermediates with the loss terms summed over the examples.
+    Ablation switches, read from ``params.hp``: ``gate_on=False`` builds no
+    gates (which also disables the diversity term), ``div_on``/``con_on``
+    drop their terms, and ``gatediv_baseline`` swaps the diversity term for
+    gate-vector products. Each term builds only what it reads: only the
+    consistency term reads the model scores. An off term adds no node to the
+    tape and counts 0 in ``trace.losses``.
     """
-    hp = hp if hp is not None else params.hp
+    hp = params.hp
     if isinstance(examples, Example):
         examples = [examples]
     batch = make_batch(examples, include_self_loop=hp.include_self_loop)
-    count = len(batch.examples)
-    trace = ForwardTrace(batch=batch)
-
-    E, aspect_vec, sentence_vec = encode(batch, params.table, params)
-    trace.embeddings, trace.aspect_vec, trace.sentence_vec = E, aspect_vec, sentence_vec
-
+    trace = ForwardTrace(batch=batch, syn=batch.syn)
+    E, trace.sentence_vec = encode(batch, params.table, params)
+    trace.embeddings = h = E
     p = params.tensors
-    h = E
     for l in range(hp.layers):
         h = gcn_layer(h, batch.tree, p[f"w_gcn_{l}"], p[f"b_gcn_{l}"])
         trace.hidden_layers.append(h)
 
+    # Only the diversity term reads a layer before the last: its gate, and its pooled rows unless under GateDiv.
+    div_on = hp.div_on and hp.gate_on and hp.layers >= 2
+    every, last = range(hp.layers), range(hp.layers - 1, hp.layers)
+    pooled = every if div_on and not hp.gatediv_baseline else last
+    trace.pooled_hidden = trace.pooled_regulated = [maxpool_rows(trace.hidden_layers[l], batch.starts) for l in pooled]
     if hp.gate_on:
-        trace.gates = [compute_gate(aspect_vec, p[f"w_gate_{l}"], p[f"b_gate_{l}"]) for l in range(hp.layers)]
-    else:
-        trace.gates = [Tensor(np.ones((count, hp.hidden))) for _ in range(hp.layers)]
-
-    # Pool, then gate (see ``diversity_loss``); only model_scores reads gated token rows.
-    trace.pooled_hidden = [maxpool_rows(layer, batch.starts) for layer in trace.hidden_layers]
-    trace.pooled_regulated = [mul(pooled, g) for pooled, g in zip(trace.pooled_hidden, trace.gates)]
-    trace.regulated = regulate(trace.hidden_layers[-1], trace.gates[-1], batch.owner)
-
-    trace.overall = concat(sentence_vec, trace.pooled_regulated[-1])
-    trace.syn = batch.syn
-    trace.mod = model_scores(trace, params)
+        spans = [range(s + ex.aspect_from, s + ex.aspect_to) for s, ex in zip(batch.starts.tolist(), examples)]
+        trace.aspect_vec = segment_mean_rows(E, RowGroups.of(spans, E.shape[0]))
+        gated = every if div_on else last
+        trace.gates = [compute_gate(trace.aspect_vec, p[f"w_gate_{l}"], p[f"b_gate_{l}"]) for l in gated]
+        # Pool, then gate (see ``diversity_loss``): the pooled layers are the last gated ones.
+        trace.pooled_regulated = [mul(x, g) for x, g in zip(trace.pooled_hidden, trace.gates[-len(pooled):])]
+    trace.overall = concat(trace.sentence_vec, trace.pooled_regulated[-1])
     trace.class_probs = predict(trace.overall, params)
 
-    if hp.div_on and hp.gate_on and hp.layers >= 2:
-        if hp.gatediv_baseline:
-            l_div = gatediv_baseline_loss(trace.gates)
-        else:
-            l_div = diversity_loss(trace)
-    else:
-        l_div = Tensor(np.zeros(()))
-
-    l_const = consistency_loss(trace.syn, trace.mod) if hp.con_on else Tensor(np.zeros(()))
+    l_div = l_const = None
+    if div_on:
+        l_div = gatediv_baseline_loss(trace.gates) if hp.gatediv_baseline else diversity_loss(trace)
+    if hp.con_on:
+        trace.mod = model_scores(trace, params)
+        l_const = consistency_loss(trace.syn, trace.mod)
     l_pred = prediction_loss(trace.class_probs, [ex.label_index for ex in batch.examples])
-
-    total = add(add(l_div, scale(l_const, hp.alpha)), scale(l_pred, hp.beta))
-    trace.losses = LossTerms(
-        div=l_div.item(), const=l_const.item(), pred=l_pred.item(), total=total.item()
-    )
-    return scale(total, 1.0 / count), trace
+    # (div + alpha * const) + beta * pred over the terms built, in this order: it fixes the rounding.
+    weighted = [l_div, None if l_const is None else scale(l_const, hp.alpha), scale(l_pred, hp.beta)]
+    total = functools.reduce(add, [term for term in weighted if term is not None])
+    trace.losses = LossTerms(*(0.0 if term is None else term.item() for term in (l_div, l_const, l_pred, total)))
+    return scale(total, 1.0 / len(batch.examples)), trace
 
 
 # ---------------------------------------------------------------------------

@@ -99,16 +99,15 @@ def _tally(trace, golds: list[int], preds: list[int], sums: dict[str, float]) ->
     sums["total"] += trace.losses.total
 
 
-def evaluate(model: ModelState, data: list[Example], hp: HyperParams | None = None) -> Metrics:
+def evaluate(model: ModelState, data: list[Example]) -> Metrics:
     """Pure function of (model, data): argmax predictions plus mean loss terms."""
     if not data:
         raise ValueError("cannot evaluate on an empty dataset")
-    hp = hp if hp is not None else model.hp
     golds, preds = [], []
     sums = {"div": 0.0, "const": 0.0, "pred": 0.0, "total": 0.0}
     for start in range(0, len(data), EVAL_CHUNK):
         # No name keeps a pass's trace, so its tape is freed before the next pass.
-        _tally(total_loss(data[start : start + EVAL_CHUNK], model, hp)[1], golds, preds, sums)
+        _tally(total_loss(data[start : start + EVAL_CHUNK], model)[1], golds, preds, sums)
     means = {k: v / len(data) for k, v in sums.items()}
     return compute_metrics(golds, preds, means)
 
@@ -204,9 +203,9 @@ def train(
     shuffle_rng = np.random.default_rng(seeds[2])
     # Epoch 0 records the untrained state; later train entries are running
     # means over that epoch's own forward passes.
-    log = [_log_entry(0, "train", evaluate(model, train_set, hp))]
+    log = [_log_entry(0, "train", evaluate(model, train_set))]
     if dev_set:
-        log.append(_log_entry(0, "dev", evaluate(model, dev_set, hp)))
+        log.append(_log_entry(0, "dev", evaluate(model, dev_set)))
 
     best = None
     best_score = -1.0
@@ -219,7 +218,7 @@ def train(
         for start in range(0, len(order), config.batch_size):
             batch = [train_set[i] for i in order[start : start + config.batch_size]]
             model.zero_grads()
-            loss, trace = total_loss(batch, model, hp)
+            loss, trace = total_loss(batch, model)
             _check_finite(trace.losses.total, f"in epoch {epoch}")
             _tally(trace, golds, preds, sums)
             backward(loss)
@@ -227,7 +226,7 @@ def train(
         means = {k: v / len(order) for k, v in sums.items()}
         log.append(_log_entry(epoch, "train", compute_metrics(golds, preds, means)))
         if dev_set:
-            dev_metrics = evaluate(model, dev_set, hp)
+            dev_metrics = evaluate(model, dev_set)
             log.append(_log_entry(epoch, "dev", dev_metrics))
             if dev_metrics.accuracy > best_score:
                 best_score = dev_metrics.accuracy
@@ -236,7 +235,7 @@ def train(
     if dev_set:
         _restore(adam, best)
         return model, log
-    _check_finite(total_loss(batch, model, hp)[1].losses.total, "on the last batch after the last step")
+    _check_finite(total_loss(batch, model)[1].losses.total, "on the last batch after the last step")
     return model, log
 
 
@@ -292,7 +291,5 @@ def run_ablations(
         state.hp = hp_variant
         config_variant = replace(config, hyperparams=hp_variant)
         model, log = train(train_set, dev_set, config_variant, initial_state=state)
-        results[name] = AblationResult(
-            variant=name, metrics=evaluate(model, dev_set, hp_variant), log=log
-        )
+        results[name] = AblationResult(variant=name, metrics=evaluate(model, dev_set), log=log)
     return results

@@ -116,7 +116,7 @@ def test_criterion_3_loss_term_laws():
         )
         table = build_random_table([ex], dim=6, seed=rng)
         state = ModelState.initialize(table, hp, rng, weight_scale=0.6, bias_scale=0.3)
-        _, trace = total_loss(ex, state, hp)
+        _, trace = total_loss(ex, state)
         assert abs(trace.syn.sum() - 1.0) <= 1e-6
         assert abs(trace.mod.data.sum() - 1.0) <= 1e-6
         assert abs(trace.class_probs.data.sum() - 1.0) <= 1e-6
@@ -125,7 +125,7 @@ def test_criterion_3_loss_term_laws():
     ex = Example(tokens=["a", "b", "c"], heads=[-1, 0, 0], aspect_from=0, aspect_to=1, label="positive")
     table = build_random_table([ex], dim=6, seed=1)
     single = ModelState.initialize(table, HyperParams(hidden=10, layers=1), np.random.default_rng(1))
-    _, trace = total_loss(ex, single, single.hp)
+    _, trace = total_loss(ex, single)
     assert trace.losses.div == 0.0
 
     # saturated-to-zero gates null the diversity term exactly
@@ -133,7 +133,7 @@ def test_criterion_3_loss_term_laws():
     for l in range(hp.layers):
         state.tensors[f"w_gate_{l}"].data[...] = 0.0
         state.tensors[f"b_gate_{l}"].data[...] = -1000.0
-    _, trace = total_loss(ex, state, hp)
+    _, trace = total_loss(ex, state)
     assert trace.losses.div == 0.0
 
 

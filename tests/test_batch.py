@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from absa_gcn.data import LABELS, Example, build_random_table, build_tree, syntax_scores
-from absa_gcn.model import HyperParams, ModelState, make_batch, total_loss
+from absa_gcn.model import HyperParams, ModelState, make_batch, model_scores, total_loss
 from absa_gcn.tensor import Tensor, backward, mul, segment_mean_rows, sum_all
 from absa_gcn.trainer import compute_metrics, evaluate
 from conftest import dense_adjacency, neighbor_sets, oracle_losses
@@ -91,16 +91,17 @@ def random_state(hp: HyperParams, seed: int) -> ModelState:
 @given(batch=st.lists(examples(), min_size=1, max_size=6), hp=hyperparams, seed=st.integers(0, 2**32 - 1))
 def test_every_example_of_a_batch_matches_the_oracle(batch, hp, seed):
     state = random_state(hp, seed)
-    loss, trace = total_loss(batch, state, hp)
+    loss, trace = total_loss(batch, state)
     expected = [oracle_losses(ex, state, hp) for ex in batch]
     bounds = list(trace.batch.starts) + [trace.batch.tree.n]
+    mod = trace.mod if hp.con_on else model_scores(trace, state)  # a -Con pass builds no scores
     for e, (ex, want) in enumerate(zip(batch, expected)):
         rows = slice(bounds[e], bounds[e + 1])
         np.testing.assert_allclose(trace.class_probs.data[e], want["probs"], rtol=0, atol=1e-10)
-        np.testing.assert_allclose(trace.mod.data[rows], want["mod"], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(mod.data[rows], want["mod"], rtol=0, atol=1e-10)
         np.testing.assert_allclose(trace.syn[rows], want["syn"], rtol=0, atol=1e-10)
         # the loss terms of one example: the same forward on the batch of one
-        _, alone = total_loss(ex, state, hp)
+        _, alone = total_loss(ex, state)
         for term in TERMS:
             assert getattr(alone.losses, term) == pytest.approx(want[term], rel=0, abs=1e-10)
     # a batch reports its terms summed over the examples, its loss as their mean
@@ -115,11 +116,11 @@ def test_every_example_of_a_batch_matches_the_oracle(batch, hp, seed):
 def test_batch_gradient_is_the_mean_of_the_examples_gradients(batch, hp, seed):
     state = random_state(hp, seed)
     state.zero_grads()
-    backward(total_loss(batch, state, hp)[0])
+    backward(total_loss(batch, state)[0])
     together = [p.grad.copy() for _, p in state.parameters()]
     state.zero_grads()
     for ex in batch:
-        backward(total_loss(ex, state, hp)[0])
+        backward(total_loss(ex, state)[0])
     means = [p.grad / len(batch) for _, p in state.parameters()]
     # relative to the whole gradient: a tensor whose true gradient is zero
     # (a one-token sentence's importance scores) holds only rounding residue
@@ -140,7 +141,7 @@ def test_evaluate_agrees_with_the_oracle_across_chunk_edges(count, data, hp, see
         [int(np.argmax(e["probs"])) for e in expected],
         {term: float(np.mean([e[term] for e in expected])) for term in TERMS},
     )
-    got = evaluate(state, corpus, hp)
+    got = evaluate(state, corpus)
     assert (got.accuracy, got.macro_f1, got.per_class) == (want.accuracy, want.macro_f1, want.per_class)
     for term in TERMS:
         assert getattr(got, f"loss_{term}") == pytest.approx(getattr(want, f"loss_{term}"), rel=0, abs=1e-10)

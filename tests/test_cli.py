@@ -25,7 +25,7 @@ from absa_gcn.cli import (
     read_config,
 )
 from absa_gcn.data import LABELS, Example, parse_corpus, write_corpus
-from absa_gcn.model import HyperParams, load_checkpoint, save_checkpoint, total_loss
+from absa_gcn.model import HyperParams, load_checkpoint, model_scores, save_checkpoint, total_loss
 from absa_gcn.trainer import EVAL_CHUNK, TrainConfig, train
 from corpora import make_overfit_corpus
 
@@ -222,6 +222,20 @@ def test_train_happy_path_writes_artifacts(tmp_path, capsys):
 def test_train_missing_path_is_config_error(tmp_path):
     assert main(["train", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert main(["train", "--train", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("where", ["missing/model.bin", "a-directory"])
+def test_an_unwritable_checkpoint_path_is_exit_2_before_training(tmp_path, capsys, monkeypatch, where):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train ran before the checkpoint path was checked")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    (tmp_path / "a-directory").mkdir()
+    path = str(tmp_path / where)
+    assert main(["train", "--train", SAMPLE, "--out", str(tmp_path), "--checkpoint", path]) == EXIT_CONFIG
+    err = _one_error_line(capsys, "error: ")
+    assert err == f"error: checkpoint path is not a file in an existing directory: {path}\n"
+    assert os.listdir(tmp_path) == ["a-directory"]
 
 
 def test_train_malformed_line_reports_line_and_exit_3(tmp_path, capsys):
@@ -486,23 +500,26 @@ def test_nan_class_probabilities_are_exit_5_in_train_and_exit_4_in_eval(tmp_path
 
 
 def test_scores_rows_match_each_example_run_alone(tmp_path, capsys):
+    """Also for a -Con and a -Gate checkpoint, whose passes build no scores, and no gates."""
     corpus = make_overfit_corpus(EVAL_CHUNK + 5, seed=2)
-    config = TrainConfig(epochs=1, batch_size=8, seed=3, hyperparams=HyperParams(hidden=6, layers=2))
-    model, _ = train(corpus, None, config)
-    checkpoint = tmp_path / "model.bin"
-    save_checkpoint(checkpoint, model)
-    assert main(["scores", "--checkpoint", str(checkpoint), "--test", _write_corpus(tmp_path, corpus)]) == EXIT_OK
-    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert len(rows) == len(corpus)
-    loaded = load_checkpoint(checkpoint)
-    for row, ex in zip(rows, corpus):
-        _, alone = total_loss(ex, loaded)
-        assert list(row) == ["tokens", "aspect_from", "aspect_to", "syn", "mod", "predicted", "gold"]
-        assert (row["tokens"], row["aspect_from"], row["aspect_to"]) == (list(ex.tokens), ex.aspect_from, ex.aspect_to)
-        np.testing.assert_allclose(row["syn"], alone.syn, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(row["mod"], alone.mod.data, rtol=0, atol=1e-12)
-        assert row["predicted"] == LABELS[int(alone.class_probs.data[0].argmax())]
-        assert row["gold"] == ex.label
+    corpus_path = _write_corpus(tmp_path, corpus)
+    for variant in ({}, {"con_on": False}, {"gate_on": False}):
+        hp = HyperParams(hidden=6, layers=2, **variant)
+        model, _ = train(corpus, None, TrainConfig(epochs=1, batch_size=8, seed=3, hyperparams=hp))
+        checkpoint = tmp_path / "model.bin"
+        save_checkpoint(checkpoint, model)
+        assert main(["scores", "--checkpoint", str(checkpoint), "--test", corpus_path]) == EXIT_OK
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(rows) == len(corpus)
+        loaded = load_checkpoint(checkpoint)
+        for row, ex in zip(rows, corpus):
+            _, alone = total_loss(ex, loaded)
+            assert list(row) == ["tokens", "aspect_from", "aspect_to", "syn", "mod", "predicted", "gold"]
+            assert (row["tokens"], row["aspect_from"], row["aspect_to"]) == (list(ex.tokens), ex.aspect_from, ex.aspect_to)
+            np.testing.assert_allclose(row["syn"], alone.syn, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(row["mod"], model_scores(alone, loaded).data, rtol=0, atol=1e-12)
+            assert row["predicted"] == LABELS[int(alone.class_probs.data[0].argmax())]
+            assert row["gold"] == ex.label
 
 
 def test_json_output_is_strict():

@@ -2,6 +2,7 @@ import contextlib
 import json
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -58,21 +59,25 @@ def _random_model(seed=0, tokens=("alpha", "beta", "gamma", "delta"), dim=6, hid
     return state, hp
 
 
+def _with(state, **changes):
+    """The same tensors under hyperparameters changed by ``changes``."""
+    return ModelState(state.table, replace(state.hp, **changes), state.tensors)
+
+
 # ---------------------------------------------------------------------------
 # encode
 
 
 def test_encode_single_token_aspect_is_embedding_row():
     state, hp = _random_model(tokens=("solo",))
-    ex = _example(["solo"], [-1])
-    E, aspect_vec, _ = encode(make_batch([ex]), state.table, state)
-    npt.assert_array_equal(aspect_vec.data[0], E.data[0])
+    _, trace = total_loss(_example(["solo"], [-1]), state)
+    npt.assert_array_equal(trace.aspect_vec.data[0], trace.embeddings.data[0])
 
 
 def test_encode_mean_of_identical_rows():
     state, hp = _random_model(tokens=("twin", "twin"))
-    ex = _example(["twin", "twin"], [-1, 0], span=(0, 2))
-    E, aspect_vec, _ = encode(make_batch([ex]), state.table, state)
+    _, trace = total_loss(_example(["twin", "twin"], [-1, 0], span=(0, 2)), state)
+    aspect_vec, E = trace.aspect_vec, trace.embeddings
     npt.assert_allclose(aspect_vec.data[0], E.data[0], atol=1e-15)
     npt.assert_allclose(aspect_vec.data[0], E.data[1], atol=1e-15)
 
@@ -82,7 +87,7 @@ def test_encode_zero_projection_gives_zero_sentence_vector():
     state.tensors["w_sent"].data[...] = 0.0
     state.tensors["b_sent"].data[...] = 0.0
     ex = _example(["alpha", "beta"], [-1, 0])
-    _, _, sentence_vec = encode(make_batch([ex]), state.table, state)
+    _, sentence_vec = encode(make_batch([ex]), state.table, state)
     npt.assert_array_equal(sentence_vec.data, np.zeros((1, hp.hidden)))
 
 
@@ -175,12 +180,11 @@ def test_gating_a_pooled_layer_is_byte_equal_to_pooling_its_gated_rows(data):
 
 def test_a_zero_gate_gets_the_argmax_rows_of_the_layers_as_its_gradient(monkeypatch):
     """Every row of ``h * 0`` ties at 0, yet the gate's gradient takes ``h``'s first argmax row, not its first row."""
-    state, _ = _random_model(seed=5)
-    hp = HyperParams(hidden=8, layers=2, con_on=False, beta=0.0)  # the loss is the diversity term alone
+    state, _ = _random_model(seed=5, con_on=False, beta=0.0)  # the loss is the diversity term alone
     gates = [Tensor(np.zeros((1, 8)), trainable=True), Tensor(np.full((1, 8), 0.5), trainable=True)]
     layer_gates = iter(gates)  # compute_gate runs once per layer, in layer order
     monkeypatch.setattr(model_module, "compute_gate", lambda aspect_vec, w, b: next(layer_gates))
-    loss, trace = total_loss(_example(["alpha", "beta", "gamma", "delta"], [-1, 0, 1, 1]), state, hp)
+    loss, trace = total_loss(_example(["alpha", "beta", "gamma", "delta"], [-1, 0, 1, 1]), state)
     backward(loss)
 
     h0, h1 = (layer.data for layer in trace.hidden_layers)
@@ -219,11 +223,6 @@ def test_diversity_loss_hand_case_nonzero():
     assert diversity_loss(trace).item() == pytest.approx((5.0 + 25.0) / 2.0, abs=1e-15)
 
 
-def test_diversity_loss_single_layer_is_zero():
-    trace = _trace_with_pooled([[[1.0, 2.0]]], [[[0.5, 0.5]]])
-    assert diversity_loss(trace).item() == 0.0
-
-
 def test_gatediv_orthogonal_gates():
     assert gatediv_baseline_loss([Tensor([1.0, 0.0]), Tensor([0.0, 1.0])]).item() == 0.0
 
@@ -245,7 +244,7 @@ def test_all_zero_gates_zero_diversity_via_forward():
         state.tensors[f"w_gate_{l}"].data[...] = 0.0
         state.tensors[f"b_gate_{l}"].data[...] = -1000.0
     ex = _example(["alpha", "beta", "gamma"], [-1, 0, 0])
-    _, trace = total_loss(ex, state, hp)
+    _, trace = total_loss(ex, state)
     for gate in trace.gates:
         npt.assert_array_equal(gate.data, np.zeros((1, hp.hidden)))
     assert trace.losses.div == 0.0
@@ -259,7 +258,7 @@ def test_model_scores_identical_rows_uniform():
     state, hp = _random_model()
     trace = ForwardTrace(batch=_batch_of_one(4))
     row = np.linspace(-1, 1, hp.hidden)
-    trace.regulated = Tensor(np.tile(row, (4, 1)))
+    trace.hidden_layers = [Tensor(np.tile(row, (4, 1)))]
     trace.overall = Tensor(np.linspace(0, 1, 2 * hp.hidden)[None, :])
     mod = model_scores(trace, state)
     npt.assert_allclose(mod.data, np.full(4, 0.25), atol=1e-12)
@@ -268,7 +267,7 @@ def test_model_scores_identical_rows_uniform():
 def test_model_scores_single_token():
     state, hp = _random_model()
     trace = ForwardTrace(batch=_batch_of_one(1))
-    trace.regulated = Tensor(np.random.default_rng(0).uniform(-1, 1, (1, hp.hidden)))
+    trace.hidden_layers = [Tensor(np.random.default_rng(0).uniform(-1, 1, (1, hp.hidden)))]
     trace.overall = Tensor(np.zeros((1, 2 * hp.hidden)))
     npt.assert_array_equal(model_scores(trace, state).data, [1.0])
 
@@ -282,7 +281,7 @@ def test_model_scores_zero_overall_transform_matches_script():
     rng = np.random.default_rng(7)
     rows = rng.uniform(-1, 1, (5, hp.hidden))
     trace = ForwardTrace(batch=_batch_of_one(5))
-    trace.regulated = Tensor(rows)
+    trace.hidden_layers = [Tensor(rows)]
     trace.overall = Tensor(rng.uniform(-1, 1, (1, 2 * hp.hidden)))
     mod = model_scores(trace, state).data
 
@@ -378,19 +377,15 @@ def _fixed_example():
 
 
 def test_total_loss_term_removal():
-    state, _ = _random_model(seed=9)
-    ex = _fixed_example()
-    hp_pred_only = HyperParams(hidden=8, layers=2, div_on=False, con_on=False)
-    loss, trace = total_loss(ex, state, hp_pred_only)
+    state, _ = _random_model(seed=9, div_on=False, con_on=False)
+    loss, trace = total_loss(_fixed_example(), state)
     assert loss.item() == pytest.approx(trace.losses.pred, abs=1e-15)
     assert trace.losses.div == 0.0 and trace.losses.const == 0.0
 
 
 def test_total_loss_weight_zeroing_leaves_div():
-    state, _ = _random_model(seed=9)
-    ex = _fixed_example()
-    hp = HyperParams(hidden=8, layers=2, alpha=0.0, beta=0.0)
-    loss, trace = total_loss(ex, state, hp)
+    state, _ = _random_model(seed=9, alpha=0.0, beta=0.0)
+    loss, trace = total_loss(_fixed_example(), state)
     assert loss.item() == pytest.approx(trace.losses.div, abs=1e-15)
     assert trace.losses.div > 0.0
 
@@ -398,16 +393,10 @@ def test_total_loss_weight_zeroing_leaves_div():
 def test_ablation_flags_do_not_touch_prediction_term():
     state, _ = _random_model(seed=13)
     ex = _fixed_example()
-    base = HyperParams(hidden=8, layers=2)
-    variants = [
-        HyperParams(hidden=8, layers=2, div_on=False),
-        HyperParams(hidden=8, layers=2, con_on=False),
-        HyperParams(hidden=8, layers=2, div_on=False, con_on=False),
-        HyperParams(hidden=8, layers=2, gatediv_baseline=True),
-    ]
-    _, full_trace = total_loss(ex, state, base)
-    for hp in variants:
-        _, trace = total_loss(ex, state, hp)
+    variants = [{"div_on": False}, {"con_on": False}, {"div_on": False, "con_on": False}, {"gatediv_baseline": True}]
+    _, full_trace = total_loss(ex, state)
+    for changes in variants:
+        _, trace = total_loss(ex, _with(state, **changes))
         assert trace.losses.pred == full_trace.losses.pred
         npt.assert_array_equal(trace.class_probs.data, full_trace.class_probs.data)
 
@@ -431,20 +420,18 @@ def test_a_clone_shares_the_vocabulary_and_copies_every_array():
 def test_gate_off_equals_saturated_ones_gates():
     state, _ = _random_model(seed=21)
     ex = _fixed_example()
-    hp_off = HyperParams(hidden=8, layers=2, gate_on=False)
-    _, trace_off = total_loss(ex, state, hp_off)
+    _, trace_off = total_loss(ex, _with(state, gate_on=False))
 
     forced = state.clone()
     for l in range(2):
         forced.tensors[f"w_gate_{l}"].data[...] = 0.0
         forced.tensors[f"b_gate_{l}"].data[...] = 1000.0  # sigmoid saturates to exactly 1.0
-    hp_on = HyperParams(hidden=8, layers=2, div_on=False)
-    _, trace_on = total_loss(ex, forced, hp_on)
+    _, trace_on = total_loss(ex, _with(forced, div_on=False))
 
-    assert len(trace_off.pooled_regulated) == len(trace_on.pooled_regulated) == 2
-    for a, b in zip(trace_off.pooled_regulated, trace_on.pooled_regulated):
-        npt.assert_array_equal(a.data, b.data)
-    npt.assert_array_equal(trace_off.regulated.data, trace_on.regulated.data)
+    assert (len(trace_off.gates), len(trace_on.gates)) == (0, 1)  # only the last layer's gate is read
+    assert len(trace_off.pooled_regulated) == len(trace_on.pooled_regulated) == 1
+    npt.assert_array_equal(trace_off.pooled_regulated[0].data, trace_on.pooled_regulated[0].data)
+    npt.assert_array_equal(trace_off.mod.data, trace_on.mod.data)
     npt.assert_array_equal(trace_off.class_probs.data, trace_on.class_probs.data)
     assert trace_off.losses.div == 0.0
 
@@ -452,28 +439,26 @@ def test_gate_off_equals_saturated_ones_gates():
 def test_gate_off_forces_diversity_off():
     state, _ = _random_model(seed=22)
     ex = _fixed_example()
-    _, trace = total_loss(ex, state, HyperParams(hidden=8, layers=2, gate_on=False, div_on=True))
+    _, trace = total_loss(ex, _with(state, gate_on=False, div_on=True))
     assert trace.losses.div == 0.0
 
 
 def test_single_layer_diversity_is_zero():
     state, hp = _random_model(seed=23, layers=1)
-    _, trace = total_loss(_fixed_example(), state, hp)
+    _, trace = total_loss(_fixed_example(), state)
     assert trace.losses.div == 0.0
 
 
 def test_gatediv_baseline_used_when_flagged():
-    state, _ = _random_model(seed=25)
-    ex = _fixed_example()
-    hp = HyperParams(hidden=8, layers=2, gatediv_baseline=True)
-    _, trace = total_loss(ex, state, hp)
+    state, _ = _random_model(seed=25, gatediv_baseline=True)
+    _, trace = total_loss(_fixed_example(), state)
     expected = gatediv_baseline_loss(trace.gates).item()
     assert trace.losses.div == pytest.approx(expected, abs=1e-15)
 
 
 def test_trace_invariants_on_random_forward():
     state, hp = _random_model(seed=31)
-    _, trace = total_loss(_fixed_example(), state, hp)
+    _, trace = total_loss(_fixed_example(), state)
     assert trace.syn.sum() == pytest.approx(1.0, abs=1e-9)
     assert trace.mod.data.sum() == pytest.approx(1.0, abs=1e-9)
     assert trace.class_probs.data.sum() == pytest.approx(1.0, abs=1e-9)
@@ -487,8 +472,8 @@ def test_aspect_span_changes_prediction():
     heads = [-1, 0, 0, 2]
     a = _example(tokens, heads, span=(1, 2), label="positive")
     b = _example(tokens, heads, span=(3, 4), label="positive")
-    _, trace_a = total_loss(a, state, hp)
-    _, trace_b = total_loss(b, state, hp)
+    _, trace_a = total_loss(a, state)
+    _, trace_b = total_loss(b, state)
     assert np.abs(trace_a.class_probs.data - trace_b.class_probs.data).max() > 1e-12
     for ga, gb in zip(trace_a.gates, trace_b.gates):
         assert np.abs(ga.data - gb.data).max() > 1e-12
@@ -503,7 +488,7 @@ def test_shape_stability_across_sizes():
             ex = _example([f"t{i % 9}" for i in range(n)], heads, span=(0, 1), label="negative")
             table = build_random_table([ex], dim=4, seed=rng)
             state = ModelState.initialize(table, hp, rng, weight_scale=0.3, bias_scale=0.1)
-            _, trace = total_loss(ex, state, hp)
+            _, trace = total_loss(ex, state)
             assert trace.embeddings.shape == (n, 4)
             assert trace.aspect_vec.shape == (1, 4)
             assert trace.sentence_vec.shape == (1, 6)
@@ -524,7 +509,7 @@ def test_shape_stability_across_sizes():
 def _tape_ops(hp: HyperParams, examples) -> list[str]:
     table = build_random_table(examples, dim=6, seed=0)
     state = ModelState.initialize(table, hp, np.random.default_rng(1), weight_scale=0.4, bias_scale=0.2)
-    loss, _ = total_loss(examples, state, hp)
+    loss, _ = total_loss(examples, state)
     return [entry.op for entry in Tape.trace(loss).entries]
 
 
@@ -545,6 +530,41 @@ def test_a_three_layer_tape_pools_each_layer_once():
     # the embeddings and three layers are pooled once each; the last layer's gated token rows,
     # then 3 own-gate and 6 cross-gate (B, hidden) products
     assert (ops.count("maxpool_rows"), ops.count("mul")) == (4, 1 + 3 + 6)
+
+
+# Ops on each variant's tape at 1, 2 and 3 layers.
+TAPE_SIZES = {
+    "full": (40, 55, 70),
+    "-Div": (40, 43, 46),
+    "-Con": (24, 39, 54),
+    "-Div-Con": (24, 27, 30),
+    "-Gate": (34, 37, 40),
+    "-Gate-Con": (20, 23, 26),
+    "GateDiv": (40, 51, 60),
+}
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("variant", list(ABLATION_VARIANTS))
+def test_a_variant_records_only_what_its_loss_reads(monkeypatch, variant, layers):
+    """Every op recorded during ``total_loss`` is on the loss's tape, and an off term adds none."""
+    rng = np.random.default_rng(8)
+    examples = [random_example(rng) for _ in range(4)]
+    hp = HyperParams(hidden=8, layers=layers, **ABLATION_VARIANTS[variant])
+    state = ModelState.initialize(build_random_table(examples, dim=6, seed=0), hp, np.random.default_rng(1))
+    recorded = []
+    record = tensor_module._record
+
+    def recording(*args):
+        recorded.append(record(*args))
+        return recorded[-1]
+
+    monkeypatch.setattr(tensor_module, "_record", recording)
+    loss, _ = total_loss(examples, state)
+    monkeypatch.undo()
+    on_tape = {id(entry) for entry in Tape.trace(loss).entries}
+    assert [t.op for t in recorded if id(t) not in on_tape] == []
+    assert len(recorded) == len(on_tape) == TAPE_SIZES[variant][layers - 1]
 
 
 def test_the_model_calls_every_op_of_the_tensor_library():
@@ -578,17 +598,17 @@ def test_the_model_calls_every_op_of_the_tensor_library():
     {"alpha": 0.25, "beta": 3.0},
 ])
 def test_total_loss_matches_independent_oracle(kwargs):
-    state, _ = _random_model(seed=101)
-    hp = HyperParams(hidden=8, layers=2, **kwargs)
+    state, hp = _random_model(seed=101, **kwargs)
     ex = _fixed_example()
-    loss, trace = total_loss(ex, state, hp)
+    loss, trace = total_loss(ex, state)
     expected = oracle_losses(ex, state, hp)
     assert trace.losses.div == pytest.approx(expected["div"], abs=1e-10)
     assert trace.losses.const == pytest.approx(expected["const"], abs=1e-10)
     assert trace.losses.pred == pytest.approx(expected["pred"], abs=1e-10)
     assert loss.item() == pytest.approx(expected["total"], abs=1e-10)
     npt.assert_allclose(trace.class_probs.data[0], expected["probs"], atol=1e-10)
-    npt.assert_allclose(trace.mod.data, expected["mod"], atol=1e-10)
+    mod = trace.mod if hp.con_on else model_scores(trace, state)  # a -Con pass builds no scores
+    npt.assert_allclose(mod.data, expected["mod"], atol=1e-10)
     npt.assert_allclose(trace.syn, expected["syn"], atol=1e-10)
 
 
@@ -604,7 +624,7 @@ def test_total_loss_matches_oracle_on_random_instances():
         hp = HyperParams(hidden=7, layers=layers)
         table = build_random_table([ex], dim=5, seed=rng)
         state = ModelState.initialize(table, hp, rng, weight_scale=0.5, bias_scale=0.3)
-        loss, trace = total_loss(ex, state, hp)
+        loss, trace = total_loss(ex, state)
         expected = oracle_losses(ex, state, hp)
         assert loss.item() == pytest.approx(expected["total"], abs=1e-10)
 
@@ -617,17 +637,17 @@ def test_end_to_end_gradient_check_small_model():
     from absa_gcn.gradcheck import build_check_setup
 
     for seed in (0, 1):
-        ex, state, hp = build_check_setup(seed=seed, tokens=4, embed_dim=6, hp=HyperParams(hidden=6, layers=2))
-        report = check_model_gradients(ex, state, hp)
+        ex, state = build_check_setup(seed=seed, tokens=4, embed_dim=6, hp=HyperParams(hidden=6, layers=2))
+        report = check_model_gradients(ex, state)
         assert report.passed, report.lines()[-1]
 
 
 def test_gradient_check_fails_on_a_nan_weight():
     from absa_gcn.gradcheck import build_check_setup
 
-    ex, state, hp = build_check_setup(seed=0)
+    ex, state = build_check_setup(seed=0)
     state.tensors["w_cls_out"].data[0, 0] = float("nan")
-    report = check_model_gradients(ex, state, hp)
+    report = check_model_gradients(ex, state)
     assert any(np.isnan(err) for err in report.per_parameter.values())
     assert not report.passed
     assert any(line.startswith("FAIL") for line in report.lines())

@@ -172,7 +172,7 @@ def test_one_adam_step_decreases_batch_loss():
     model = init_model_state(table, hp, seed=9)
 
     def batch_loss():
-        losses = [total_loss(ex, model, hp)[0] for ex in corpus]
+        losses = [total_loss(ex, model)[0] for ex in corpus]
         return scale(add_n(losses), 1.0 / len(losses))
 
     before = batch_loss()
