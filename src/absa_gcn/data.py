@@ -82,14 +82,18 @@ def _check_example(tokens, heads, aspect_from, aspect_to, label) -> None:
             raise ValueError(f"head {h} of token {i} out of range")
         if h == i:
             raise ValueError(f"token {i} is its own head")
-    # Every token must reach the root without revisiting anything.
+    # Every token must reach the root. The walk from token i stamps each
+    # unstamped token it meets with i and stops at the first stamped one: its
+    # own stamp closes a cycle, an earlier walk's stamp (or the root's head,
+    # stamp[-1]) leads to the root. Each token is walked once.
+    stamp = [-1] * n + [n]
     for i in range(n):
-        j, steps = i, 0
-        while heads[j] != -1:
+        j = i
+        while stamp[j] < 0:
+            stamp[j] = i
             j = heads[j]
-            steps += 1
-            if steps > n:
-                raise ValueError(f"cycle reachable from token {i}")
+        if stamp[j] == i:
+            raise ValueError(f"cycle reachable from token {i}")
     if any(isinstance(bound, bool) or not isinstance(bound, int) for bound in (aspect_from, aspect_to)):
         raise ValueError("aspect span bounds must be integers")
     if not 0 <= aspect_from < aspect_to <= n:

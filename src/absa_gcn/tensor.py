@@ -242,15 +242,24 @@ def add_n(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _record(np.where(mask, a.data, 0.0), "relu", (a,), lambda g: (g * mask,))
+    # fmax picks the non-NaN operand, so a (quiet) NaN gives 0.0 as a select on a > 0 does; += 0.0 turns -0.0 into +0.0.
+    out = np.fmax(a.data, 0.0)
+    out += 0.0
+    return _record(out, "relu", (a,), lambda g: (g * (a.data > 0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # exp only ever sees non-positive arguments, so it cannot overflow
+    # exp only ever sees non-positive arguments, so it cannot overflow. Its
+    # result z lies in [0, 1], so max(z, x >= 0) is exactly 1.0 where x >= 0
+    # and z elsewhere (NaN stays NaN): the numerators of 1 / (1 + z) and
+    # z / (1 + z) without a select, divided by the same 1 + z.
     x = a.data
-    z = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    z = np.abs(x)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    out = np.maximum(z, x >= 0)
+    z += 1.0
+    out /= z
     return _record(out, "sigmoid", (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -267,8 +276,9 @@ def log(a: Tensor) -> Tensor:
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     """Entries below ``floor`` raised to it; a NaN stays NaN, so a loss built on it is not finite."""
-    below = a.data < floor
-    return _record(np.where(below, floor, a.data), "clamp_min", (a,), lambda g: (g * ~below,))
+    # maximum keeps a NaN, as a select on a < floor does, and on a tie returns its second operand, here a's zero
+    # of either sign. The backward mask ~(a < floor) gives a NaN entry gradient 1.
+    return _record(np.maximum(floor, a.data), "clamp_min", (a,), lambda g: (g * ~(a.data < floor),))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +296,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"linear needs x (n, k), w (m, k) and b (m,), got {x.shape}, {w.shape} and {b.shape}")
     wt = w.data.T.copy()
     back = lambda g: (g @ wt.T, (x.data.T @ g).T, g.sum(axis=0))
-    return _record(x.data @ wt + b.data, "linear", (x, w, b), back)
+    out = x.data @ wt
+    out += b.data
+    return _record(out, "linear", (x, w, b), back)
 
 
 # ---------------------------------------------------------------------------

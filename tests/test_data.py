@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 
 import numpy as np
@@ -55,6 +56,58 @@ def test_minimal_example_is_valid():
 def test_invalid_examples_rejected(kwargs):
     with pytest.raises(ValueError):
         Example(**kwargs)
+
+
+def _cycle_verdict_by_walks(heads):
+    """The cycle check the stamped walk replaced: every token walked to the root, O(n * depth)."""
+    n = len(heads)
+    for i in range(n):
+        j, steps = i, 0
+        while heads[j] != -1:
+            j = heads[j]
+            steps += 1
+            if steps > n:
+                return f"cycle reachable from token {i}"
+    return None
+
+
+@st.composite
+def _head_lists(draw):
+    """One root, no token its own head, the other heads drawn freely: trees and cyclic lists alike."""
+    n = draw(st.integers(2, 30))
+    heads = [draw(st.integers(0, n - 2)) for _ in range(n)]
+    heads = [h + (h >= i) for i, h in enumerate(heads)]
+    heads[draw(st.integers(0, n - 1))] = -1
+    return heads
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(heads=_head_lists())
+def test_the_cycle_check_agrees_with_walking_every_token_to_the_root(heads):
+    try:
+        Example(tokens=["a"] * len(heads), heads=heads, aspect_from=0, aspect_to=1, label="positive")
+        verdict = None
+    except ValueError as err:
+        verdict = str(err)
+    assert verdict == _cycle_verdict_by_walks(heads)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_a_50000_token_chain_parses_in_under_a_second(tmp_path, cyclic):
+    n = 50_000
+    heads = list(range(1, n)) + [-1]
+    if cyclic:
+        heads[n - 2] = 0  # tokens 0 .. n-2 close a ring; the root n-1 heads nothing
+    line = dict(tokens=["a"] * n, heads=heads, aspect_from=0, aspect_to=1, label="positive")
+    path = tmp_path / "chain.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    start = time.perf_counter()
+    if cyclic:
+        with pytest.raises(LoadError, match="line 1: cycle reachable from token 0$"):
+            parse_corpus(path)
+    else:
+        assert parse_corpus(path)[0].n == n
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from absa_gcn.data import EmbeddingTable, Example
 from absa_gcn.tensor import (
@@ -147,6 +150,47 @@ def test_clamp_min_lets_nan_through():
     assert np.isnan(log(out).data[0])
     backward(sum_all(out))
     npt.assert_array_equal(t.grad, [1.0, 0.0, 1.0])
+
+
+# Signed zeros, subnormals, the infinities, NaNs of both signs, and |x| where exp(-|x|) underflows (past 745).
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, np.inf, -np.inf, np.nan, -np.nan, 745.2, -745.2, 800.0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    x=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+        elements=st.floats() | st.sampled_from(_EDGE_FLOATS),
+    ),
+    floor=st.sampled_from([1e-12, 0.0, -0.0, 1.0, -np.inf]),
+)
+def test_branch_free_kernels_are_byte_equal_to_the_where_forms(x, floor):
+    # No arithmetic makes a signaling NaN, so the kernels need not agree on one:
+    # fmax's scalar path returns NaN for it, its vector path the other operand.
+    with np.errstate(invalid="ignore"):
+        x[np.isnan(x)] *= 1.0
+    g = np.linspace(-2.0, 3.0, x.size).reshape(x.shape)
+    # The forms the kernels had: a select on a data-dependent mask.
+    z = np.exp(-np.abs(x))
+    sig = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    below = x < floor
+    cases = [
+        (relu(Tensor(x)), np.where(x > 0, x, 0.0), g * (x > 0)),
+        (sigmoid(Tensor(x)), sig, g * sig * (1.0 - sig)),
+        (clamp_min(Tensor(x), floor), np.where(below, floor, x), g * ~below),
+    ]
+    for out, value, grad in cases:
+        assert out.data.tobytes() == value.tobytes(), out.op
+        assert out._backward(g)[0].tobytes() == grad.tobytes(), out.op
+
+
+def test_branch_free_kernels_pin_the_edge_values():
+    out = relu(Tensor([np.nan, -0.0, -np.inf, np.inf])).data
+    assert out.tobytes() == np.array([0.0, 0.0, 0.0, np.inf]).tobytes()
+    assert not np.signbit(out[1])
+    assert np.isnan(sigmoid(Tensor([np.nan, -np.nan])).data).all()
+    npt.assert_array_equal(sigmoid(Tensor([-np.inf, np.inf, -800.0])).data, [0.0, 1.0, 0.0])
 
 
 def test_mul_annihilator():
