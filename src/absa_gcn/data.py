@@ -130,6 +130,8 @@ def parse_corpus(path) -> list[Example]:
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise LoadError(f"malformed JSON: {err.msg}", line=lineno) from None
+            except (ValueError, RecursionError) as err:  # an integer past Python's digit limit, or too deep a nesting
+                raise LoadError(f"unreadable JSON: {err}", line=lineno) from None
             if not isinstance(obj, dict):
                 raise LoadError("expected a JSON object", line=lineno)
             for name in _REQUIRED_FIELDS:
@@ -523,6 +525,8 @@ def convert_conllu(conllu_path, aspects_path) -> list[Example]:
         raise LoadError("not UTF-8 text", line=raw.count(b"\n", 0, err.start) + 1) from None
     except json.JSONDecodeError as err:
         raise LoadError(f"malformed aspect JSON: {err.msg}") from None
+    except (ValueError, RecursionError) as err:  # an integer past Python's digit limit, or too deep a nesting
+        raise LoadError(f"unreadable aspect JSON: {err}") from None
     if not isinstance(entries, list):
         raise LoadError("aspect sidecar must be a JSON array")
     if not entries:

@@ -495,7 +495,8 @@ def load_checkpoint(path) -> ModelState:
             return _read_checkpoint(fh, os.fstat(fh.fileno()).st_size)
     except CheckpointError:
         raise
-    except (TypeError, KeyError, ValueError, AttributeError) as err:  # decoding and JSON errors are ValueErrors
+    # Decoding and JSON errors are ValueErrors; a header nested past the recursion limit raises RecursionError.
+    except (TypeError, KeyError, ValueError, AttributeError, RecursionError) as err:
         raise CheckpointError(f"not a valid checkpoint: {err}") from None
 
 

@@ -1,29 +1,28 @@
 """Adam optimizer with bias correction, operating on named parameter tensors.
 
-A row of a matrix parameter is *live* once a backward pass has recorded it
-in the parameter's ``grad_rows`` (see ``tensor``), or at once for every row
-while that record is unknown. A row that has never been recorded has held
-only the ``+0.0`` gradient that ``zero_grad`` left, so its moments would be
-``m = v = 0`` exactly, since ``b * 0`` and ``(1 - b) * 0`` are zeros (``+0.0``
-after the addition), and then the update ``p -= lr * 0 / (sqrt(0) + eps)``
-subtracts zero: every bit of ``p`` stays as it was. So ``adam_step`` skips
-such rows and keeps no moments for them, and every array still comes out
-byte-equal to the dense update of all rows. A recorded row whose gradient is
-exactly zero (also ``-0.0``) goes through the same update as in the dense
-step, so treating it as live changes nothing either. This needs a finite,
+Every parameter is updated as rows, through a reshaped view: a matrix's
+rows, a vector's entries, a scalar's one value (``as_rows``). A row is
+*live* once a backward pass has recorded it in the parameter's
+``grad_rows`` (see ``tensor``), or at once for every row while that record
+is unknown. A row that has never been recorded has held only the ``+0.0``
+gradient that ``zero_grad`` left, so its moments would be ``m = v = 0``
+exactly, since ``b * 0`` and ``(1 - b) * 0`` are zeros (``+0.0`` after the
+addition), and then the update ``p -= lr * 0 / (sqrt(0) + eps)`` subtracts
+zero: every bit of ``p`` stays as it was. So ``adam_step`` skips such rows
+and keeps no moments for them, and every array still comes out byte-equal
+to the dense update of all rows. A recorded row whose gradient is exactly
+zero (also ``-0.0``) goes through the same update as in the dense step, so
+treating it as live changes nothing either. This needs a finite,
 non-negative learning rate, a finite, positive epsilon and betas in [0, 1),
 which ``AdamState`` checks: otherwise ``0 * lr``, ``0 / eps`` or ``0 / bias``
 need not be a positive zero.
 
-The moments of a matrix hold one row per live row, in the order the rows
-went live; a row's place there never changes. When every row is live and
-in row order, as for the dense weights, whose first backward pass records
-every row, the step updates the parameter and the moments in place.
-Otherwise it gathers the live rows of the parameter and its gradient,
-updates them against the moments' rows in use and writes them back. Each
+When every row is live, as for the dense weights and biases, whose first
+backward pass records every row, the step updates the parameter and the
+moments in place. Otherwise it gathers the live rows of the parameter and
+its gradient, updates them against the moments and writes them back. Each
 element goes through the same operations in the same order either way, so
-the two paths round alike. Vectors and scalars keep moments of their own
-shape and are always updated in place.
+the two forms round alike.
 """
 
 from __future__ import annotations
@@ -41,17 +40,15 @@ from .tensor import Tensor
 class AdamState:
     """Per-parameter moment accumulators plus the shared step counter.
 
-    For a matrix parameter, ``live_rows`` holds the live-row mask and
-    ``rows`` the live rows in the order they went live; a longer array
-    replaces ``rows[name]`` when rows go live, so a list read earlier stays
-    as it was. ``first_moment`` and ``second_moment`` hold the moments of
-    ``rows[name]``, row for row, in their first ``rows[name].size`` rows; the
-    rest are zeros kept for rows that go live later. That capacity doubles
-    when it runs out, up to the parameter's row count. So a table of which
-    a training set reaches a few hundred rows keeps moments for those rows
-    only. For a vector or scalar the moments have the parameter's shape.
-    ``scratch`` holds the two work arrays of an update, kept across steps
-    and sized to the largest update so far.
+    ``rows[name]`` holds the live rows of parameter ``name`` (rows of
+    ``as_rows``), sorted; a new array replaces it when rows go live, so an
+    array read earlier stays as it was. ``first_moment`` and
+    ``second_moment`` hold the moments of those rows, one row each, in the
+    same order, and nothing else. So a table of which a training set
+    reaches a few hundred rows keeps moments for those rows only, and a
+    parameter no backward pass reaches keeps none. ``scratch`` holds the two
+    work arrays of an update, kept across steps and sized to the largest
+    update so far.
     """
 
     learning_rate: float = 0.001
@@ -61,7 +58,6 @@ class AdamState:
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    live_rows: dict[str, np.ndarray] = field(default_factory=dict)
     rows: dict[str, np.ndarray] = field(default_factory=dict)
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)))
 
@@ -73,14 +69,10 @@ class AdamState:
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
 
-    def moved_rows(self, name: str) -> np.ndarray | None:
-        """The rows of matrix parameter ``name`` that steps have moved, in the order they went live.
 
-        ``None`` for a vector or scalar, and for a matrix before its first
-        step: nothing says which of its rows will move. No other row of a
-        matrix has changed (module docstring).
-        """
-        return self.rows.get(name)
+def as_rows(a: np.ndarray) -> np.ndarray:
+    """``a`` viewed as rows: a matrix as it is, a vector as one entry per row, a scalar as one row."""
+    return a.reshape(-1, 1) if a.ndim < 2 else a
 
 
 def _update(p, g, m, v, state: AdamState, bias1: float, bias2: float) -> None:
@@ -109,27 +101,25 @@ def _update(p, g, m, v, state: AdamState, bias1: float, bias2: float) -> None:
     p -= a
 
 
-def _live_rows(name: str, p: Tensor, state: AdamState) -> np.ndarray:
-    """The live rows of matrix ``p`` in the order they went live, the newly recorded ones appended."""
-    live = state.live_rows.get(name)
-    if live is None:
-        live = state.live_rows[name] = np.zeros(p.data.shape[0], dtype=bool)
-        state.rows[name] = np.empty(0, dtype=np.intp)
-        state.first_moment[name] = np.zeros((0, p.data.shape[1]))
-        state.second_moment[name] = np.zeros((0, p.data.shape[1]))
-    rows = state.rows[name]
-    if rows.size == live.size:
+def _live_rows(name: str, p: Tensor, count: int, width: int, state: AdamState) -> np.ndarray:
+    """The live rows of ``p``, sorted; the moments are rebuilt with +0.0 for rows newly recorded."""
+    rows = state.rows.get(name)
+    if rows is None:
+        rows = state.rows[name] = np.empty(0, dtype=np.intp)
+        state.first_moment[name] = np.zeros((0, width))
+        state.second_moment[name] = np.zeros((0, width))
+    if rows.size == count:
         return rows
-    new = np.flatnonzero(~live if p.grad_rows is None else ~live & p.grad_rows)
-    if new.size:
-        live[new] = True
-        rows = state.rows[name] = np.concatenate([rows, new])
-        m, v = state.first_moment[name], state.second_moment[name]
-        if rows.size > m.shape[0]:
-            capacity = min(live.size, max(rows.size, 2 * m.shape[0]))
-            for moments, old in ((state.first_moment, m), (state.second_moment, v)):
-                moments[name] = np.zeros((capacity, old.shape[1]))
-                moments[name][: old.shape[0]] = old
+    recorded = np.ones(count, dtype=bool) if p.grad_rows is None else p.grad_rows.reshape(-1).copy()
+    recorded[rows] = True
+    live = np.flatnonzero(recorded)
+    if live.size > rows.size:
+        at = np.searchsorted(live, rows)
+        for moments in (state.first_moment, state.second_moment):
+            grown = np.zeros((live.size, width))
+            grown[at] = moments[name]
+            moments[name] = grown
+        rows = state.rows[name] = live
     return rows
 
 
@@ -138,9 +128,9 @@ def adam_step(params: Iterable[tuple[str, Tensor]], state: AdamState) -> None:
 
     Moment buffers are created on a parameter name's first step, and the
     parameter must keep its shape afterwards. The step counter increases by
-    exactly one. Rows of a matrix parameter that no backward pass has
-    recorded yet are left alone and get no moments, which changes no bit of
-    the result (module docstring).
+    exactly one. Rows that no backward pass has recorded yet are left alone
+    and get no moments, which changes no bit of the result (module
+    docstring).
     """
     state.step_count += 1
     t = state.step_count
@@ -151,17 +141,12 @@ def adam_step(params: Iterable[tuple[str, Tensor]], state: AdamState) -> None:
             raise RuntimeError(f"parameter {name!r} has no gradient buffer")
         if p.grad.shape != p.data.shape:
             raise RuntimeError(f"parameter {name!r} gradient shape mismatch")
-        if p.data.ndim < 2:
-            if name not in state.first_moment:
-                state.first_moment[name] = np.zeros(p.data.shape)
-                state.second_moment[name] = np.zeros(p.data.shape)
-            _update(p.data, p.grad, state.first_moment[name], state.second_moment[name], state, bias1, bias2)
-            continue
-        rows = _live_rows(name, p, state)
-        m, v = state.first_moment[name][: rows.size], state.second_moment[name][: rows.size]
-        if rows.size == p.data.shape[0] and (rows[1:] > rows[:-1]).all():
-            _update(p.data, p.grad, m, v, state, bias1, bias2)
+        data, grad = as_rows(p.data), as_rows(p.grad)
+        rows = _live_rows(name, p, *data.shape, state)
+        m, v = state.first_moment[name], state.second_moment[name]
+        if rows.size == data.shape[0]:
+            _update(data, grad, m, v, state, bias1, bias2)
         else:
-            part = p.data[rows]
-            _update(part, p.grad[rows], m, v, state, bias1, bias2)
-            p.data[rows] = part
+            part = data[rows]
+            _update(part, grad[rows], m, v, state, bias1, bias2)
+            data[rows] = part

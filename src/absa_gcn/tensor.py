@@ -71,12 +71,9 @@ class Tensor:
     scalar), or is ``None`` while unknown, as for a fresh tensor. Code that
     writes ``grad`` by hand after a ``zero_grad`` must mark its rows there,
     or the next ``zero_grad`` and the optimizer miss them.
-
-    ``tape_id`` is assigned when the tensor is recorded on a tape and orders
-    the operations topologically.
     """
 
-    __slots__ = ("data", "grad", "grad_rows", "trainable", "tape_id", "op", "parents", "_backward")
+    __slots__ = ("data", "grad", "grad_rows", "trainable", "op", "parents", "_backward")
 
     def __init__(self, values, trainable: bool = False):
         data = np.asarray(values, dtype=np.float64)
@@ -86,7 +83,6 @@ class Tensor:
         self.grad = np.zeros(data.shape) if trainable else None
         self.grad_rows: np.ndarray | None = None
         self.trainable = trainable
-        self.tape_id: int | None = None
         self.op: str | None = None
         self.parents: tuple["Tensor", ...] = ()
         self._backward: Callable[[np.ndarray], tuple] | None = None
@@ -168,7 +164,6 @@ class Tape:
             if expanded:
                 visited.add(id(node))
                 if node.op is not None:
-                    node.tape_id = len(entries)
                     entries.append(node)
             else:
                 stack.append((node, True))

@@ -11,7 +11,7 @@ import numpy as np
 from . import data
 from .data import LABELS, EmbeddingTable, Example
 from .model import HyperParams, ModelState, total_loss
-from .optim import AdamState, adam_step
+from .optim import AdamState, adam_step, as_rows
 from .tensor import backward
 
 # Examples per forward pass in ``evaluate``: a fixed size bounds the memory
@@ -132,21 +132,21 @@ def init_model_state(table: EmbeddingTable, hp: HyperParams, seed) -> ModelState
 
 
 def _snapshot(model: ModelState, adam: AdamState) -> list:
-    """Each parameter with what steps have moved of it so far: its moved rows and their values, or all of it."""
+    """Each parameter with the rows steps have moved of it so far and their values."""
     saved = []
     for name, t in model.parameters():
-        rows = adam.moved_rows(name)
-        saved.append((name, t, rows, t.data.copy() if rows is None else t.data[rows]))
+        rows = adam.rows[name]
+        saved.append((name, t, rows, as_rows(t.data)[rows]))
     return saved
 
 
 def _restore(adam: AdamState, snapshot: list) -> None:
     """The parameters set back to ``snapshot``, which must hold every row ``adam`` has moved since."""
     for name, _, rows, _ in snapshot:
-        if rows is not None and adam.moved_rows(name).size != rows.size:
+        if adam.rows[name].size != rows.size:
             raise RuntimeError(f"rows of {name!r} moved after the best epoch's snapshot, which does not hold them")
     for _, t, rows, values in snapshot:
-        t.data[... if rows is None else rows] = values
+        as_rows(t.data)[rows] = values
 
 
 # A run checks its own losses (``TrainingDiverged``), so numpy's overflow
@@ -177,8 +177,8 @@ def train(
     returns keeps; other ones raise ``ValueError``.
 
     The best epoch is kept as a snapshot, not as a copy of the model: of
-    each parameter, the rows Adam has moved (``AdamState.moved_rows``), which
-    for the table are the rows the training set reaches. Every epoch visits
+    each parameter, the rows Adam has moved (``AdamState.rows``), which for
+    the table are the rows the training set reaches. Every epoch visits
     every training example, so no row goes live after the first epoch, and
     the first snapshot is taken after it. ``_restore`` checks that, and
     raises ``RuntimeError`` rather than return a model whose later-moved

@@ -13,6 +13,7 @@ import pytest
 import absa_gcn.cli as cli
 import absa_gcn.data as data
 import absa_gcn.gradcheck as gradcheck
+import absa_gcn.model as model_module
 import absa_gcn.trainer as trainer_module
 from absa_gcn.cli import (
     EXIT_CHECK_FAILED,
@@ -556,6 +557,32 @@ def test_non_utf8_input_is_one_error_line(tmp_path, capsys, reader):
     else:
         assert main(argv) == EXIT_DATA
         assert _one_error_line(capsys, "data error: ") == "data error: line 2: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("payload", [b"[" * 100_000 + b"]" * 100_000, b"1" * 5000], ids=["deep-array", "long-integer"])
+@pytest.mark.parametrize("reader", ["corpus", "aspects", "checkpoint"])
+def test_json_past_the_parser_limits_is_one_error_line(tmp_path, capsys, monkeypatch, reader, payload):
+    # json.loads raises RecursionError on a deep nesting and a ValueError
+    # that is no JSONDecodeError on an integer of more than 4300 digits.
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    bad = tmp_path / "bad"
+    if reader == "corpus":
+        first = (ASSETS / "sample_corpus.jsonl").read_bytes().splitlines(keepends=True)[0]
+        argv = ["train", "--out", str(out), "--epochs", "1", "--hidden", "4", "--layers", "1"]
+        argv += ["--train", _write_bytes(bad, first + payload + b"\n")]
+        code, prefix = EXIT_DATA, "data error: line 2: unreadable JSON: "
+    elif reader == "aspects":
+        argv = ["convert", "--conllu", str(ASSETS / "sample.conllu"), "--aspects", _write_bytes(bad, payload)]
+        code, prefix = EXIT_DATA, "data error: unreadable aspect JSON: "
+    else:
+        header = len(payload).to_bytes(8, "little") + payload
+        argv = ["eval", "--checkpoint", _write_bytes(bad, model_module._MAGIC + header), "--test", SAMPLE]
+        code, prefix = EXIT_CHECKPOINT, "checkpoint error: not a valid checkpoint: "
+    assert main([*argv, "--out", str(out)] if reader == "aspects" else argv) == code
+    _one_error_line(capsys, prefix)
+    assert capsys.readouterr().out == "" and list(out.iterdir()) == []
 
 
 def test_bool_aspect_span_is_exit_3(tmp_path, capsys):

@@ -7,28 +7,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from absa_gcn.optim import AdamState, adam_step
+import absa_gcn.trainer as trainer
+from absa_gcn.data import build_random_table
+from absa_gcn.model import HyperParams
+from absa_gcn.optim import AdamState, adam_step, as_rows
 from absa_gcn.tensor import Tensor, add, backward, gather_rows, mul, sum_all
 from conftest import resident_bytes
+from corpora import make_overfit_corpus
 
 
 def _moments_by_row(state, name, shape):
     """The first and second moments of ``name`` as ``shape`` arrays, read row for row through its live rows.
 
-    A matrix row that is not live has no moments; the dense update leaves
-    them at +0.0. The live rows must be the rows of the live-row mask, each
-    once, and the moment rows past them must hold +0.0.
+    A row (a vector's entry, a scalar's one value) that is not live has no
+    moments; the dense update leaves them at +0.0. The live rows must be
+    sorted, each once, and the moments must hold one row per live row and
+    no more.
     """
-    if len(shape) < 2:
-        return state.first_moment[name], state.second_moment[name]
-    live, rows = state.live_rows[name], state.rows[name]
-    assert live.shape == shape[:1] and live[rows].all() and np.count_nonzero(live) == rows.size
-    assert state.moved_rows(name) is rows
+    rows = state.rows[name]
+    assert (rows[1:] > rows[:-1]).all()
     full = []
     for m in (state.first_moment[name], state.second_moment[name]):
-        assert m[rows.size :].tobytes() == np.zeros(m[rows.size :].shape).tobytes()
+        assert m.shape[0] == rows.size
         dense = np.zeros(shape)
-        dense[rows] = m[: rows.size]
+        as_rows(dense)[rows] = m
         full.append(dense)
     return full
 
@@ -159,8 +161,9 @@ def _textbook_step(ref, g, t, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
 def touched_row_runs(draw):
     """A parameter shape, one set of touched rows per step, and a seed for the values."""
     rows = draw(st.integers(1, 9))
-    shape = draw(st.sampled_from([(rows,), (rows, 1), (rows, 3)]))
-    steps = draw(st.lists(st.sets(st.integers(0, rows - 1)), min_size=1, max_size=6))
+    shape = draw(st.sampled_from([(), (rows,), (rows, 1), (rows, 3)]))
+    count = shape[0] if shape else 1  # a scalar is one row
+    steps = draw(st.lists(st.sets(st.integers(0, count - 1)), min_size=1, max_size=6))
     return shape, steps, draw(st.integers(0, 2**32 - 1))
 
 
@@ -168,8 +171,9 @@ def touched_row_runs(draw):
 @given(touched_row_runs())
 @example(((4, 2), [{0}, set(), set(), {1, 2}, {3}, set()], 1))  # idle after one touch; 1/4 -> 3/4 -> 4/4 live
 @example(((6, 3), [{0, 1, 2, 3}, {4}, set()], 2))  # 4/6 live at once, then 5/6
-@example(((4, 2), [{2, 3}, {0, 1}, set()], 4))  # every row live, but not in row order
+@example(((4, 2), [{2, 3}, {0, 1}, set()], 4))  # every row live, gone live out of row order
 @example(((5,), [{0}, {1, 2, 3, 4}], 3))
+@example(((), [set(), {0}, set()], 5))  # a scalar idle, then live
 def test_live_row_steps_byte_equal_to_dense_formula(run):
     # Each step zeroes the gradient, writes it and records the touched rows,
     # so only the rows touched so far are live. Rows not touched at a step
@@ -185,18 +189,48 @@ def test_live_row_steps_byte_equal_to_dense_formula(run):
     ref = [w.data.copy(), np.zeros(shape), np.zeros(shape)]
     for t, touched in enumerate(steps, start=1):
         g = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        width = as_rows(g).shape[1:]
         for row in sorted(touched):
             if rng.random() >= 0.25:
-                g[row] = rng.normal(size=shape[1:]) * 10.0 ** rng.integers(-6, 3, size=shape[1:])
+                as_rows(g)[row] = rng.normal(size=width) * 10.0 ** rng.integers(-6, 3, size=width)
         w.zero_grad()
         w.grad[...] = g
-        w.grad_rows[sorted(touched)] = True
+        w.grad_rows.reshape(-1)[sorted(touched)] = True
         adam_step([("w", w)], state)
         ref = _textbook_step(ref, g, t, lr=lr)
         assert w.data.tobytes() == ref[0].tobytes()
         m, v = _moments_by_row(state, "w", shape)
         assert m.tobytes() == ref[1].tobytes()
         assert v.tobytes() == ref[2].tobytes()
+
+
+def test_parameters_a_gateless_model_never_reaches_keep_no_moments(monkeypatch):
+    # Without gates no backward pass reaches a gate weight or bias, so no
+    # step records a row of them: they keep no moments and their initial
+    # bytes, while the parameters the loss reaches move.
+    states = []
+
+    def recording_adam_step(params, adam):
+        states.append(adam)
+        adam_step(params, adam)
+
+    monkeypatch.setattr(trainer, "adam_step", recording_adam_step)
+    corpus = make_overfit_corpus(12, seed=4)
+    hp = HyperParams(hidden=8, layers=2, gate_on=False)
+    model = trainer.init_model_state(build_random_table(corpus, dim=8, seed=0), hp, 1)
+    initial = {name: t.data.tobytes() for name, t in model.named_tensors()}
+    config = trainer.TrainConfig(epochs=2, batch_size=6, learning_rate=0.01, seed=3, hyperparams=hp)
+    trainer.train(corpus, None, config, initial_state=model)
+    adam = states[0]
+    assert all(state is adam for state in states) and adam.step_count == 4
+    for name, t in model.named_tensors():
+        if "_gate_" in name:
+            assert adam.rows[name].size == 0
+            assert adam.first_moment[name].shape == adam.second_moment[name].shape == (0, as_rows(t.data).shape[1])
+            assert t.data.tobytes() == initial[name]
+        else:
+            assert adam.rows[name].size == as_rows(t.data).shape[0]
+            assert t.data.tobytes() != initial[name]
 
 
 def _gathered_loss(w, ids, coefficients):

@@ -530,22 +530,24 @@ def test_tape_inputs_precede_operations():
     _, _, loss = _small_graph()
     tape = Tape.trace(loss)
     assert tape.entries, "expected a non-empty tape"
-    for position, entry in enumerate(tape.entries):
-        assert entry.tape_id == position
+    position = {id(entry): index for index, entry in enumerate(tape.entries)}
+    assert len(position) == len(tape.entries)
+    for entry in tape.entries:
         for parent in entry.parents:
             if parent.op is not None:
-                assert parent.tape_id < entry.tape_id
+                assert position[id(parent)] < position[id(entry)]
 
 
 def test_tape_backward_visits_each_op_once_in_reverse():
     _, _, loss = _small_graph()
     tape = Tape.trace(loss)
+    position = {id(entry): index for index, entry in enumerate(tape.entries)}
     seen = []
     for entry in tape.entries:
         original = entry._backward
 
         def wrapped(g, entry=entry, original=original):
-            seen.append(entry.tape_id)
+            seen.append(position[id(entry)])
             return original(g)
 
         entry._backward = wrapped
