@@ -183,8 +183,10 @@ def _require_file(settings: dict, key: str) -> str:
     path = settings.get(key)
     if not path:
         raise ConfigError(f"missing required path --{key}")
-    if not os.path.isfile(path):
+    if not os.path.exists(path):
         raise ConfigError(f"--{key} path does not exist: {path}")
+    if not os.path.isfile(path):
+        raise ConfigError(f"--{key} path is not a regular file: {path}")
     return path
 
 

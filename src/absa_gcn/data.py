@@ -14,10 +14,13 @@ number; silently dropping lines would corrupt dataset-count checks.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import itertools
 import json
 import os
+import stat
 import warnings
+import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -105,9 +108,14 @@ def _check_example(tokens, heads, aspect_from, aspect_to, label) -> None:
 _REQUIRED_FIELDS = ("tokens", "heads", "aspect_from", "aspect_to", "label")
 
 
-def _utf8_lines(fh):
-    """``(line number, text)`` for each line of a file opened in binary mode."""
+def _utf8_lines(fh, digest=None):
+    """``(line number, text)`` for each line of a file opened in binary mode.
+
+    Each line's bytes go to ``digest.update`` first, if a digest is given.
+    """
     for lineno, raw in enumerate(fh, start=1):
+        if digest is not None:
+            digest.update(raw)
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError:
@@ -342,12 +350,37 @@ def load_embeddings(path, trainable: bool = True) -> EmbeddingTable:
     A canonical file (one space between fields, LF or CRLF line ends, values
     spelled in ASCII) is read by numpy's C text reader. Any other file, and
     every error, goes to the line parser, with the same values and messages.
+
+    A regular file of ``_TABLE_CACHE_BYTES`` (1 MiB) or more keeps what was
+    parsed from it in ``<path>.absa-gcn-cache``, a binary file beside it of
+    8 bytes per value (the unknown-word row included) plus a header with the
+    words, keyed by the byte count and sha256 of the bytes parsed. A load
+    whose file has a cache of its size hashes the file; if the hash is the
+    cache's key and the cache reads back whole and finite, the table is read
+    from it, bit for bit what the parse returns, for the cost of the hash and
+    one read instead of the parse. Otherwise the file is parsed as above, the
+    bytes hashed as they are read, and a file that loads writes its cache:
+    this first load costs the hash and the write on top of the parse. A file
+    that fails never writes one. A cache that is stale, cut short or
+    otherwise damaged is passed over and rewritten, and a cache that cannot
+    be written is not; the cache never changes what a load returns or
+    raises, and deleting it is always safe.
     """
-    words, matrix = _read_canonical_embeddings(path) or _parse_embedding_lines(path)
-    with np.errstate(over="ignore"):
-        matrix[-1] = matrix[:-1].mean(axis=0)
-    if not np.isfinite(matrix[-1]).all():
-        raise LoadError("the unknown-word row, the mean of the vectors, overflows")
+    cached = _read_table_cache(path)
+    if cached:
+        words, matrix = cached
+    else:
+        source = _SourceDigest()
+        parsed = _read_canonical_embeddings(path, source)
+        if parsed is None:
+            source = _SourceDigest()
+            parsed = _parse_embedding_lines(path, source)
+        words, matrix = parsed
+        with np.errstate(over="ignore"):
+            matrix[-1] = matrix[:-1].mean(axis=0)
+        if not np.isfinite(matrix[-1]).all():
+            raise LoadError("the unknown-word row, the mean of the vectors, overflows")
+        _write_table_cache(path, source.key(), list(words), matrix)
     return EmbeddingTable(
         vocabulary=words,
         vectors=Tensor(matrix, trainable=trainable),
@@ -356,18 +389,19 @@ def load_embeddings(path, trainable: bool = True) -> EmbeddingTable:
     )
 
 
-def _parse_embedding_lines(path) -> tuple[dict[str, int], np.ndarray]:
+def _parse_embedding_lines(path, digest=None) -> tuple[dict[str, int], np.ndarray]:
     """The words and an ``(n + 1, d)`` matrix of their vectors, parsed line by line.
 
     The last row is left for the unknown word. This parser is the judge of
     every file: it owns each error message and line number, and the C reader
-    may only return what it returns.
+    and the cache may only return what it returns. The bytes read go to
+    ``digest.update``, if a digest is given.
     """
     words: dict[str, int] = {}
     rows: list[np.ndarray] = []
     dim = None
     with open(path, "rb") as fh:
-        for lineno, line in _utf8_lines(fh):
+        for lineno, line in _utf8_lines(fh, digest):
             parts = line.split()
             if len(parts) < 2:
                 raise LoadError("expected 'word v1 ... vd'", line=lineno)
@@ -393,7 +427,7 @@ def _parse_embedding_lines(path) -> tuple[dict[str, int], np.ndarray]:
     return words, matrix
 
 
-def _read_canonical_embeddings(path) -> tuple[dict[str, int], np.ndarray] | None:
+def _read_canonical_embeddings(path, digest=None) -> tuple[dict[str, int], np.ndarray] | None:
     """What ``_parse_embedding_lines`` returns, read by numpy's C text reader, or None.
 
     The C reader takes the file's lines, splits each on single spaces,
@@ -403,14 +437,15 @@ def _read_canonical_embeddings(path) -> tuple[dict[str, int], np.ndarray] | None
     digits). A converter collects column 0, the words. What it cannot see is
     checked after: a skipped blank line, a word ``str.split`` would split, a
     repeated word, a non-finite value. Any of these, and any exception or
-    warning, means None, and the line parser judges the file.
+    warning, means None, and the line parser judges the file. The bytes read
+    go to ``digest.update``, if a digest is given.
     """
     words: list[str] = []
     lines = 0
 
     def decoded(fh):
         nonlocal lines
-        for lines, line in _utf8_lines(fh):
+        for lines, line in _utf8_lines(fh, digest):
             yield line
 
     try:  # whatever goes wrong here, the line parser reports or reads the file
@@ -438,6 +473,116 @@ def _read_canonical_embeddings(path) -> tuple[dict[str, int], np.ndarray] | None
         return None
     matrix = np.empty((n + 1, dim))
     matrix[:-1] = block[:, 1:]
+    return vocabulary, matrix
+
+
+# Below this size a parse takes about 10 ms or less: too little to keep a second file beside the first.
+_TABLE_CACHE_BYTES = 1 << 20
+_TABLE_CACHE_SUFFIX = ".absa-gcn-cache"
+_TABLE_CACHE_MAGIC = b"\x93ABSAEMB"  # 0x93 never starts UTF-8 text
+_TABLE_CACHE_FORMAT = "absa-gcn-embedding-cache"
+# Bump the version whenever the parsers accept or return something different,
+# so that no cache an older parser wrote is read.
+_TABLE_CACHE_VERSION = 1
+_TABLE_DTYPE = "<f8"
+
+
+class _SourceDigest:
+    """The byte count and sha256 of the bytes given to ``update``: the key of a cached table."""
+
+    def __init__(self):
+        self.size, self.sha256 = 0, hashlib.sha256()
+
+    def update(self, data) -> None:
+        self.size += len(data)
+        self.sha256.update(data)
+
+    def key(self) -> tuple[int, str]:
+        return self.size, self.sha256.hexdigest()
+
+
+def _file_digest(path) -> tuple[int, str]:
+    source = _SourceDigest()
+    with open(path, "rb", buffering=0) as fh:
+        while chunk := fh.read(1 << 20):
+            source.update(chunk)
+    return source.key()
+
+
+def _table_checksum(words: list, matrix: np.ndarray) -> int:
+    """CRC-32 of the words and the table's bytes: a flipped byte in either is a miss."""
+    return zlib.crc32(matrix.data, zlib.crc32("\n".join(words).encode("utf-8")))
+
+
+def _write_table_cache(path, source: tuple[int, str], words: list, matrix: np.ndarray) -> None:
+    """Write the table parsed from ``source`` (byte count, sha256) of the file ``path`` beside it.
+
+    Only a regular file of ``_TABLE_CACHE_BYTES`` or more is cached. The
+    layout is a checkpoint's: magic, the header's length (8 bytes,
+    little-endian), a UTF-8 JSON header, then the ``(n + 1, d)`` table as one
+    little-endian float64 block. The header holds the format and its
+    version, the source's byte count and sha256, ``dim``, a CRC-32 of the
+    words and the block, and the words in row order. A failed write leaves
+    no file and raises nothing.
+    """
+    with contextlib.suppress(OSError):
+        if source[0] < _TABLE_CACHE_BYTES or not stat.S_ISREG(os.stat(path).st_mode):
+            return
+        block = np.ascontiguousarray(matrix, dtype=_TABLE_DTYPE)
+        header = json.dumps({
+            "format": _TABLE_CACHE_FORMAT, "version": _TABLE_CACHE_VERSION, "bytes": source[0], "sha256": source[1],
+            "dim": block.shape[1], "crc32": _table_checksum(words, block), "words": words,
+        }).encode("utf-8")
+        with write_atomically(os.fspath(path) + _TABLE_CACHE_SUFFIX, binary=True) as fh:
+            fh.write(_TABLE_CACHE_MAGIC + len(header).to_bytes(8, "little") + header)
+            fh.write(block.data)
+
+
+def _read_table_cache(path) -> tuple[dict[str, int], np.ndarray] | None:
+    """The words and table cached beside the file ``path`` for its present bytes, or None.
+
+    The file is hashed only once the cache's header has passed its checks,
+    its byte count among them. The table is read into memory of its own, as
+    a parse builds it. Any defect (no cache, a source too small or not a
+    regular file, another kind of cache file, another source, version or
+    size, a repeated word, a checksum that does not match, a non-finite
+    value) means None.
+    """
+    cache = os.fspath(path) + _TABLE_CACHE_SUFFIX
+    try:
+        info = os.stat(path)
+        if not stat.S_ISREG(info.st_mode) or info.st_size < _TABLE_CACHE_BYTES:
+            return None
+        if not stat.S_ISREG(os.stat(cache).st_mode):  # opening a pipe could block
+            return None
+        with open(cache, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            start = len(_TABLE_CACHE_MAGIC) + 8
+            if fh.read(len(_TABLE_CACHE_MAGIC)) != _TABLE_CACHE_MAGIC:
+                return None
+            length = int.from_bytes(fh.read(8), "little")
+            if start + length > size:
+                return None
+            header = json.loads(fh.read(length).decode("utf-8"))
+            # A value of another type raises TypeError here, or fails these checks or the checksum.
+            words, dim = header["words"], header["dim"]
+            vocabulary = {word: i for i, word in enumerate(words)}
+            if (header["format"], header["version"], header["bytes"]) != (
+                _TABLE_CACHE_FORMAT, _TABLE_CACHE_VERSION, info.st_size
+            ) or not (words and dim >= 1 and len(vocabulary) == len(words)):
+                return None
+            if size != start + length + 8 * (len(words) + 1) * dim:
+                return None
+            if (header["bytes"], header["sha256"]) != _file_digest(path):
+                return None
+            matrix = np.empty((len(words) + 1, dim), dtype=_TABLE_DTYPE)
+            if fh.readinto(matrix.data) != matrix.nbytes:
+                return None
+        if _table_checksum(words, matrix) != header["crc32"] or not np.isfinite(matrix).all():
+            return None
+    # Decoding and JSON errors are ValueErrors; a header nested past the recursion limit raises RecursionError.
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
+        return None
     return vocabulary, matrix
 
 

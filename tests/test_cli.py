@@ -283,7 +283,13 @@ def test_train_determinism_byte_identical_outputs(tmp_path):
         assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
 
+def _tree_bytes(root):
+    return {path.relative_to(root): path.read_bytes() if path.is_file() else None for path in sorted(root.rglob("*"))}
+
+
 def test_train_with_embeddings_file(tmp_path):
+    # The sample file is under the cache floor: the installed assets stay as they are.
+    assets = _tree_bytes(ASSETS)
     out = tmp_path / "run"
     out.mkdir()
     code = main([
@@ -292,6 +298,54 @@ def test_train_with_embeddings_file(tmp_path):
     ])
     assert code == EXIT_OK
     assert load_checkpoint(out / "checkpoint.bin").table.dim == 5
+    assert _tree_bytes(ASSETS) == assets
+    assert sorted(os.listdir(out)) == ["checkpoint.bin", "metrics.jsonl"]
+
+
+def test_the_embedding_cache_is_ignored_by_git():
+    patterns = (ROOT / ".gitignore").read_text().splitlines()
+    assert "*" + data._TABLE_CACHE_SUFFIX in patterns
+
+
+@pytest.mark.parametrize("dev", [False, True])
+def test_train_reads_its_own_embedding_cache_to_the_same_outputs(tmp_path, monkeypatch, dev):
+    # The floor at 0 lets the sample file stand for a large one: the first run
+    # parses it and writes the cache, the second reads the cache and parses nothing.
+    monkeypatch.setattr(data, "_TABLE_CACHE_BYTES", 0)
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_bytes((ASSETS / "sample_embeddings.txt").read_bytes())
+    argv = ["train", "--train", SAMPLE, "--embeddings", str(vectors), "--epochs", "2", "--hidden", "6"]
+    argv += ["--dev", SAMPLE] if dev else []
+
+    def refuse(path, digest=None):
+        raise AssertionError("the cached file was parsed again")
+
+    outs = []
+    for run in ("parsed", "cached"):
+        if run == "cached":
+            monkeypatch.setattr(data, "_read_canonical_embeddings", refuse)
+            monkeypatch.setattr(data, "_parse_embedding_lines", refuse)
+        out = tmp_path / run
+        out.mkdir()
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert (tmp_path / ("vectors.txt" + data._TABLE_CACHE_SUFFIX)).is_file()
+        outs.append(out)
+    for artifact in ("checkpoint.bin", "metrics.jsonl"):
+        assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+def test_an_input_path_that_is_not_a_regular_file_is_exit_2(tmp_path, capsys, kind):
+    path = tmp_path / "vectors.txt"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        os.mkfifo(path)
+    out = tmp_path / "run"
+    out.mkdir()
+    assert main(["train", "--train", SAMPLE, "--embeddings", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert _one_error_line(capsys, "error: ") == f"error: --embeddings path is not a regular file: {path}\n"
+    assert os.listdir(out) == []
 
 
 def test_train_with_embeddings_whose_mean_overflows_is_exit_3(tmp_path, capsys):

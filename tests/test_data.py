@@ -1,6 +1,9 @@
+import contextlib
 import json
+import os
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -611,6 +614,126 @@ def test_canonical_files_never_reach_the_line_parser(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "_parse_embedding_lines", refuse)
     assert [_loaded_table(path) for path in paths] == expected
     assert load_embeddings(generated).vectors.data[:-1].tobytes() == values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# embeddings: the parsed-table cache
+
+
+def _cache_of(path):
+    return path.with_name(path.name + data._TABLE_CACHE_SUFFIX)
+
+
+def _refuse_parsing(path, digest=None):
+    raise AssertionError(f"{path} was parsed, not read from its cache")
+
+
+@contextlib.contextmanager
+def _parsers_refused():
+    with mock.patch.multiple(data, _read_canonical_embeddings=_refuse_parsing, _parse_embedding_lines=_refuse_parsing):
+        yield
+
+
+def _table_fields(path, trainable):
+    """Everything a load returns: the words in row order, the matrix bytes and the table's fields, or the error."""
+    try:
+        table = load_embeddings(path, trainable=trainable)
+    except LoadError as err:
+        return str(err)
+    vectors = table.vectors
+    return list(table.vocabulary), vectors.data.tobytes(), vectors.shape, table.dim, table.unk_index, vectors.trainable
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_embedding_texts(), trainable=st.booleans())
+def test_a_cache_hit_equals_the_parse_on_drawn_files(vec_path, text, trainable):
+    vec_path.write_bytes(text.encode("utf-8"))
+    cache = _cache_of(vec_path)
+    cache.unlink(missing_ok=True)
+    expected = _line_parser_table(vec_path)
+    with mock.patch.object(data, "_TABLE_CACHE_BYTES", 0):
+        parsed = _table_fields(vec_path, trainable)
+        if isinstance(expected, str):
+            # A file that fails never writes a cache.
+            assert parsed == expected and not cache.exists()
+            return
+        words, matrix = expected
+        dim = len(matrix) // 8 // (len(words) + 1)
+
+        def fields(flag):
+            return list(words), matrix, (len(words) + 1, dim), dim, len(words), flag
+
+        assert parsed == fields(trainable)
+        assert cache.is_file()
+        with _parsers_refused():
+            assert _table_fields(vec_path, trainable) == fields(trainable)
+            assert _table_fields(vec_path, not trainable) == fields(not trainable)
+
+
+def test_a_file_rewritten_to_the_same_size_and_mtime_loads_its_new_values(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_TABLE_CACHE_BYTES", 0)
+    path = tmp_path / "vec.txt"
+    path.write_text("a 0.5 1.5\nb 2.5 3.5\n")
+    load_embeddings(path)
+    old = os.stat(path)
+    path.write_text("a 0.5 1.5\nb 2.5 9.5\n")
+    os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+    assert (os.stat(path).st_size, os.stat(path).st_mtime_ns) == (old.st_size, old.st_mtime_ns)
+    expected = _line_parser_table(path)
+    assert _loaded_table(path) == expected
+    # The new values' cache replaced the old one.
+    with _parsers_refused():
+        assert _loaded_table(path) == expected
+
+
+def test_a_file_edited_into_a_bad_one_fails_despite_its_old_cache(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_TABLE_CACHE_BYTES", 0)
+    path = tmp_path / "vec.txt"
+    path.write_text("a 0.5 1.5\nb 2.5 3.5\n")
+    load_embeddings(path)
+    cached = _cache_of(path).read_bytes()
+    path.write_text("a 0.5 1.5\nb 2.5 x.5\n")
+    with pytest.raises(LoadError) as err:
+        load_embeddings(path)
+    assert (str(err.value), err.value.line) == ("line 2: non-numeric vector entry", 2)
+    assert _cache_of(path).read_bytes() == cached
+
+
+class _FullDisk:
+    def write(self, data):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_cache_write_that_fails_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_TABLE_CACHE_BYTES", 0)
+    real = data.write_atomically
+
+    @contextlib.contextmanager
+    def full_disk(target, **kwargs):
+        with real(target, **kwargs):
+            yield _FullDisk()
+
+    monkeypatch.setattr(data, "write_atomically", full_disk)
+    path = tmp_path / "vec.txt"
+    path.write_text("a 0.5 1.5\nb 2.5 3.5\n")
+    assert _loaded_table(path) == _line_parser_table(path)
+    assert os.listdir(tmp_path) == ["vec.txt"]
+
+
+def _embedding_file_of(path, size):
+    """A valid embedding file of exactly ``size`` bytes: 12-byte lines, the first word padded."""
+    pad = size % 12
+    path.write_text(f"w{'x' * pad}000000 0.5\n" + "".join(f"w{i:06d} 0.5\n" for i in range(1, size // 12)))
+    assert path.stat().st_size == size
+
+
+def test_only_a_file_at_the_floor_or_above_writes_a_cache(tmp_path):
+    for size, written in ((data._TABLE_CACHE_BYTES - 1, False), (data._TABLE_CACHE_BYTES, True)):
+        path = tmp_path / f"vec{size}.txt"
+        _embedding_file_of(path, size)
+        load_embeddings(path)
+        assert _cache_of(path).is_file() == written
+    assert len(os.listdir(tmp_path)) == 3
 
 
 # ---------------------------------------------------------------------------

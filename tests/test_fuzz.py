@@ -5,14 +5,16 @@ aspect sidecar, a config file, a checkpoint) is replaced by random bytes, and
 then by a valid file of its kind with a few bytes flipped, inserted or
 deleted or, in JSON, one value replaced by a value of another type. The
 command must succeed, or end in a documented exit code with one line on
-stderr and no traceback. The examples are derandomized, so a failure
-reproduces.
+stderr and no traceback. A damaged embedding cache must change nothing a
+load returns. The examples are derandomized, so a failure reproduces.
 """
 
 import contextlib
 import io
 import json
+import os
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from absa_gcn import cli
+from absa_gcn import data as data_module
 from absa_gcn.data import LABELS, Example, LoadError, load_embeddings, parse_corpus, write_corpus
 from absa_gcn.synthetic import random_tree_heads
 
@@ -141,7 +144,7 @@ def json_swaps(draw, data: bytes) -> bytes:
 
 @st.composite
 def header_swaps(draw, data: bytes) -> bytes:
-    """A checkpoint whose JSON header has one value swapped, its length field kept true."""
+    """A checkpoint or an embedding cache with one value of its JSON header swapped, its length field kept true."""
     length = int.from_bytes(data[8:16], "little")
     header = json.dumps(draw(swapped(json.loads(data[16 : 16 + length])))).encode()
     return data[:8] + len(header).to_bytes(8, "little") + header + data[16 + length :]
@@ -211,3 +214,151 @@ def test_written_corpus_parses_back_to_the_same_examples(tmp_path_factory, sente
     path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
     write_corpus(examples, path)
     assert parse_corpus(path) == examples
+
+
+# ---------------------------------------------------------------------------
+# a damaged embedding cache
+
+
+def _refuse_parsing(path, digest=None):
+    raise AssertionError(f"{path} was parsed, not read from its cache")
+
+
+def _table_bytes(path):
+    table = load_embeddings(path)
+    return list(table.vocabulary), table.vectors.data.tobytes()
+
+
+@pytest.fixture(scope="module")
+def cached_vectors(tmp_path_factory):
+    """A small embedding file alone in its directory, what its load returns, and its valid cache's bytes."""
+    path = tmp_path_factory.mktemp("cache") / "vectors.txt"
+    rows = np.random.default_rng(5).normal(size=(6, 3)).tolist()
+    path.write_text("".join(f"w{i} " + " ".join(map(repr, row)) + "\n" for i, row in enumerate(rows)))
+    with mock.patch.object(data_module, "_TABLE_CACHE_BYTES", 0):
+        expected = _table_bytes(path)
+    cache = pathlib.Path(f"{path}{data_module._TABLE_CACHE_SUFFIX}")
+    return path, cache, expected, cache.read_bytes()
+
+
+def _assert_the_load_parses_past(cached_vectors, damage):
+    """With the cache replaced by ``damage(cache)``, a load returns the parse's bytes, leaves no temporary file and,
+    unless a directory stands in the cache's place, a cache the next load reads."""
+    path, cache, expected, _ = cached_vectors
+    cache.unlink(missing_ok=True)
+    damage(cache)
+    with mock.patch.object(data_module, "_TABLE_CACHE_BYTES", 0):
+        assert _table_bytes(path) == expected
+        assert sorted(os.listdir(path.parent)) == sorted([path.name, cache.name])
+        if not cache.is_dir():
+            with mock.patch.multiple(
+                data_module, _read_canonical_embeddings=_refuse_parsing, _parse_embedding_lines=_refuse_parsing
+            ):
+                assert _table_bytes(path) == expected
+
+
+def _cache_fields(valid: bytes) -> dict:
+    """The offsets at which each field of a cache ends: magic, header length, header, first row, block."""
+    length = int.from_bytes(valid[8:16], "little")
+    return {"magic": 8, "length": 16, "header": 16 + length, "row": 16 + length + 24, "block": len(valid)}
+
+
+def test_a_cache_cut_at_each_field_boundary_is_parsed_past(cached_vectors):
+    valid = cached_vectors[3]
+    ends = {0} | {end + step for end in _cache_fields(valid).values() for step in (-1, 0, 1)}
+    for end in sorted(end for end in ends if 0 <= end < len(valid)):
+        _assert_the_load_parses_past(cached_vectors, lambda cache: cache.write_bytes(valid[:end]))
+
+
+@st.composite
+def cache_flips(draw, valid: bytes) -> bytes:
+    """The cache with one bit flipped in its magic and length, its header or its block."""
+    ends = _cache_fields(valid)
+    regions = [(0, ends["length"]), (ends["length"], ends["header"]), (ends["header"], len(valid))]
+    start, end = draw(st.sampled_from(regions))
+    at = draw(st.integers(start, end - 1))
+    out = bytearray(valid)
+    out[at] ^= 1 << draw(st.integers(0, 7))
+    return bytes(out)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_flipped_edited_and_swapped_cache_bytes_are_parsed_past(cached_vectors, data):
+    valid = cached_vectors[3]
+    damaged = data.draw(cache_flips(valid) | byte_edits(valid) | header_swaps(valid))
+    _assert_the_load_parses_past(cached_vectors, lambda cache: cache.write_bytes(damaged))
+
+
+def _rewritten(**change):
+    """A damage that writes a cache, consistent in every other way, through the cache's own writer."""
+
+    def damage(cache):
+        path = pathlib.Path(str(cache)[: -len(data_module._TABLE_CACHE_SUFFIX)])
+        table = load_embeddings(path)
+        words, matrix = list(table.vocabulary), table.vectors.data.copy()
+        size, digest = data_module._file_digest(path)
+        source = (size + change.get("size", 0), change.get("digest", digest))
+        if "value" in change:
+            matrix[2, 1] = change["value"]
+        if change.get("duplicate"):
+            words[3] = words[1]
+        version = data_module._TABLE_CACHE_VERSION + change.get("version", 0)
+        with mock.patch.multiple(data_module, _TABLE_CACHE_BYTES=0, _TABLE_CACHE_VERSION=version):
+            data_module._write_table_cache(path, source, words, matrix)
+        assert cache.is_file()
+
+    return damage
+
+
+def _edited(edit):
+    """A damage that writes a valid cache, then replaces its bytes by ``edit(bytes)``."""
+
+    def damage(cache):
+        _rewritten()(cache)
+        cache.write_bytes(edit(cache.read_bytes()))
+
+    return damage
+
+
+def _with_header(**fields):
+    def edit(valid):
+        length = int.from_bytes(valid[8:16], "little")
+        header = json.dumps({**json.loads(valid[16 : 16 + length]), **fields}).encode()
+        return valid[:8] + len(header).to_bytes(8, "little") + header + valid[16 + length :]
+
+    return edit
+
+
+def _nested_header(cache):
+    header = b"[" * 100_000 + b"]" * 100_000
+    cache.write_bytes(data_module._TABLE_CACHE_MAGIC + len(header).to_bytes(8, "little") + header)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _rewritten(value=float("inf")),
+        _rewritten(value=float("nan")),
+        _rewritten(duplicate=True),
+        _rewritten(version=1),
+        _rewritten(size=1),
+        _rewritten(digest="0" * 64),
+        _edited(lambda valid: valid + bytes(8)),
+        _edited(_with_header(dim=10**15)),  # a table of 56 PB, were it read before the size is checked
+        _nested_header,
+        lambda cache: os.mkfifo(cache),  # opening a pipe for reading would wait for a writer
+        lambda cache: cache.mkdir(),
+    ],
+    ids=[
+        "inf", "nan", "duplicate-word", "version", "size", "digest", "trailing-bytes", "dim-past-the-file",
+        "nested-header", "fifo", "directory",
+    ],
+)
+def test_a_defective_cache_is_parsed_past(cached_vectors, damage):
+    _assert_the_load_parses_past(cached_vectors, damage)
+    _, cache, _, valid = cached_vectors
+    if cache.is_dir():
+        cache.rmdir()
+    else:
+        assert cache.read_bytes() == valid
