@@ -9,10 +9,12 @@ and ``build_check_setup`` hold the defaults and the range checks; a value
 they reject is a configuration error. All randomness flows from ``--seed``;
 reruns with the same inputs produce byte-identical outputs.
 
-Exit codes: 0 success, 1 check failure, 2 configuration error, 3 data error,
-4 checkpoint mismatch or a checkpoint whose model gives a non-finite loss or
-score, 5 training diverged (a non-finite loss; nothing is written). Every
-JSON line written or printed is strict JSON: never ``NaN`` or ``Infinity``.
+Exit codes: 0 success, 1 check failure, 2 configuration error (a model
+whose parameters would not fit in physical memory among them, refused
+before it is built, and a run out of memory), 3 data error, 4 checkpoint
+mismatch or a checkpoint whose model gives a non-finite loss or score, 5
+training diverged (a non-finite loss; nothing is written). Every JSON line
+written or printed is strict JSON: never ``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from .data import (
     LABELS, LoadError, convert_conllu, corpus_line, load_embeddings, parse_corpus, write_atomically, write_corpus,
 )
 from .gradcheck import CHECK_HYPERPARAMS, build_check_setup, check_model_gradients
-from .model import CheckpointError, HyperParams, load_checkpoint, model_scores, save_checkpoint, total_loss
+from .model import (
+    CheckpointError, HyperParams, load_checkpoint, model_scores, require_memory, save_checkpoint, total_loss,
+)
 from .trainer import EVAL_CHUNK, TrainConfig, TrainingDiverged, evaluate, run_ablations, train
 
 EXIT_OK = 0
@@ -202,6 +206,21 @@ def _load_table(settings: dict):
     return load_embeddings(_require_file(settings, "embeddings")) if settings.get("embeddings") else None
 
 
+def _require_memory(hp: HyperParams, table, train_set: list) -> None:
+    """Refuse, as a configuration error, a model whose parameters ``require_memory`` says cannot be built.
+
+    Without an embedding file the table is the one ``train`` builds:
+    ``hidden`` columns, a row for each distinct training word and one for
+    the unknown word.
+    """
+    if table is None:
+        dim, rows = hp.hidden, len({tok for ex in train_set for tok in ex.tokens}) + 1
+    else:
+        dim, rows = table.dim, len(table.vectors.data)
+    with _range_checks():
+        require_memory(hp, dim, rows)
+
+
 def _json(row: dict) -> str:
     """One line of strict JSON: a NaN or an infinity raises ``ValueError``."""
     return json.dumps(row, allow_nan=False)
@@ -230,6 +249,7 @@ def cmd_train(settings: dict) -> int:
     train_set = parse_corpus(train_path)
     dev_set = parse_corpus(_require_file(settings, "dev")) if settings.get("dev") else None
     table = _load_table(settings)
+    _require_memory(config.hyperparams, table, train_set)
     model, log = train(train_set, dev_set, config, table=table)
     save_checkpoint(checkpoint_path, model)
     _write_json_lines(os.path.join(out, "metrics.jsonl"), log)
@@ -266,6 +286,7 @@ def cmd_ablate(settings: dict) -> int:
     train_set = parse_corpus(train_path)
     dev_set = parse_corpus(dev_path)
     table = _load_table(settings)
+    _require_memory(config.hyperparams, table, train_set)
     results = run_ablations(train_set, dev_set, config, table=table)
     rows = [{"variant": name, **result.metrics.scalars()} for name, result in results.items()]
     _write_json_lines(os.path.join(out, "ablation.jsonl"), rows)
@@ -357,6 +378,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DIVERGED
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as err:
+        print(f"error: out of memory{f': {err}' if str(err) else ''}", file=sys.stderr)
         return EXIT_CONFIG
 
 

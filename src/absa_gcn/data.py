@@ -211,6 +211,45 @@ def _drop_cached_pages(path) -> None:
                 os.close(fd)
 
 
+# Every block of a frame is little-endian float64, so a block that starts at a multiple of 8 ends at one.
+FRAME_DTYPE = "<f8"
+
+
+def write_frame(path, magic: bytes, header: dict, blocks) -> None:
+    """Replace ``path`` through ``write_atomically`` by ``magic``, the header's length, ``header``, then ``blocks``.
+
+    The length is 8 bytes, little-endian; the header is UTF-8 JSON, padded
+    with spaces (which JSON allows) so that every block starts at a multiple
+    of 8 bytes, as in a NumPy ``.npy`` file. Each array of ``blocks`` follows
+    as ``FRAME_DTYPE`` values in row-major order.
+    """
+    text = json.dumps(header).encode("utf-8")
+    text += b" " * (-(len(magic) + 8 + len(text)) % 8)
+    with write_atomically(path, binary=True) as fh:
+        fh.write(magic + len(text).to_bytes(8, "little") + text)
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype=FRAME_DTYPE).data)
+
+
+def read_frame(fh, magic: bytes) -> tuple[dict, int, int] | None:
+    """The header of the ``write_frame`` frame ``fh``, read from its start, its first block's offset and the file size.
+
+    None means the file does not start with ``magic``. A header that runs
+    past the end of the file, or is not UTF-8 JSON, raises ``ValueError``.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    if fh.read(len(magic)) != magic:
+        return None
+    length = int.from_bytes(fh.read(8), "little")
+    start = len(magic) + 8 + length
+    if start > size:
+        raise ValueError(f"a header of {length} bytes runs past the end of the {size}-byte file")
+    try:
+        return json.loads(fh.read(length).decode("utf-8")), start, size
+    except RecursionError:
+        raise ValueError("the header is nested past the JSON parser's recursion limit") from None
+
+
 def corpus_line(ex: Example) -> str:
     """The example as one line of the JSON Lines corpus format, without the newline."""
     return json.dumps(
@@ -484,7 +523,6 @@ _TABLE_CACHE_FORMAT = "absa-gcn-embedding-cache"
 # Bump the version whenever the parsers accept or return something different,
 # so that no cache an older parser wrote is read.
 _TABLE_CACHE_VERSION = 1
-_TABLE_DTYPE = "<f8"
 
 
 class _SourceDigest:
@@ -518,24 +556,21 @@ def _write_table_cache(path, source: tuple[int, str], words: list, matrix: np.nd
     """Write the table parsed from ``source`` (byte count, sha256) of the file ``path`` beside it.
 
     Only a regular file of ``_TABLE_CACHE_BYTES`` or more is cached. The
-    layout is a checkpoint's: magic, the header's length (8 bytes,
-    little-endian), a UTF-8 JSON header, then the ``(n + 1, d)`` table as one
-    little-endian float64 block. The header holds the format and its
-    version, the source's byte count and sha256, ``dim``, a CRC-32 of the
-    words and the block, and the words in row order. A failed write leaves
-    no file and raises nothing.
+    cache is a ``write_frame`` frame: the ``(n + 1, d)`` table is its one
+    block, and its header holds the format and its version, the source's
+    byte count and sha256, ``dim``, a CRC-32 of the words and the block, and
+    the words in row order. A failed write leaves no file and raises
+    nothing.
     """
     with contextlib.suppress(OSError):
         if source[0] < _TABLE_CACHE_BYTES or not stat.S_ISREG(os.stat(path).st_mode):
             return
-        block = np.ascontiguousarray(matrix, dtype=_TABLE_DTYPE)
-        header = json.dumps({
+        block = np.ascontiguousarray(matrix, dtype=FRAME_DTYPE)
+        header = {
             "format": _TABLE_CACHE_FORMAT, "version": _TABLE_CACHE_VERSION, "bytes": source[0], "sha256": source[1],
             "dim": block.shape[1], "crc32": _table_checksum(words, block), "words": words,
-        }).encode("utf-8")
-        with write_atomically(os.fspath(path) + _TABLE_CACHE_SUFFIX, binary=True) as fh:
-            fh.write(_TABLE_CACHE_MAGIC + len(header).to_bytes(8, "little") + header)
-            fh.write(block.data)
+        }
+        write_frame(os.fspath(path) + _TABLE_CACHE_SUFFIX, _TABLE_CACHE_MAGIC, header, [block])
 
 
 def _read_table_cache(path) -> tuple[dict[str, int], np.ndarray] | None:
@@ -556,14 +591,10 @@ def _read_table_cache(path) -> tuple[dict[str, int], np.ndarray] | None:
         if not stat.S_ISREG(os.stat(cache).st_mode):  # opening a pipe could block
             return None
         with open(cache, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            start = len(_TABLE_CACHE_MAGIC) + 8
-            if fh.read(len(_TABLE_CACHE_MAGIC)) != _TABLE_CACHE_MAGIC:
+            frame = read_frame(fh, _TABLE_CACHE_MAGIC)
+            if frame is None:
                 return None
-            length = int.from_bytes(fh.read(8), "little")
-            if start + length > size:
-                return None
-            header = json.loads(fh.read(length).decode("utf-8"))
+            header, start, size = frame
             # A value of another type raises TypeError here, or fails these checks or the checksum.
             words, dim = header["words"], header["dim"]
             vocabulary = {word: i for i, word in enumerate(words)}
@@ -571,17 +602,16 @@ def _read_table_cache(path) -> tuple[dict[str, int], np.ndarray] | None:
                 _TABLE_CACHE_FORMAT, _TABLE_CACHE_VERSION, info.st_size
             ) or not (words and dim >= 1 and len(vocabulary) == len(words)):
                 return None
-            if size != start + length + 8 * (len(words) + 1) * dim:
+            if size != start + 8 * (len(words) + 1) * dim:
                 return None
             if (header["bytes"], header["sha256"]) != _file_digest(path):
                 return None
-            matrix = np.empty((len(words) + 1, dim), dtype=_TABLE_DTYPE)
+            matrix = np.empty((len(words) + 1, dim), dtype=FRAME_DTYPE)
             if fh.readinto(matrix.data) != matrix.nbytes:
                 return None
         if _table_checksum(words, matrix) != header["crc32"] or not np.isfinite(matrix).all():
             return None
-    # Decoding and JSON errors are ValueErrors; a header nested past the recursion limit raises RecursionError.
-    except (OSError, ValueError, TypeError, KeyError, RecursionError):
+    except (OSError, ValueError, TypeError, KeyError):
         return None
     return vocabulary, matrix
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Example, build_random_table
-from .model import HyperParams, ModelState, total_loss
+from .model import HyperParams, ModelState, require_memory, total_loss
 from .synthetic import random_tree_heads
 from .tensor import Tensor, backward
 
@@ -73,13 +73,16 @@ def build_check_setup(
     Weights and biases are drawn uniformly away from zero-crossing plateaus
     so ReLU kinks and pooling ties are vanishingly unlikely at the probe
     points. Pass ``hp`` to check an ablated, resized or reweighted variant.
-    A negative seed or a size below 1 raises ``ValueError``.
+    A negative seed, a size below 1, or a model (a table of one row per
+    token and the unknown row) that ``require_memory`` refuses raises
+    ``ValueError`` before anything is built.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     for name, size in (("tokens", tokens), ("embed_dim", embed_dim)):
         if size < 1:
             raise ValueError(f"{name} must be >= 1, got {size}")
+    require_memory(hp, embed_dim, tokens + 1)
     rng = np.random.default_rng(seed)
     heads = random_tree_heads(tokens, rng)
     words = [f"w{i}" for i in range(tokens)]

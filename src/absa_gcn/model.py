@@ -33,7 +33,6 @@ and checkpoints all read it.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import mmap
 import os
@@ -42,7 +41,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import LABELS, DependencyTree, EmbeddingTable, Example, build_tree, syntax_scores, write_atomically
+from .data import (
+    FRAME_DTYPE, LABELS, DependencyTree, EmbeddingTable, Example, build_tree, read_frame, syntax_scores, write_frame,
+)
 from .tensor import (
     DimensionError,
     RowGroups,
@@ -206,6 +207,28 @@ def parameter_shapes(hp: HyperParams, dim: int) -> dict[str, tuple[int, ...]]:
     shapes["w_cls_out"] = (N_CLASSES, h)
     shapes["b_cls_out"] = (N_CLASSES,)
     return shapes
+
+
+def parameter_bytes(hp: HyperParams, dim: int, rows: int) -> int:
+    """The bytes of a model's float64 parameters: a ``(rows, dim)`` table and ``parameter_shapes(hp, dim)``.
+
+    No loop runs over the layers, whose count may come from a flag: each
+    layer after the first has the shapes of the second, so the model holds
+    a 1-layer model's values and ``layers - 1`` times what a second layer adds.
+    """
+    one, two = (sum(math.prod(s) for s in parameter_shapes(replace(hp, layers=n), dim).values()) for n in (1, 2))
+    return 8 * (rows * dim + one + (hp.layers - 1) * (two - one))
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def require_memory(hp: HyperParams, dim: int, rows: int) -> None:
+    """Raise ``ValueError`` if the model's ``parameter_bytes`` exceed the machine's physical memory."""
+    need, have = parameter_bytes(hp, dim, rows), _physical_memory()
+    if need > have:
+        raise ValueError(f"the model's parameters need {need} bytes, more than the {have} bytes of physical memory")
 
 
 class ModelState:
@@ -437,36 +460,31 @@ def total_loss(examples, params: ModelState):
 
 _CHECKPOINT_FORMAT = "absa-gcn-checkpoint"
 _MAGIC = b"\x93ABSAGCN"  # 0x93 never starts UTF-8 text, so no JSON file (a version 1 checkpoint) begins with it
-_DTYPE = "<f8"
 # Below this size, mapping the table costs more than copying it: about 0.08 ms
 # more for a 12 KB table loaded right after it was saved.
 _MAP_TABLE_BYTES = 1 << 20
 
 
 def save_checkpoint(path, params: ModelState) -> None:
-    """Write format version 2: magic, header length (8 bytes, little-endian), header, tensor blocks.
+    """Write format version 2: a ``write_frame`` frame with one block per tensor, ``embeddings`` first.
 
-    The UTF-8 JSON header holds the hyperparameters, the vocabulary and each
-    tensor's name and shape, ``embeddings`` first; a little-endian float64
-    block per tensor follows in that order. The file is written beside
-    ``path`` and renamed over it; a non-finite value raises
-    ``CheckpointError`` before it is opened.
+    The header holds the hyperparameters, the vocabulary and each tensor's
+    name and shape, in block order. The file is written beside ``path`` and
+    renamed over it; a non-finite value raises ``CheckpointError`` before it
+    is opened.
     """
     tensors = [("embeddings", params.table.vectors), *params.named_tensors()]
     for name, t in tensors:
         if not np.isfinite(t.data).all():
             raise CheckpointError(f"tensor {name!r} holds a non-finite value; nothing was saved")
     table = params.table
-    header = json.dumps({
-        "format": _CHECKPOINT_FORMAT, "version": 2, "dtype": _DTYPE, "hyperparams": asdict(params.hp),
+    header = {
+        "format": _CHECKPOINT_FORMAT, "version": 2, "dtype": FRAME_DTYPE, "hyperparams": asdict(params.hp),
         "embedding_dim": table.dim, "unk_index": table.unk_index, "embeddings_trainable": table.vectors.trainable,
         "vocabulary": sorted(table.vocabulary, key=table.vocabulary.get),
         "tensors": [{"name": name, "shape": list(t.shape)} for name, t in tensors],
-    }).encode("utf-8")
-    with write_atomically(path, binary=True) as fh:
-        fh.write(_MAGIC + len(header).to_bytes(8, "little") + header)
-        for _, t in tensors:
-            fh.write(np.ascontiguousarray(t.data, dtype=_DTYPE).data)
+    }
+    write_frame(path, _MAGIC, header, (t.data for _, t in tensors))
 
 
 def load_checkpoint(path) -> ModelState:
@@ -492,26 +510,22 @@ def load_checkpoint(path) -> ModelState:
     """
     try:
         with open(path, "rb") as fh:
-            return _read_checkpoint(fh, os.fstat(fh.fileno()).st_size)
+            return _read_checkpoint(fh)
     except CheckpointError:
         raise
-    # Decoding and JSON errors are ValueErrors; a header nested past the recursion limit raises RecursionError.
-    except (TypeError, KeyError, ValueError, AttributeError, RecursionError) as err:
+    except (TypeError, KeyError, ValueError, AttributeError) as err:
         raise CheckpointError(f"not a valid checkpoint: {err}") from None
 
 
-def _read_checkpoint(fh, size: int) -> ModelState:
-    """The model in the ``size``-byte checkpoint file ``fh``, read from its start."""
-    if fh.read(len(_MAGIC)) != _MAGIC:
+def _read_checkpoint(fh) -> ModelState:
+    """The model in the checkpoint file ``fh``, read from its start."""
+    frame = read_frame(fh, _MAGIC)
+    if frame is None:
         raise CheckpointError("not a valid checkpoint: no version 2 magic bytes (version 1 is no longer read)")
-    start = len(_MAGIC) + 8
-    length = int.from_bytes(fh.read(8), "little")
-    if start + length > size:
-        raise CheckpointError(f"a header of {length} bytes runs past the end of the {size}-byte file")
-    header = json.loads(fh.read(length).decode("utf-8"))
+    header, start, size = frame
     stored = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
-    if (header.get("format"), header.get("version"), header.get("dtype")) != (_CHECKPOINT_FORMAT, 2, _DTYPE):
-        raise CheckpointError(f"not a version 2 checkpoint of dtype {_DTYPE!r}")
+    if (header.get("format"), header.get("version"), header.get("dtype")) != (_CHECKPOINT_FORMAT, 2, FRAME_DTYPE):
+        raise CheckpointError(f"not a version 2 checkpoint of dtype {FRAME_DTYPE!r}")
 
     settings = dict(header["hyperparams"])
     # Headers written before the setting was removed store it, as false unless a config file set it.
@@ -539,7 +553,7 @@ def _read_checkpoint(fh, size: int) -> ModelState:
     unk_index = header["unk_index"]
     if type(unk_index) is not int or unk_index != len(vocab_rows):
         raise CheckpointError(f"unk_index {unk_index!r} is not {len(vocab_rows)}, the row after the vocabulary")
-    expected = start + length + 8 * sum(math.prod(shape) for _, shape in stored)
+    expected = start + 8 * sum(math.prod(shape) for _, shape in stored)
     if size != expected:
         raise CheckpointError(f"the file has {size} bytes, its header implies {expected}")
 
@@ -547,15 +561,15 @@ def _read_checkpoint(fh, size: int) -> ModelState:
     # which shares the file's cached pages instead of copying them into new
     # memory; only row gathers read it. Every other block is read into memory
     # of its own, aligned for BLAS.
-    blocks, offset = {}, start + length
+    blocks, offset = {}, start
     for name, shape in stored:
         nbytes = 8 * math.prod(shape)
         if name == "embeddings" and nbytes >= _MAP_TABLE_BYTES:
             mapped = mmap.mmap(fh.fileno(), offset + nbytes, access=mmap.ACCESS_COPY)
-            block = np.frombuffer(mapped, dtype=_DTYPE, offset=offset).reshape(shape)
+            block = np.frombuffer(mapped, dtype=FRAME_DTYPE, offset=offset).reshape(shape)
             fh.seek(offset + nbytes)
         else:
-            block = np.empty(shape, dtype=_DTYPE)
+            block = np.empty(shape, dtype=FRAME_DTYPE)
             if fh.readinto(block.data) != nbytes:
                 raise CheckpointError(f"tensor {name!r} is cut short")
         if not np.isfinite(block).all():

@@ -1,11 +1,14 @@
-"""Shared independent oracles: plain-numpy forward pass and graph helpers.
+"""Shared independent oracles: plain-numpy forward pass, graph helpers and the binary frame.
 
 Everything here deliberately avoids the package's tensor machinery so the
 tests compare two unrelated computation routes. ``resident_bytes`` reads the
 process's resident set, which sees memory that ``tracemalloc`` does not:
 pages of an anonymous map, and zero pages a first write maps.
+``split_frame``/``join_frame`` take apart and build a checkpoint or an
+embedding cache by hand, without the package's frame reader and writer.
 """
 
+import json
 import os
 
 import numpy as np
@@ -15,6 +18,18 @@ def resident_bytes() -> int:
     """The process's resident set in bytes, from ``/proc/self/statm`` (Linux only)."""
     with open("/proc/self/statm") as fh:
         return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+def split_frame(data: bytes):
+    """Magic, parsed JSON header and block bytes of a checkpoint or an embedding cache."""
+    length = int.from_bytes(data[8:16], "little")
+    return data[:8], json.loads(data[16 : 16 + length]), data[16 + length :]
+
+
+def join_frame(magic: bytes, header, body: bytes, header_bytes=None) -> bytes:
+    """``magic``, a true length field, ``header`` as unpadded JSON (or ``header_bytes``), then ``body``."""
+    header_bytes = json.dumps(header).encode("utf-8") if header_bytes is None else header_bytes
+    return magic + len(header_bytes).to_bytes(8, "little") + header_bytes + body
 
 
 def softmax_np(x):

@@ -28,6 +28,7 @@ from absa_gcn.cli import (
 from absa_gcn.data import LABELS, Example, parse_corpus, write_corpus
 from absa_gcn.model import HyperParams, load_checkpoint, model_scores, save_checkpoint, total_loss
 from absa_gcn.trainer import EVAL_CHUNK, TrainConfig, train
+from conftest import join_frame, split_frame
 from corpora import make_overfit_corpus
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -447,7 +448,7 @@ def test_eval_with_unreadable_checkpoint_is_exit_4(tmp_path, capsys, damage):
     checkpoint, corpus = _tampered_checkpoint(tmp_path, lambda model: None)
     path = pathlib.Path(checkpoint)
     whole = path.read_bytes()
-    header_end = 16 + int.from_bytes(whole[8:16], "little")
+    header_end = len(whole) - len(split_frame(whole)[2])
     path.write_bytes({
         "random-bytes": np.random.default_rng(6).bytes(2000),
         "cut-in-header": whole[: header_end - 10],
@@ -631,8 +632,8 @@ def test_json_past_the_parser_limits_is_one_error_line(tmp_path, capsys, monkeyp
         argv = ["convert", "--conllu", str(ASSETS / "sample.conllu"), "--aspects", _write_bytes(bad, payload)]
         code, prefix = EXIT_DATA, "data error: unreadable aspect JSON: "
     else:
-        header = len(payload).to_bytes(8, "little") + payload
-        argv = ["eval", "--checkpoint", _write_bytes(bad, model_module._MAGIC + header), "--test", SAMPLE]
+        frame = join_frame(model_module._MAGIC, None, b"", header_bytes=payload)
+        argv = ["eval", "--checkpoint", _write_bytes(bad, frame), "--test", SAMPLE]
         code, prefix = EXIT_CHECKPOINT, "checkpoint error: not a valid checkpoint: "
     assert main([*argv, "--out", str(out)] if reader == "aspects" else argv) == code
     _one_error_line(capsys, prefix)
@@ -830,3 +831,83 @@ def test_failed_output_write_leaves_the_old_file_whole(tmp_path, monkeypatch, ca
     _one_error_line(capsys, "error: disk full")
     assert (out / artifact).read_text() == "old\n"
     assert os.listdir(out) == [artifact]
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--train", SAMPLE, "--hidden", str(10**12)],
+        ["train", "--train", SAMPLE, "--layers", str(10**12)],
+        ["ablate", "--train", SAMPLE, "--dev", SAMPLE, "--hidden", str(10**12)],
+        ["ablate", "--train", SAMPLE, "--dev", SAMPLE, "--embeddings", str(ASSETS / "sample_embeddings.txt"),
+         "--layers", str(10**12)],
+        ["gradcheck", "--tokens", "1", "--embed-dim", str(10**12)],
+        ["gradcheck", "--tokens", str(10**12)],
+        ["gradcheck", "--layers", str(10**12)],
+    ],
+    ids=[
+        "train-hidden", "train-layers", "ablate-hidden", "ablate-embeddings-layers",
+        "gradcheck-dim", "gradcheck-tokens", "gradcheck-layers",
+    ],
+)
+def test_a_model_past_physical_memory_is_exit_2_before_it_is_built(tmp_path, capsys, monkeypatch, argv):
+    # Each model would need terabytes at least; the limit is fixed so that the test reads the same on any machine.
+    monkeypatch.setattr(model_module, "_physical_memory", lambda: 2**30)
+    # Nothing of the model is built: a call to any of these would raise TypeError.
+    monkeypatch.setattr(model_module.ModelState, "initialize", None)
+    monkeypatch.setattr(data, "build_random_table", None)
+    monkeypatch.setattr(gradcheck, "random_tree_heads", None)
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    _one_error_line(capsys, "error: the model's parameters need ")
+    assert capsys.readouterr().out == "" and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_the_memory_check_refuses_a_model_one_byte_past_physical_memory(tmp_path, capsys, monkeypatch, command):
+    # The bytes the check counts are those of the model the command builds: the table and every parameter.
+    if command == "train":
+        argv = ["train", "--train", SAMPLE, "--epochs", "1", "--hidden", "4", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        model = load_checkpoint(tmp_path / "checkpoint.bin")
+    else:
+        argv = ["gradcheck", "--out", str(tmp_path)]
+        model = gradcheck.build_check_setup()[1]
+    need = sum(t.data.nbytes for _, t in model.parameters())
+    for name in os.listdir(tmp_path):
+        os.remove(tmp_path / name)
+    capsys.readouterr()
+    monkeypatch.setattr(model_module, "_physical_memory", lambda: need - 1)
+    assert main(argv) == EXIT_CONFIG
+    err = _one_error_line(capsys, "error: the model's parameters need ")
+    assert err.endswith(f" need {need} bytes, more than the {need - 1} bytes of physical memory\n")
+    assert os.listdir(tmp_path) == []
+    monkeypatch.setattr(model_module, "_physical_memory", lambda: need)
+    assert main(argv) == EXIT_OK
+
+
+_NUMPY_MEMORY_ERROR = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError(_NUMPY_MEMORY_ERROR), f"error: out of memory: {_NUMPY_MEMORY_ERROR}\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_a_memory_error_is_exit_2_and_one_line(tmp_path, capsys, monkeypatch, error, line):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "train", exhausted)
+    assert main(["train", "--train", SAMPLE, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == line
+    assert os.listdir(tmp_path) == []

@@ -25,6 +25,7 @@ from absa_gcn import cli
 from absa_gcn import data as data_module
 from absa_gcn.data import LABELS, Example, LoadError, load_embeddings, parse_corpus, write_corpus
 from absa_gcn.synthetic import random_tree_heads
+from conftest import join_frame, split_frame
 
 ASSETS = pathlib.Path(__file__).resolve().parents[1] / "src" / "absa_gcn" / "assets"
 SAMPLE = str(ASSETS / "sample_corpus.jsonl")
@@ -145,9 +146,8 @@ def json_swaps(draw, data: bytes) -> bytes:
 @st.composite
 def header_swaps(draw, data: bytes) -> bytes:
     """A checkpoint or an embedding cache with one value of its JSON header swapped, its length field kept true."""
-    length = int.from_bytes(data[8:16], "little")
-    header = json.dumps(draw(swapped(json.loads(data[16 : 16 + length])))).encode()
-    return data[:8] + len(header).to_bytes(8, "little") + header + data[16 + length :]
+    magic, header, body = split_frame(data)
+    return join_frame(magic, draw(swapped(header)), body)
 
 
 @st.composite
@@ -259,8 +259,8 @@ def _assert_the_load_parses_past(cached_vectors, damage):
 
 def _cache_fields(valid: bytes) -> dict:
     """The offsets at which each field of a cache ends: magic, header length, header, first row, block."""
-    length = int.from_bytes(valid[8:16], "little")
-    return {"magic": 8, "length": 16, "header": 16 + length, "row": 16 + length + 24, "block": len(valid)}
+    header_end = len(valid) - len(split_frame(valid)[2])
+    return {"magic": 8, "length": 16, "header": header_end, "row": header_end + 24, "block": len(valid)}
 
 
 def test_a_cache_cut_at_each_field_boundary_is_parsed_past(cached_vectors):
@@ -323,16 +323,15 @@ def _edited(edit):
 
 def _with_header(**fields):
     def edit(valid):
-        length = int.from_bytes(valid[8:16], "little")
-        header = json.dumps({**json.loads(valid[16 : 16 + length]), **fields}).encode()
-        return valid[:8] + len(header).to_bytes(8, "little") + header + valid[16 + length :]
+        magic, header, body = split_frame(valid)
+        return join_frame(magic, {**header, **fields}, body)
 
     return edit
 
 
 def _nested_header(cache):
-    header = b"[" * 100_000 + b"]" * 100_000
-    cache.write_bytes(data_module._TABLE_CACHE_MAGIC + len(header).to_bytes(8, "little") + header)
+    nested = b"[" * 100_000 + b"]" * 100_000
+    cache.write_bytes(join_frame(data_module._TABLE_CACHE_MAGIC, None, b"", header_bytes=nested))
 
 
 @pytest.mark.parametrize(

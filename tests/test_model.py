@@ -1,8 +1,10 @@
 import contextlib
 import json
+import math
 import os
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -11,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import absa_gcn.data as data_module
 import absa_gcn.model as model_module
 import absa_gcn.tensor as tensor_module
-from absa_gcn.data import Example, build_random_table, build_tree
+from absa_gcn.data import Example, build_random_table, build_tree, load_embeddings
 from absa_gcn.gradcheck import check_model_gradients, numeric_gradient, relative_error
 from absa_gcn.model import (
     CheckpointError,
@@ -29,6 +32,7 @@ from absa_gcn.model import (
     load_checkpoint,
     make_batch,
     model_scores,
+    parameter_bytes,
     predict,
     regulate,
     save_checkpoint,
@@ -37,7 +41,7 @@ from absa_gcn.model import (
 from absa_gcn.synthetic import random_tree_heads
 from absa_gcn.tensor import DimensionError, Tape, Tensor, backward, maxpool_rows, mul
 from absa_gcn.trainer import ABLATION_VARIANTS, init_model_state
-from conftest import dense_adjacency, neighbor_sets, oracle_losses
+from conftest import dense_adjacency, join_frame, neighbor_sets, oracle_losses, split_frame
 from corpora import random_example
 
 
@@ -734,6 +738,62 @@ def test_a_loaded_table_keeps_its_values_when_the_model_writes_or_the_file_is_sa
     _assert_bit_equal(state, loaded)
 
 
+def _frame_block_starts(raw: bytes, shapes) -> list[int]:
+    """The offset of each block of the frame ``raw``, whose blocks hold float64 arrays of ``shapes``."""
+    offset = len(raw) - len(split_frame(raw)[2])
+    starts = []
+    for shape in shapes:
+        starts.append(offset)
+        offset += 8 * math.prod(shape)
+    assert offset == len(raw)
+    return starts
+
+
+def _cache_beside(tmp_path, name, text):
+    """An embedding file of ``text``, loaded once so that its cache lies beside it, and that cache's path."""
+    vectors = tmp_path / name
+    vectors.write_text(text)
+    load_embeddings(vectors)
+    return vectors, tmp_path / (name + data_module._TABLE_CACHE_SUFFIX)
+
+
+def test_every_block_of_a_checkpoint_and_a_cache_starts_at_a_multiple_of_8(tmp_path, monkeypatch):
+    # One word grows a byte at a time, so the headers take every length modulo 8.
+    monkeypatch.setattr(model_module, "_MAP_TABLE_BYTES", 0)
+    monkeypatch.setattr(data_module, "_TABLE_CACHE_BYTES", 0)
+    for k in range(1, 9):
+        path = tmp_path / f"model{k}.bin"
+        save_checkpoint(path, _random_model(seed=84, tokens=("alpha", "beta", "w" * k))[0])
+        raw = path.read_bytes()
+        starts = _frame_block_starts(raw, [t["shape"] for t in split_frame(raw)[1]["tensors"]])
+        _, cache = _cache_beside(tmp_path, f"vectors{k}.txt", f"{'w' * k} 0.5 1.5\nb 2.5 3.5\n")
+        raw = cache.read_bytes()
+        starts += _frame_block_starts(raw, [(3, split_frame(raw)[1]["dim"])])
+        assert [start % 8 for start in starts] == [0] * len(starts), k
+        assert load_checkpoint(path).table.vectors.data.flags.aligned
+
+
+def test_an_unpadded_frame_loads_to_the_bytes_of_its_padded_twin(tmp_path, monkeypatch):
+    # Frames written before the header was padded end their JSON without spaces.
+    monkeypatch.setattr(data_module, "_TABLE_CACHE_BYTES", 0)
+    state = _edge_model(seed=85)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, state)
+    padded = path.read_bytes()
+    path.write_bytes(join_frame(*split_frame(padded)))
+    assert len(path.read_bytes()) < len(padded)
+    _assert_bit_equal(state, load_checkpoint(path))
+
+    vectors, cache = _cache_beside(tmp_path, "vectors.txt", "a 0.5 1.5\nbb 2.5 -3.5e-300\n")
+    expected = load_embeddings(vectors).vectors.data.tobytes()
+    padded = cache.read_bytes()
+    cache.write_bytes(join_frame(*split_frame(padded)))
+    assert len(cache.read_bytes()) < len(padded)
+    with mock.patch.multiple(data_module, _read_canonical_embeddings=None, _parse_embedding_lines=None):
+        assert load_embeddings(vectors).vectors.data.tobytes() == expected
+    assert cache.read_bytes() == join_frame(*split_frame(padded))
+
+
 class _DiskFull:
     """A file whose writes fail after the first ``allowed``."""
 
@@ -752,14 +812,14 @@ def test_checkpoint_save_replaces_the_file_whole_or_not_at_all(tmp_path, monkeyp
     old, _ = _random_model(seed=79)
     save_checkpoint(path, old)
     before = path.read_bytes()
-    real = model_module.write_atomically
+    real = data_module.write_atomically
 
     @contextlib.contextmanager
     def fail_after_the_header(target, **kwargs):
         with real(target, **kwargs) as fh:
             yield _DiskFull(fh, allowed=1)
 
-    monkeypatch.setattr(model_module, "write_atomically", fail_after_the_header)
+    monkeypatch.setattr(data_module, "write_atomically", fail_after_the_header)
     with pytest.raises(OSError):
         save_checkpoint(path, _random_model(seed=80)[0])
     assert path.read_bytes() == before
@@ -794,17 +854,6 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
-def _split_version_2(data: bytes):
-    """Magic, header and tensor bytes of a version 2 file."""
-    length = int.from_bytes(data[8:16], "little")
-    return data[:8], json.loads(data[16 : 16 + length]), data[16 + length :]
-
-
-def _join_version_2(magic: bytes, header, body: bytes, header_bytes=None) -> bytes:
-    header_bytes = json.dumps(header).encode("utf-8") if header_bytes is None else header_bytes
-    return magic + len(header_bytes).to_bytes(8, "little") + header_bytes + body
-
-
 def _with_shape(header, name, shape):
     return {**header, "tensors": [{**t, "shape": shape} if t["name"] == name else t for t in header["tensors"]]}
 
@@ -836,8 +885,8 @@ def test_checkpoint_must_match_the_shapes_of_its_hyperparameters(tmp_path, tampe
     # this one keeps every shape and puts an infinity in the embedding table.
     path = tmp_path / "model.bin"
     save_checkpoint(path, _random_model(seed=81)[0])
-    magic, header, body = _split_version_2(path.read_bytes())
-    path.write_bytes(_join_version_2(magic, *tamper(header, body)))
+    magic, header, body = split_frame(path.read_bytes())
+    path.write_bytes(join_frame(magic, *tamper(header, body)))
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
 
@@ -845,53 +894,53 @@ def test_checkpoint_must_match_the_shapes_of_its_hyperparameters(tmp_path, tampe
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda m, h, b: _join_version_2(b"\x93ABSAGCX", h, b), "not a valid checkpoint"),
+        (lambda m, h, b: join_frame(b"\x93ABSAGCX", h, b), "not a valid checkpoint"),
         (lambda m, h, b: m + (10**9).to_bytes(8, "little") + json.dumps(h).encode(), "runs past the end"),
-        (lambda m, h, b: _join_version_2(m, h, b, header_bytes=b"not json"), "not a valid checkpoint"),
-        (lambda m, h, b: _join_version_2(m, {**h, "dtype": ">f8"}, b), "dtype"),
-        (lambda m, h, b: _join_version_2(m, {**h, "version": 3}, b), "not a version 2 checkpoint"),
+        (lambda m, h, b: join_frame(m, h, b, header_bytes=b"not json"), "not a valid checkpoint"),
+        (lambda m, h, b: join_frame(m, {**h, "dtype": ">f8"}, b), "dtype"),
+        (lambda m, h, b: join_frame(m, {**h, "version": 3}, b), "not a version 2 checkpoint"),
         (
-            lambda m, h, b: _join_version_2(m, _with_shape(h, "w_cls_out", [8, 3]), b),
+            lambda m, h, b: join_frame(m, _with_shape(h, "w_cls_out", [8, 3]), b),
             "tensor 'w_cls_out' has shape (8, 3), expected (3, 8)",
         ),
-        (lambda m, h, b: _join_version_2(m, {**h, "tensors": h["tensors"][:-1]}, b[:-24]), "lists 18 tensors, not the 19"),
+        (lambda m, h, b: join_frame(m, {**h, "tensors": h["tensors"][:-1]}, b[:-24]), "lists 18 tensors, not the 19"),
         (
-            lambda m, h, b: _join_version_2(m, {**h, "tensors": [*h["tensors"], {"name": "w_extra", "shape": [1]}]}, b + bytes(8)),
+            lambda m, h, b: join_frame(m, {**h, "tensors": [*h["tensors"], {"name": "w_extra", "shape": [1]}]}, b + bytes(8)),
             "lists 20 tensors, not the 19",
         ),
         (
-            lambda m, h, b: _join_version_2(m, _renamed(h, "w_gate_0", "w_extra"), b),
+            lambda m, h, b: join_frame(m, _renamed(h, "w_gate_0", "w_extra"), b),
             "the header lists tensor 'w_extra' where the model has 'w_gate_0'",
         ),
         (
-            lambda m, h, b: _join_version_2(m, {**h, "tensors": [*h["tensors"][:-2], *h["tensors"][:-3:-1]]}, b),
+            lambda m, h, b: join_frame(m, {**h, "tensors": [*h["tensors"][:-2], *h["tensors"][:-3:-1]]}, b),
             "the header lists tensor 'b_cls_out' where the model has 'w_cls_out'",
         ),
-        (lambda m, h, b: _join_version_2(m, h, b)[:-1], "bytes, its header implies"),
-        (lambda m, h, b: _join_version_2(m, h, b) + b"\0", "bytes, its header implies"),
-        (lambda m, h, b: _join_version_2(m, h, _poison_block(h, b)), "tensor 'b_cls_out' holds a non-finite value"),
-        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, layers=1), b), "lists 19 tensors, not the 15 of a 1-layer"),
-        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, layers=10**9), b), "not the 4000000011 of a 1000000000-layer"),
-        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, hidden=9), b), "tensor 'w_sent' has shape"),
-        (lambda m, h, b: _join_version_2(m, {**h, "embedding_dim": 5}, b), "tensor 'embeddings' has shape"),
-        (lambda m, h, b: _join_version_2(m, {**h, "vocabulary": h["vocabulary"][:-1]}, b), "tensor 'embeddings' has shape"),
+        (lambda m, h, b: join_frame(m, h, b)[:-1], "bytes, its header implies"),
+        (lambda m, h, b: join_frame(m, h, b) + b"\0", "bytes, its header implies"),
+        (lambda m, h, b: join_frame(m, h, _poison_block(h, b)), "tensor 'b_cls_out' holds a non-finite value"),
+        (lambda m, h, b: join_frame(m, _with_hyperparams(h, layers=1), b), "lists 19 tensors, not the 15 of a 1-layer"),
+        (lambda m, h, b: join_frame(m, _with_hyperparams(h, layers=10**9), b), "not the 4000000011 of a 1000000000-layer"),
+        (lambda m, h, b: join_frame(m, _with_hyperparams(h, hidden=9), b), "tensor 'w_sent' has shape"),
+        (lambda m, h, b: join_frame(m, {**h, "embedding_dim": 5}, b), "tensor 'embeddings' has shape"),
+        (lambda m, h, b: join_frame(m, {**h, "vocabulary": h["vocabulary"][:-1]}, b), "tensor 'embeddings' has shape"),
         (
-            lambda m, h, b: _join_version_2(m, {**h, "vocabulary": [*h["vocabulary"][:-1], h["vocabulary"][0]]}, b),
+            lambda m, h, b: join_frame(m, {**h, "vocabulary": [*h["vocabulary"][:-1], h["vocabulary"][0]]}, b),
             "the vocabulary lists 4 words, of which 3 differ",
         ),
-        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, hidden=8.0), b), "hidden must be of type int, got 8.0"),
-        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, layers="2"), b), "layers must be of type int, got '2'"),
-        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, layers=True), b), "layers must be of type int, got True"),
-        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, gate_on="no"), b), "gate_on must be of type bool, got 'no'"),
-        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, div_on=1), b), "div_on must be of type bool, got 1"),
-        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, alpha=False), b), "alpha must be of type float, got False"),
-        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, beta="1.0"), b), "beta must be of type float, got '1.0'"),
-        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, beta=10**400), b), "beta must be finite and non-negative"),
-        (lambda m, h, b: _join_version_2(m, {**h, "embedding_dim": 6.0}, b), "embedding_dim 6.0 is not a positive integer"),
-        (lambda m, h, b: _join_version_2(m, {**h, "embedding_dim": 0}, b), "embedding_dim 0 is not a positive integer"),
-        (lambda m, h, b: _join_version_2(m, {**h, "embeddings_trainable": "yes"}, b), "embeddings_trainable 'yes' is not true or false"),
-        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, normalize_div=True), b), "trained with normalize_div"),
-        (lambda m, h, b: _join_version_2(m, _with_hyperparams(h, normalize_div=None), b), "trained with normalize_div"),
+        (lambda m, h, b: join_frame(m, _with_hyperparams(h, hidden=8.0), b), "hidden must be of type int, got 8.0"),
+        (lambda m, h, b: join_frame(m, _with_hyperparams(h, layers="2"), b), "layers must be of type int, got '2'"),
+        (lambda m, h, b: join_frame(m, _with_hyperparams(h, layers=True), b), "layers must be of type int, got True"),
+        (lambda m, h, b: join_frame(m, _with_hyperparams(h, gate_on="no"), b), "gate_on must be of type bool, got 'no'"),
+        (lambda m, h, b: join_frame(m, _with_hyperparams(h, div_on=1), b), "div_on must be of type bool, got 1"),
+        (lambda m, h, b: join_frame(m, _with_hyperparams(h, alpha=False), b), "alpha must be of type float, got False"),
+        (lambda m, h, b: join_frame(m, _with_hyperparams(h, beta="1.0"), b), "beta must be of type float, got '1.0'"),
+        (lambda m, h, b: join_frame(m, _with_hyperparams(h, beta=10**400), b), "beta must be finite and non-negative"),
+        (lambda m, h, b: join_frame(m, {**h, "embedding_dim": 6.0}, b), "embedding_dim 6.0 is not a positive integer"),
+        (lambda m, h, b: join_frame(m, {**h, "embedding_dim": 0}, b), "embedding_dim 0 is not a positive integer"),
+        (lambda m, h, b: join_frame(m, {**h, "embeddings_trainable": "yes"}, b), "embeddings_trainable 'yes' is not true or false"),
+        (lambda m, h, b: join_frame(m, _with_hyperparams(h, normalize_div=True), b), "trained with normalize_div"),
+        (lambda m, h, b: join_frame(m, _with_hyperparams(h, normalize_div=None), b), "trained with normalize_div"),
     ],
     ids=[
         "bad-magic", "header-past-end", "header-not-json", "dtype", "version", "shape",
@@ -904,7 +953,7 @@ def test_checkpoint_must_match_the_shapes_of_its_hyperparameters(tmp_path, tampe
 def test_version_2_checkpoint_is_validated_before_use(tmp_path, corrupt, message):
     path = tmp_path / "model.bin"
     save_checkpoint(path, _random_model(seed=82)[0])
-    path.write_bytes(corrupt(*_split_version_2(path.read_bytes())))
+    path.write_bytes(corrupt(*split_frame(path.read_bytes())))
     with pytest.raises(CheckpointError, match=re.escape(message)):
         load_checkpoint(path)
 
@@ -914,10 +963,17 @@ def test_a_header_that_stores_normalize_div_false_loads_the_same_model(tmp_path)
     state = _edge_model(seed=83)
     path = tmp_path / "model.bin"
     save_checkpoint(path, state)
-    magic, header, body = _split_version_2(path.read_bytes())
+    magic, header, body = split_frame(path.read_bytes())
     assert "normalize_div" not in header["hyperparams"]
-    path.write_bytes(_join_version_2(magic, _with_hyperparams(header, normalize_div=False), body))
+    path.write_bytes(join_frame(magic, _with_hyperparams(header, normalize_div=False), body))
     _assert_bit_equal(state, load_checkpoint(path))
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3, 5])
+def test_parameter_bytes_are_those_of_the_model_built(layers):
+    state, hp = _random_model(seed=86, dim=5, hidden=7, layers=layers)
+    rows = len(state.table.vectors.data)
+    assert parameter_bytes(hp, 5, rows) == sum(t.data.nbytes for _, t in state.parameters())
 
 
 def test_trainer_init_keeps_biases_zero_and_weights_bounded():
