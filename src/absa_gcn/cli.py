@@ -316,14 +316,15 @@ def cmd_scores(settings: dict) -> int:
         mod = (trace.mod if trace.mod is not None else model_scores(trace, model)).data  # a -Con model builds none
         _require_finite(mod, "importance score")
         _require_finite(trace.class_probs.data, "class probability")
-        bounds = [*trace.batch.starts.tolist(), trace.syn.size]
-        for e, ex in enumerate(trace.batch.examples):
+        segments = trace.batch.tree.segments
+        for e, (ex, first, size) in enumerate(zip(trace.batch.examples, segments.starts, segments.sizes)):
+            own = slice(first, first + size)
             rows.append({
                 "tokens": list(ex.tokens),
                 "aspect_from": ex.aspect_from,
                 "aspect_to": ex.aspect_to,
-                "syn": trace.syn[bounds[e] : bounds[e + 1]].tolist(),
-                "mod": mod[bounds[e] : bounds[e + 1]].tolist(),
+                "syn": trace.syn[own].tolist(),
+                "mod": mod[own].tolist(),
                 "predicted": LABELS[int(trace.class_probs.data[e].argmax())],
                 "gold": ex.label,
             })

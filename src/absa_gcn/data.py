@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import RowGroups, Tensor
+from .tensor import RowGroups, Segments, Tensor
 
 LABELS = ("positive", "neutral", "negative")
 
@@ -281,66 +281,105 @@ class DependencyTree:
 
     A tree may be a forest of examples' trees laid end to end, such as a
     batch's, with node ids running on from one tree to the next.
-    ``neighborhoods`` holds token ``i``'s neighbours as group ``i`` of a
-    symmetric ``RowGroups``: sorted, with ``i`` itself when self-loops are
-    enabled. ``path_len_to_aspect[i]`` is the minimum tree distance from
-    token ``i`` to any aspect token of its own tree (0 inside the span).
+    ``segments`` records each tree's rows (``Segments``: starts, sizes and
+    the tree of each token), and group ``e`` of ``aspects`` holds tree
+    ``e``'s aspect tokens. ``neighborhoods`` holds token ``i``'s neighbours
+    as group ``i`` of a symmetric ``RowGroups``: sorted, with ``i`` itself
+    when self-loops are enabled. ``path_len_to_aspect[i]`` is the minimum
+    tree distance from token ``i`` to any aspect token of its own tree (0
+    inside the span).
     """
 
     n: int
     neighborhoods: RowGroups
     path_len_to_aspect: np.ndarray
+    segments: Segments
+    aspects: RowGroups
 
 
 def build_tree(examples: Sequence[Example], include_self_loop: bool = True) -> DependencyTree:
-    """The examples' trees laid end to end as one forest, built by one pass of array operations.
+    """The examples' trees laid end to end as one forest, built by array operations.
 
     Example ``e``'s tokens follow those of the examples before it. A token's
     neighbourhood is its head and its children, sorted, with the token itself
     when self-loops are enabled; a lone token keeps itself even without
-    self-loops, so its mean stays defined. The aspect distances come from a
-    breadth-first search of the whole forest, one level per step.
+    self-loops, so its mean stays defined.
+
+    The aspect distances come from a breadth-first search from the aspect
+    tokens over the sorted (token, neighbour) pairs: each level gathers the
+    pairs of the last level's tokens only and keeps the neighbours not yet
+    reached, each once. Every pair is read at most once, so the search is
+    linear in the tokens whatever the trees' shapes. A token can be gathered
+    twice in one level only if an aspect span's tokens are not connected in
+    its tree (a forest has no other cycle through the span); only then does
+    a level drop repeats.
     """
-    lengths = np.fromiter((ex.n for ex in examples), dtype=np.intp, count=len(examples))
-    starts = np.cumsum(lengths) - lengths
-    n = int(lengths.sum())
+    count = len(examples)
+    segments = Segments(np.fromiter((len(ex.tokens) for ex in examples), dtype=np.intp, count=count))
+    starts, n = segments.starts, segments.owner.size
     heads = np.fromiter(itertools.chain.from_iterable(ex.heads for ex in examples), dtype=np.intp, count=n)
     child = np.flatnonzero(heads >= 0)
-    head = heads[child] + np.repeat(starts, lengths)[child]
-    loops = np.arange(n) if include_self_loop else starts[lengths == 1]
+    head = heads[child] + starts[segments.owner[child]]
+    loops = np.arange(n) if include_self_loop else starts[segments.sizes == 1]
     # One key per (token, neighbour) pair; sorted, they list each token's neighbours in order.
     pairs = np.sort(np.concatenate([loops * (n + 1), child * n + head, head * n + child]))
     token, members = np.divmod(pairs, n)
+    sizes = np.bincount(token, minlength=n)
 
+    first = starts + np.fromiter((ex.aspect_from for ex in examples), dtype=np.intp, count=count)
+    width = starts + np.fromiter((ex.aspect_to for ex in examples), dtype=np.intp, count=count) - first
+    seeds = (first - (width.cumsum() - width)).repeat(width) + np.arange(width.sum())
+    # Token i's pairs end at ends[i], and ``at`` numbers the pairs a level gathers. (On the few
+    # tokens of a level, np.add.accumulate and the method repeat take a third of the time of
+    # np.cumsum and np.repeat.)
+    ends, at = sizes.cumsum(), np.arange(pairs.size)
     dist = np.full(n, -1)
-    for start, ex in zip(starts.tolist(), examples):
-        dist[start + ex.aspect_from : start + ex.aspect_to] = 0
-    src, dst = np.concatenate([child, head]), np.concatenate([head, child])
-    level = 0
-    while True:
-        reached = dst[(dist[src] == level) & (dist[dst] == -1)]
-        if reached.size == 0:
-            break
+    dist[seeds] = 0
+    # A span whose tokens are not joined by the tree's edges can reach a token from two of its parts
+    # at once. Only then is a level's token gathered twice; ``listed[j]`` keeps its last listing.
+    split = seeds.size > count
+    if split:
+        inside = dist == 0
+        split = np.count_nonzero(inside[child] & inside[head]) < seeds.size - count
+        listed = np.empty(n, dtype=np.intp)
+    frontier, level, left = seeds, 0, n - seeds.size
+    while left:  # every token reaches its tree's aspect
         level += 1
-        dist[reached] = level
-    return DependencyTree(n, RowGroups(np.bincount(token, minlength=n), members, n, symmetric=True), dist)
+        degree = sizes[frontier]
+        gathered = np.add.accumulate(degree)
+        frontier = members[(ends[frontier] - gathered).repeat(degree) + at[: gathered[-1]]]
+        frontier = frontier[dist[frontier] < 0]
+        if split:
+            listed[frontier] = at[: frontier.size]
+            frontier = frontier[listed[frontier] == at[: frontier.size]]
+        dist[frontier] = level
+        left -= frontier.size
+    return DependencyTree(
+        n, RowGroups(sizes, members, n, symmetric=True), dist, segments, RowGroups(width, seeds, n)
+    )
 
 
-def syntax_scores(tree: DependencyTree, starts: Sequence[int] = (0,)) -> np.ndarray:
-    """Importance of each token from the tree alone: softmax of negated distance.
+def syntax_scores(tree: DependencyTree) -> np.ndarray:
+    """Importance of each token from the tree alone: softmax of negated distance within each tree.
 
-    ``tree`` may be a forest of trees laid end to end, such as a batch's,
-    with ``starts`` holding each tree's first token; the softmax then runs
-    within each tree. Each tree's scores are a probability vector whose
-    maximum sits on its aspect span. A tree's sum is taken over its own
-    slice, so its scores do not depend on the trees beside it.
+    ``tree`` may be a forest of trees laid end to end, such as a batch's;
+    each tree's scores are a probability vector whose maximum sits on its
+    aspect span. A tree's sum is a sum over its own contiguous rows (the
+    trees of one length summed as the rows of one matrix, which adds each
+    row as a slice's ``sum`` would), so its scores do not depend on the
+    trees beside it.
     """
-    raw = -np.asarray(tree.path_len_to_aspect, dtype=np.float64)
-    bounds = [*starts, raw.size]
-    owner = np.repeat(np.arange(len(starts)), np.diff(bounds))
-    e = np.exp(raw - np.maximum.reduceat(raw, starts)[owner])
-    sums = np.array([e[first:end].sum() for first, end in zip(bounds, bounds[1:])])
-    return e / sums[owner]
+    segments = tree.segments
+    # Each tree holds an aspect token at distance 0, so its maximum is 0 and the softmax needs no shift.
+    e = np.exp(-np.asarray(tree.path_len_to_aspect, dtype=np.float64))
+    order = segments.sizes.argsort(kind="stable")
+    ranked = segments.sizes[order]
+    bounds = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), order.size]
+    sums = np.empty(order.size)
+    for lo, hi in zip(bounds, bounds[1:]):
+        trees = order[lo:hi]
+        sums[trees] = e[segments.starts[trees, None] + np.arange(ranked[lo])].sum(axis=1)
+    return e / sums[segments.owner]
 
 
 # ---------------------------------------------------------------------------

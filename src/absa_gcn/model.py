@@ -19,9 +19,14 @@ A mini-batch runs as one graph, the disjoint union of its examples' trees:
 their token rows are stacked into one matrix and their trees joined into one
 forest with offset node ids (see ``Batch``), so each layer is one operation
 per batch. Quantities with one value per example (aspect vectors, gates,
-pooled vectors, class probabilities) are matrices with one row per example,
-and each token reaches its example's row through ``Batch.owner``. The loss
-terms are summed over the batch's examples; the training loss is their mean.
+pooled vectors, class probabilities) are matrices with one row per example.
+``make_batch`` builds the batch's index structures once, as arrays, through
+``build_tree``: one segment record (``tree.segments``: each example's first
+row, its row count, and the example of each row), which the max-pooling, the
+per-example softmax and the tree-based scores read and through whose
+``owner`` each token reaches its example's row, and the aspect spans as row
+groups (``tree.aspects``). The loss terms are summed over the batch's
+examples; the training loss is their mean.
 Every forward pass is such a batch: one example runs as the batch of one,
 so its per-example rows have shape ``(1, ·)``.
 
@@ -33,6 +38,7 @@ and checkpoints all read it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import mmap
 import os
@@ -46,7 +52,6 @@ from .data import (
 )
 from .tensor import (
     DimensionError,
-    RowGroups,
     Tensor,
     add,
     add_n,
@@ -122,15 +127,15 @@ class LossTerms:
 class Batch:
     """Examples laid end to end: one token matrix, one forest.
 
-    Example ``e`` owns rows ``starts[e]`` up to the next start, and
-    ``owner[i]`` is the example of row ``i``. ``tree`` is the disjoint union
-    of the examples' trees with node ids offset by ``starts``; ``syn`` holds
-    each example's tree-based importance scores in that example's rows.
+    ``tree`` is the disjoint union of the examples' trees with node ids
+    offset by each example's first row. Its ``segments`` is the batch's one
+    segment record: example ``e`` owns ``sizes[e]`` rows from ``starts[e]``
+    on, and ``owner[i]`` is the example of row ``i``. Its ``aspects`` groups
+    each example's aspect rows. ``syn`` holds each example's tree-based
+    importance scores in that example's rows.
     """
 
     examples: tuple[Example, ...]
-    starts: np.ndarray
-    owner: np.ndarray
     tree: DependencyTree
     syn: np.ndarray
 
@@ -138,21 +143,14 @@ class Batch:
 def make_batch(examples, include_self_loop: bool = True) -> Batch:
     """Lay the examples end to end in the order given.
 
-    The batch's forest and its tree-based scores are built here, by a few
-    array operations for the whole batch.
+    The batch's forest, with its segment record and aspect groups, and its
+    tree-based scores are built here, by a few array operations for the
+    whole batch; every segment op of the forward pass reads that record.
     """
     if not examples:
         raise ValueError("a batch needs at least one example")
     forest = build_tree(examples, include_self_loop)
-    lengths = [ex.n for ex in examples]
-    starts = np.cumsum([0] + lengths[:-1])
-    return Batch(
-        examples=tuple(examples),
-        starts=starts,
-        owner=np.repeat(np.arange(len(lengths)), lengths),
-        tree=forest,
-        syn=syntax_scores(forest, starts.tolist()),
-    )
+    return Batch(examples=tuple(examples), tree=forest, syn=syntax_scores(forest))
 
 
 @dataclass
@@ -209,15 +207,28 @@ def parameter_shapes(hp: HyperParams, dim: int) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def parameter_bytes(hp: HyperParams, dim: int, rows: int) -> int:
-    """The bytes of a model's float64 parameters: a ``(rows, dim)`` table and ``parameter_shapes(hp, dim)``.
+def _tensor_count(hp: HyperParams) -> int:
+    """The table and the 10 + 4 * layers tensors of ``parameter_shapes``, counted without building them."""
+    return 11 + 4 * hp.layers
 
-    No loop runs over the layers, whose count may come from a flag: each
-    layer after the first has the shapes of the second, so the model holds
-    a 1-layer model's values and ``layers - 1`` times what a second layer adds.
+
+# Python's own memory for one tensor besides its values: the ``Tensor``, its value and
+# gradient arrays, its name and its dict entry. tracemalloc read 420-470 bytes a tensor
+# around ``ModelState.initialize`` at hidden 1 and 2 with 1000 and 4000 layers.
+TENSOR_OBJECT_BYTES = 1024
+
+
+def parameter_bytes(hp: HyperParams, dim: int, rows: int) -> int:
+    """The bytes a model's parameters take: a ``(rows, dim)`` table and ``parameter_shapes(hp, dim)``.
+
+    Each tensor counts its float64 values and ``TENSOR_OBJECT_BYTES``, so a
+    deep, thin model counts the objects that outweigh its values. No loop
+    runs over the layers, whose count may come from a flag: each layer after
+    the first has the shapes of the second, so the model holds a 1-layer
+    model's values and ``layers - 1`` times what a second layer adds.
     """
     one, two = (sum(math.prod(s) for s in parameter_shapes(replace(hp, layers=n), dim).values()) for n in (1, 2))
-    return 8 * (rows * dim + one + (hp.layers - 1) * (two - one))
+    return 8 * (rows * dim + one + (hp.layers - 1) * (two - one)) + TENSOR_OBJECT_BYTES * _tensor_count(hp)
 
 
 def _physical_memory() -> int:
@@ -301,8 +312,10 @@ def _affine(x: Tensor, params: ModelState, name: str) -> Tensor:
 
 def encode(batch: Batch, table: EmbeddingTable, params: ModelState):
     """Token embeddings and pooled sentence vectors."""
-    E = gather_rows(table.vectors, [table.row_index(tok) for ex in batch.examples for tok in ex.tokens])
-    sentence_vec = tanh(_affine(maxpool_rows(E, batch.starts), params, "sent"))
+    tokens = list(itertools.chain.from_iterable(ex.tokens for ex in batch.examples))
+    rows = {token: table.row_index(token) for token in dict.fromkeys(tokens)}  # each distinct token looked up once
+    E = gather_rows(table.vectors, np.fromiter(map(rows.__getitem__, tokens), dtype=np.intp, count=len(tokens)))
+    sentence_vec = tanh(_affine(maxpool_rows(E, batch.tree.segments), params, "sent"))
     return E, sentence_vec
 
 
@@ -358,13 +371,13 @@ def model_scores(trace: ForwardTrace, params: ModelState) -> Tensor:
     The token side is the last layer's rows, gated token by token by the
     last gate when the trace has gates.
     """
-    tokens = trace.hidden_layers[-1]
+    tokens, segments = trace.hidden_layers[-1], trace.batch.tree.segments
     if trace.gates:
-        tokens = regulate(tokens, trace.gates[-1], trace.batch.owner)
+        tokens = regulate(tokens, trace.gates[-1], segments.owner)
     overall_sig = sigmoid(_affine(trace.overall, params, "score_overall"))
     token_sig = sigmoid(_affine(tokens, params, "score_token"))
-    raw = dot(token_sig, gather_rows(overall_sig, trace.batch.owner))
-    return segment_softmax(raw, trace.batch.starts)
+    raw = dot(token_sig, gather_rows(overall_sig, segments.owner))
+    return segment_softmax(raw, segments)
 
 
 def consistency_loss(syn, mod: Tensor) -> Tensor:
@@ -430,10 +443,10 @@ def total_loss(examples, params: ModelState):
     div_on = hp.div_on and hp.gate_on and hp.layers >= 2
     every, last = range(hp.layers), range(hp.layers - 1, hp.layers)
     pooled = every if div_on and not hp.gatediv_baseline else last
-    trace.pooled_hidden = trace.pooled_regulated = [maxpool_rows(trace.hidden_layers[l], batch.starts) for l in pooled]
+    segments = batch.tree.segments
+    trace.pooled_hidden = trace.pooled_regulated = [maxpool_rows(trace.hidden_layers[l], segments) for l in pooled]
     if hp.gate_on:
-        spans = [range(s + ex.aspect_from, s + ex.aspect_to) for s, ex in zip(batch.starts.tolist(), examples)]
-        trace.aspect_vec = segment_mean_rows(E, RowGroups.of(spans, E.shape[0]))
+        trace.aspect_vec = segment_mean_rows(E, batch.tree.aspects)
         gated = every if div_on else last
         trace.gates = [compute_gate(trace.aspect_vec, p[f"w_gate_{l}"], p[f"b_gate_{l}"]) for l in gated]
         # Pool, then gate (see ``diversity_loss``): the pooled layers are the last gated ones.
@@ -447,7 +460,8 @@ def total_loss(examples, params: ModelState):
     if hp.con_on:
         trace.mod = model_scores(trace, params)
         l_const = consistency_loss(trace.syn, trace.mod)
-    l_pred = prediction_loss(trace.class_probs, [ex.label_index for ex in batch.examples])
+    gold = np.fromiter((ex.label_index for ex in batch.examples), dtype=np.intp, count=len(batch.examples))
+    l_pred = prediction_loss(trace.class_probs, gold)
     # (div + alpha * const) + beta * pred over the terms built, in this order: it fixes the rounding.
     weighted = [l_div, None if l_const is None else scale(l_const, hp.alpha), scale(l_pred, hp.beta)]
     total = functools.reduce(add, [term for term in weighted if term is not None])
@@ -540,8 +554,8 @@ def _read_checkpoint(fh) -> ModelState:
     vocabulary = {word: i for i, word in enumerate(vocab_rows)}
     if len(vocabulary) != len(vocab_rows):
         raise CheckpointError(f"the vocabulary lists {len(vocab_rows)} words, of which {len(vocabulary)} differ")
-    # The table and the 10 + 4 * layers of ``parameter_shapes``, counted first: its work grows with the claimed layers.
-    count = 11 + 4 * hp.layers
+    # Counted first: the work of ``parameter_shapes`` grows with the claimed layers.
+    count = _tensor_count(hp)
     if len(stored) != count:
         raise CheckpointError(f"the header lists {len(stored)} tensors, not the {count} of a {hp.layers}-layer model")
     shapes = {"embeddings": (len(vocab_rows) + 1, dim), **parameter_shapes(hp, dim)}

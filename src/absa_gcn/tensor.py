@@ -29,13 +29,15 @@ one affine operation is ``linear``, ``x @ w.T + b`` with a bias vector added
 to every row.
 
 A mini-batch of sentences runs as one matrix whose rows are split into
-contiguous segments, one per sentence, given by their first rows
-(``starts``). The segment operations reduce within each segment:
-``maxpool_rows`` (column-wise maximum) and ``segment_softmax`` (softmax of a
-vector's entries). ``dot`` and ``concat`` work along the last axis, so on
-matrices they act row by row; ``softmax_rows`` normalises each row and
-``pick`` takes one entry per row, such as each example's gold-class
-probability.
+contiguous segments, one per sentence, recorded once per batch in a
+``Segments`` record: each segment's first row and row count, and the segment
+of each row. The segment operations take that record and reduce within each
+segment: ``maxpool_rows`` (column-wise maximum) and ``segment_softmax``
+(softmax of a vector's entries). They only check that it covers their rows;
+``Segments.of`` checks starts given from outside. ``dot`` and ``concat``
+work along the last axis, so on matrices they act row by row;
+``softmax_rows`` normalises each row and ``pick`` takes one entry per row,
+such as each example's gold-class probability.
 
 ``segment_mean_rows`` averages the row groups of a ``RowGroups`` (the GCN's
 tree neighbourhoods, the aspect spans) by one row gather per neighbour
@@ -313,26 +315,49 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _record(out, "softmax_rows", (a,), back)
 
 
-def _segments(rows: int, starts) -> tuple[np.ndarray, np.ndarray]:
-    """Checked segment starts and the segment each of ``rows`` rows belongs to."""
-    starts = np.asarray(starts, dtype=np.intp)
-    rising = starts.ndim == 1 and starts.size and starts[0] == 0 and np.all(np.diff(starts) > 0)
-    if not rising or starts[-1] >= rows:
-        raise ValueError(f"segment starts must rise from 0 and stay below {rows}, got {starts.tolist()}")
-    return starts, np.repeat(np.arange(starts.size), np.diff(starts, append=rows))
+class Segments:
+    """Rows split into contiguous segments, one per sentence of a batch.
+
+    Segment ``s`` holds ``sizes[s]`` rows from ``starts[s]`` on, and
+    ``owner[i]`` is the segment of row ``i``; the segments cover all
+    ``owner.size`` rows in order. The constructor takes positive ``sizes``
+    (an intp array) unchecked, as the package's own code builds them;
+    ``Segments.of`` checks starts given from outside.
+    """
+
+    __slots__ = ("starts", "sizes", "owner")
+
+    def __init__(self, sizes: np.ndarray):
+        self.sizes = sizes
+        self.starts = sizes.cumsum() - sizes
+        self.owner = np.arange(sizes.size).repeat(sizes)
+
+    @classmethod
+    def of(cls, starts: Sequence[int], rows: int) -> "Segments":
+        """The segments of ``rows`` rows that begin at ``starts``, which must rise from 0 and stay below ``rows``."""
+        starts = np.asarray(starts, dtype=np.intp)
+        rising = starts.ndim == 1 and starts.size and starts[0] == 0 and np.all(np.diff(starts) > 0)
+        if not rising or starts[-1] >= rows:
+            raise ValueError(f"segment starts must rise from 0 and stay below {rows}, got {starts.tolist()}")
+        return cls(np.diff(starts, append=rows))
+
+    def check(self, rows: int) -> None:
+        """Raise ``DimensionError`` unless the segments cover exactly ``rows`` rows."""
+        if self.owner.size != rows:
+            raise DimensionError(f"segments over {self.owner.size} rows applied to {rows} rows")
 
 
-def maxpool_rows(a: Tensor, starts: Sequence[int]) -> Tensor:
+def maxpool_rows(a: Tensor, segments: Segments) -> Tensor:
     """Column-wise maximum over each segment of a matrix's rows.
 
-    Row ``s`` of the result pools rows ``starts[s]`` up to the next start.
     The backward pass routes each column's gradient to the first row of the
     segment attaining the maximum, which makes tie handling deterministic.
     It finds those rows itself, so a forward-only pass never looks for them.
     """
     if a.data.ndim != 2:
         raise DimensionError(f"maxpool_rows needs a matrix, got shape {a.shape}")
-    starts, owner = _segments(a.shape[0], starts)
+    segments.check(a.shape[0])
+    starts, owner = segments.starts, segments.owner
     out = np.maximum.reduceat(a.data, starts, axis=0)
 
     def back(g):
@@ -345,11 +370,12 @@ def maxpool_rows(a: Tensor, starts: Sequence[int]) -> Tensor:
     return _record(out, "maxpool_rows", (a,), back)
 
 
-def segment_softmax(a: Tensor, starts: Sequence[int]) -> Tensor:
+def segment_softmax(a: Tensor, segments: Segments) -> Tensor:
     """Softmax of a vector's entries within each segment, max-shifted per segment."""
     if a.data.ndim != 1:
         raise DimensionError(f"segment_softmax needs a vector, got shape {a.shape}")
-    starts, owner = _segments(a.shape[0], starts)
+    segments.check(a.shape[0])
+    starts, owner = segments.starts, segments.owner
     e = np.exp(a.data - np.maximum.reduceat(a.data, starts)[owner])
     out = e / np.add.reduceat(e, starts)[owner]
 

@@ -6,16 +6,20 @@ batch gradient must be the mean of the examples' own gradients, and
 ``evaluate`` must not depend on how the data falls into chunks.
 """
 
+import math
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from absa_gcn.data import LABELS, Example, build_random_table, build_tree, syntax_scores
+from absa_gcn.data import LABELS, EmbeddingTable, Example, build_random_table, build_tree, syntax_scores
 from absa_gcn.model import HyperParams, ModelState, make_batch, model_scores, total_loss
-from absa_gcn.tensor import Tensor, backward, mul, segment_mean_rows, sum_all
+from absa_gcn.tensor import RowGroups, Segments, Tensor, backward, mul, segment_mean_rows, sum_all
 from absa_gcn.trainer import compute_metrics, evaluate
-from conftest import dense_adjacency, neighbor_sets, oracle_losses
+from conftest import dense_adjacency, floyd_warshall_distances, neighbor_sets, oracle_losses
 
 WORDS = [f"w{i}" for i in range(8)]
 TERMS = ("div", "const", "pred", "total")
@@ -93,10 +97,10 @@ def test_every_example_of_a_batch_matches_the_oracle(batch, hp, seed):
     state = random_state(hp, seed)
     loss, trace = total_loss(batch, state)
     expected = [oracle_losses(ex, state, hp) for ex in batch]
-    bounds = list(trace.batch.starts) + [trace.batch.tree.n]
+    segments = trace.batch.tree.segments
     mod = trace.mod if hp.con_on else model_scores(trace, state)  # a -Con pass builds no scores
     for e, (ex, want) in enumerate(zip(batch, expected)):
-        rows = slice(bounds[e], bounds[e + 1])
+        rows = slice(segments.starts[e], segments.starts[e] + segments.sizes[e])
         np.testing.assert_allclose(trace.class_probs.data[e], want["probs"], rtol=0, atol=1e-10)
         np.testing.assert_allclose(mod.data[rows], want["mod"], rtol=0, atol=1e-10)
         np.testing.assert_allclose(trace.syn[rows], want["syn"], rtol=0, atol=1e-10)
@@ -223,8 +227,123 @@ def test_a_batch_joins_the_examples_neighbourhoods_with_offsets(forest, include_
     exs = _forest(forest)
     batch = make_batch(exs, include_self_loop)
     hoods = neighbor_sets(batch.tree)
-    for e, (ex, start) in enumerate(zip(exs, batch.starts.tolist())):
+    segments = batch.tree.segments
+    for e, (ex, start) in enumerate(zip(exs, segments.starts.tolist())):
         own = neighbor_sets(build_tree([ex], include_self_loop))
         assert hoods[start : start + ex.n] == tuple(tuple(j + start for j in hood) for hood in own)
-        assert batch.owner[start : start + ex.n].tolist() == [e] * ex.n
-    assert batch.tree.neighborhoods.n_in == batch.tree.n == batch.owner.size == sum(ex.n for ex in exs)
+        assert segments.owner[start : start + ex.n].tolist() == [e] * ex.n
+    assert batch.tree.neighborhoods.n_in == batch.tree.n == segments.owner.size == sum(ex.n for ex in exs)
+
+
+# ---------------------------------------------------------------------------
+# the batch's index structures, built once as arrays
+
+
+def _derived_structures(exs, include_self_loop):
+    """The batch's structures as derived example by example, without the batch's record.
+
+    Starts, owner and sizes from the lengths; the aspect spans as ``range``s;
+    each token's sorted neighbourhood from the parent links; and each tree's
+    scores from Floyd–Warshall distances, max-shifted and summed over its own
+    slice.
+    """
+    lengths = [ex.n for ex in exs]
+    starts = np.cumsum([0] + lengths[:-1])
+    spans = RowGroups.of([range(s + ex.aspect_from, s + ex.aspect_to) for s, ex in zip(starts.tolist(), exs)], sum(lengths))
+    hoods = []
+    for s, ex in zip(starts.tolist(), exs):
+        for i in range(ex.n):
+            hood = {h for h in (ex.heads[i],) if h >= 0} | {j for j, h in enumerate(ex.heads) if h == i}
+            hoods.append(sorted(j + s for j in hood | ({i} if include_self_loop or ex.n == 1 else set())))
+    raw = -np.concatenate([floyd_warshall_distances(ex) for ex in exs])
+    bounds = [*starts.tolist(), raw.size]
+    owner = np.repeat(np.arange(len(exs)), lengths)
+    e = np.exp(raw - np.maximum.reduceat(raw, starts)[owner])
+    sums = np.array([e[first:end].sum() for first, end in zip(bounds, bounds[1:])])
+    return {
+        "starts": starts, "owner": owner, "sizes": np.array(lengths, dtype=np.intp),
+        "aspect sizes": spans.sizes, "aspect members": spans.members,
+        "hood sizes": np.array([len(h) for h in hoods], dtype=np.intp),
+        "hood members": np.array([j for h in hoods for j in h], dtype=np.intp),
+        "syn": e / sums[owner],
+    }
+
+
+@PROPERTY
+@given(exs=st.lists(examples(max_tokens=12), min_size=1, max_size=8), include_self_loop=st.booleans())
+@example(exs=[Example(["a"], [-1], 0, 1, "neutral")] * 3, include_self_loop=False)
+@example(
+    exs=[Example(list("abcd"), [1, -1, 1, 2], 0, 1, "neutral"), Example(["a"], [-1], 0, 1, "positive"),
+         Example(list("abcd"), [1, -1, 1, 2], 2, 4, "negative"), Example(list("abcd"), [1, -1, 1, 1], 2, 4, "neutral")],
+    include_self_loop=True,
+)
+def test_the_batch_record_is_byte_equal_to_the_per_example_derivations(exs, include_self_loop):
+    batch = make_batch(exs, include_self_loop)
+    tree, segments = batch.tree, batch.tree.segments
+    built = {
+        "starts": segments.starts, "owner": segments.owner, "sizes": segments.sizes,
+        "aspect sizes": tree.aspects.sizes, "aspect members": tree.aspects.members,
+        "hood sizes": tree.neighborhoods.sizes, "hood members": tree.neighborhoods.members, "syn": batch.syn,
+    }
+    for name, want in _derived_structures(exs, include_self_loop).items():
+        assert (built[name].dtype, built[name].tobytes()) == (want.dtype, want.tobytes()), name
+    assert tree.aspects.n_in == tree.n == segments.owner.size
+
+
+@PROPERTY
+@given(exs=st.lists(examples(max_tokens=12), min_size=1, max_size=8), include_self_loop=st.booleans())
+# Spans whose tokens the tree does not join: tokens 2 and 3 hang from 1, and 0 and 1 from 2.
+@example(exs=[Example(list("abcd"), [1, -1, 1, 1], 2, 4, "neutral"), Example(list("abcde"), [2, 2, -1, 2, 3], 0, 2, "neutral")],
+         include_self_loop=False)
+def test_forest_distances_are_floyd_warshall(exs, include_self_loop):
+    want = np.concatenate([floyd_warshall_distances(ex) for ex in exs])
+    np.testing.assert_array_equal(build_tree(exs, include_self_loop).path_len_to_aspect, want)
+
+
+def test_a_forward_pass_reads_the_batch_record_and_checks_no_starts(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a forward pass checked segment starts")
+
+    monkeypatch.setattr(Segments, "of", refused)
+    exs = [Example(WORDS[:3], [-1, 0, 0], 1, 3, "positive"), Example(["w1"], [-1], 0, 1, "neutral")]
+    state = random_state(HyperParams(hidden=6, layers=2), seed=5)
+    backward(total_loss(exs, state)[0])
+
+
+def test_one_pass_looks_up_each_distinct_token_once(monkeypatch):
+    looked_up = Counter()
+    row_index = EmbeddingTable.row_index
+
+    def counted(table, token):
+        looked_up[token] += 1
+        return row_index(table, token)
+
+    monkeypatch.setattr(EmbeddingTable, "row_index", counted)
+    exs = [
+        Example(["w1", "w2", "w1", "oov"], [-1, 0, 0, 0], 0, 1, "positive"),
+        Example(["W1", "oov", "w2"], [-1, 0, 1], 1, 2, "negative"),
+        Example(["w1"], [-1], 0, 1, "neutral"),
+    ]
+    state = random_state(HyperParams(hidden=6, layers=2), seed=6)
+    looked_up.clear()
+    total_loss(exs, state)
+    assert looked_up == Counter({"w1": 1, "w2": 1, "oov": 1, "W1": 1})
+
+
+@pytest.mark.parametrize("shape", ["chain", "star", "broom"])
+def test_a_50000_token_tree_is_evaluated_in_under_five_seconds(shape):
+    # A chain's aspect is its first token, so the distance search has 49 999 levels. A broom's
+    # aspect is 20 000 leaves of token 0, joined only through it, and a 29 999-token chain hangs
+    # from token 0: a search that kept each of token 0's 20 000 listings would walk the chain
+    # 20 000 times over.
+    n, leaves = 50_000, 20_000
+    if shape == "broom":
+        heads, span = [-1] + [0] * leaves + [0] + list(range(leaves + 1, n - 1)), (1, leaves + 1)
+    else:
+        heads, span = [-1] + (list(range(n - 1)) if shape == "chain" else [0] * (n - 1)), (0, 1)
+    ex = Example([WORDS[i % 8] for i in range(n)], heads, *span, "neutral")
+    state = random_state(HyperParams(hidden=4, layers=2), seed=7)
+    started = time.perf_counter()
+    metrics = evaluate(state, [ex])
+    assert time.perf_counter() - started < 5.0
+    assert math.isfinite(metrics.loss_total)

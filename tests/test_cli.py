@@ -26,7 +26,7 @@ from absa_gcn.cli import (
     read_config,
 )
 from absa_gcn.data import LABELS, Example, parse_corpus, write_corpus
-from absa_gcn.model import HyperParams, load_checkpoint, model_scores, save_checkpoint, total_loss
+from absa_gcn.model import TENSOR_OBJECT_BYTES, HyperParams, load_checkpoint, model_scores, save_checkpoint, total_loss
 from absa_gcn.trainer import EVAL_CHUNK, TrainConfig, train
 from conftest import join_frame, split_frame
 from corpora import make_overfit_corpus
@@ -848,10 +848,12 @@ def test_failed_output_write_leaves_the_old_file_whole(tmp_path, monkeypatch, ca
         ["gradcheck", "--tokens", "1", "--embed-dim", str(10**12)],
         ["gradcheck", "--tokens", str(10**12)],
         ["gradcheck", "--layers", str(10**12)],
+        # About 320 MB of values, but 40 million tensors whose objects need tens of gigabytes.
+        ["train", "--train", SAMPLE, "--hidden", "1", "--layers", str(10**7)],
     ],
     ids=[
         "train-hidden", "train-layers", "ablate-hidden", "ablate-embeddings-layers",
-        "gradcheck-dim", "gradcheck-tokens", "gradcheck-layers",
+        "gradcheck-dim", "gradcheck-tokens", "gradcheck-layers", "train-deep-thin",
     ],
 )
 def test_a_model_past_physical_memory_is_exit_2_before_it_is_built(tmp_path, capsys, monkeypatch, argv):
@@ -879,7 +881,7 @@ def test_the_memory_check_refuses_a_model_one_byte_past_physical_memory(tmp_path
     else:
         argv = ["gradcheck", "--out", str(tmp_path)]
         model = gradcheck.build_check_setup()[1]
-    need = sum(t.data.nbytes for _, t in model.parameters())
+    need = sum(t.data.nbytes + TENSOR_OBJECT_BYTES for _, t in model.parameters())
     for name in os.listdir(tmp_path):
         os.remove(tmp_path / name)
     capsys.readouterr()

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -19,6 +20,7 @@ import absa_gcn.tensor as tensor_module
 from absa_gcn.data import Example, build_random_table, build_tree, load_embeddings
 from absa_gcn.gradcheck import check_model_gradients, numeric_gradient, relative_error
 from absa_gcn.model import (
+    TENSOR_OBJECT_BYTES,
     CheckpointError,
     ForwardTrace,
     HyperParams,
@@ -39,7 +41,7 @@ from absa_gcn.model import (
     total_loss,
 )
 from absa_gcn.synthetic import random_tree_heads
-from absa_gcn.tensor import DimensionError, Tape, Tensor, backward, maxpool_rows, mul
+from absa_gcn.tensor import DimensionError, Segments, Tape, Tensor, backward, maxpool_rows, mul
 from absa_gcn.trainer import ABLATION_VARIANTS, init_model_state
 from conftest import dense_adjacency, join_frame, neighbor_sets, oracle_losses, split_frame
 from corpora import random_example
@@ -175,10 +177,9 @@ def test_gating_a_pooled_layer_is_byte_equal_to_pooling_its_gated_rows(data):
     width = data.draw(st.integers(1, 4))
     h = data.draw(hnp.arrays(np.float64, (sum(lengths), width), elements=_RELU_VALUES))
     g = data.draw(hnp.arrays(np.float64, (len(lengths), width), elements=_GATE_VALUES))
-    starts = np.cumsum([0] + lengths[:-1])
-    owner = np.repeat(np.arange(len(lengths)), lengths)
-    gated_after = mul(maxpool_rows(Tensor(h), starts), Tensor(g)).data
-    gated_before = maxpool_rows(regulate(Tensor(h), Tensor(g), owner), starts).data
+    segments = Segments(np.array(lengths, dtype=np.intp))
+    gated_after = mul(maxpool_rows(Tensor(h), segments), Tensor(g)).data
+    gated_before = maxpool_rows(regulate(Tensor(h), Tensor(g), segments.owner), segments).data
     assert gated_after.tobytes() == gated_before.tobytes()
 
 
@@ -973,7 +974,24 @@ def test_a_header_that_stores_normalize_div_false_loads_the_same_model(tmp_path)
 def test_parameter_bytes_are_those_of_the_model_built(layers):
     state, hp = _random_model(seed=86, dim=5, hidden=7, layers=layers)
     rows = len(state.table.vectors.data)
-    assert parameter_bytes(hp, 5, rows) == sum(t.data.nbytes for _, t in state.parameters())
+    tensors = state.parameters()
+    assert parameter_bytes(hp, 5, rows) == sum(t.data.nbytes for _, t in tensors) + TENSOR_OBJECT_BYTES * len(tensors)
+
+
+def test_a_tensor_is_counted_at_least_the_memory_python_takes_for_it():
+    # Hidden 1 and many layers: the objects, not the values, hold nearly all of the model's memory.
+    table = build_random_table([_fixed_example()], dim=1, seed=3)
+    hp = HyperParams(hidden=1, layers=1000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = ModelState.initialize(table, hp, np.random.default_rng(0))
+        taken = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    values = sum(t.data.nbytes for t in state.tensors.values())
+    assert taken - values <= TENSOR_OBJECT_BYTES * len(state.tensors)
+    assert parameter_bytes(hp, 1, 0) >= taken
 
 
 def test_trainer_init_keeps_biases_zero_and_weights_bounded():

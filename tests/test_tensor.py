@@ -12,6 +12,7 @@ from absa_gcn.data import EmbeddingTable, Example
 from absa_gcn.tensor import (
     DimensionError,
     RowGroups,
+    Segments,
     Tape,
     Tensor,
     add,
@@ -215,7 +216,7 @@ def test_non_broadcastable_shapes_rejected():
 
 
 def softmax(a: Tensor) -> Tensor:
-    return segment_softmax(a, [0])
+    return segment_softmax(a, Segments.of([0], a.shape[0]))
 
 
 def test_softmax_symmetry():
@@ -260,13 +261,13 @@ def test_softmax_needs_vector():
 
 def test_maxpool_rows_hand_case():
     t = Tensor([[1.0, 5.0], [3.0, 2.0], [0.0, 9.0]])
-    npt.assert_array_equal(maxpool_rows(t, [0]).data, [[3.0, 9.0]])
-    npt.assert_array_equal(maxpool_rows(t, [0, 2]).data, [[3.0, 5.0], [0.0, 9.0]])
+    npt.assert_array_equal(maxpool_rows(t, Segments.of([0], 3)).data, [[3.0, 9.0]])
+    npt.assert_array_equal(maxpool_rows(t, Segments.of([0, 2], 3)).data, [[3.0, 5.0], [0.0, 9.0]])
 
 
 def test_maxpool_tie_routes_to_lowest_row():
     t = Tensor([[2.0, 1.0], [2.0, 1.0], [4.0, 4.0], [4.0, 3.0]], trainable=True)
-    backward(sum_all(maxpool_rows(t, [0, 2])))
+    backward(sum_all(maxpool_rows(t, Segments.of([0, 2], 4))))
     npt.assert_array_equal(t.grad, [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
 
 
@@ -282,8 +283,9 @@ def test_segment_ops_match_each_segment_alone():
     bounds = list(zip(starts, starts[1:] + [9]))
     m = rng.uniform(-1, 1, (9, 3))
     v = rng.uniform(-5, 5, 9)
-    pooled = maxpool_rows(Tensor(m), starts).data
-    scores = segment_softmax(Tensor(v), starts).data
+    segments = Segments.of(starts, 9)
+    pooled = maxpool_rows(Tensor(m), segments).data
+    scores = segment_softmax(Tensor(v), segments).data
     for s, (lo, hi) in enumerate(bounds):
         npt.assert_array_equal(pooled[s], m[lo:hi].max(axis=0))
         npt.assert_allclose(scores[lo:hi], softmax_np(v[lo:hi]), rtol=1e-15, atol=1e-17)
@@ -298,10 +300,17 @@ def test_segment_ops_match_each_segment_alone():
 
 @pytest.mark.parametrize("starts", [[], [1, 2], [0, 2, 2], [0, 3, 1], [0, 9]])
 def test_segment_starts_must_rise_from_zero_inside_the_rows(starts):
-    with pytest.raises(ValueError):
-        maxpool_rows(Tensor(np.ones((9, 2))), starts)
-    with pytest.raises(ValueError):
-        segment_softmax(Tensor(np.ones(9)), starts)
+    with pytest.raises(ValueError, match="segment starts must rise from 0 and stay below 9"):
+        Segments.of(starts, 9)
+
+
+@pytest.mark.parametrize("rows", [8, 10])
+def test_a_segment_record_applies_only_to_the_rows_it_covers(rows):
+    segments = Segments.of([0, 4], 9)
+    with pytest.raises(DimensionError, match=f"segments over 9 rows applied to {rows} rows"):
+        maxpool_rows(Tensor(np.ones((rows, 2))), segments)
+    with pytest.raises(DimensionError, match=f"segments over 9 rows applied to {rows} rows"):
+        segment_softmax(Tensor(np.ones(rows)), segments)
 
 
 def test_row_ops_reject_mismatched_shapes():
@@ -579,11 +588,11 @@ def _composition_loss(params):
     x, w, b, v, u = params
     h = relu(linear(x, w, b))
     gated = mul(h, gather_rows(sigmoid(v), [0, 1, 1]))
-    pooled = maxpool_rows(gated, [0, 2])
+    pooled = maxpool_rows(gated, Segments.of([0, 2], 3))
     mixed = concat(pooled, segment_mean_rows(tanh(gated), RowGroups.of([[0, 1], [1, 2]], 3)))
     shifted = add(mixed, Tensor(np.full(mixed.shape, 0.3)))
     probs = softmax_rows(mixed)
-    scores = segment_softmax(dot(gated, gated), [0, 2])
+    scores = segment_softmax(dot(gated, gated), Segments.of([0, 2], 3))
     return add_n([
         sum_all(dot(probs, probs)),
         log(sum_all(pick(probs, [3, 7]))),
