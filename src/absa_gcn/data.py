@@ -689,7 +689,8 @@ def read_conllu_sentences(path) -> list[tuple[list[str], list[int]]]:
     """Parse CoNLL-U into (tokens, heads) pairs with 0-based heads, -1 root.
 
     Comment lines, multiword ranges (``1-2``) and empty nodes (``1.1``) are
-    skipped; every remaining line must carry the full 10 columns.
+    skipped; every remaining line must carry the full 10 columns, the
+    sentence's next ID (1, 2, ...) and a HEAD of 0 (the root) or more.
     """
     sentences: list[tuple[list[str], list[int]]] = []
     tokens: list[str] = []
@@ -714,12 +715,16 @@ def read_conllu_sentences(path) -> list[tuple[list[str], list[int]]]:
                 raise LoadError(f"expected {_CONLLU_COLUMNS} columns, got {len(cols)}", line=lineno)
             if "-" in cols[_ID] or "." in cols[_ID]:
                 continue
+            if cols[_ID] != str(len(tokens) + 1):
+                raise LoadError(f"ID {cols[_ID]!r} where the sentence's next ID is {len(tokens) + 1}", line=lineno)
             try:
                 head = int(cols[_HEAD])
             except ValueError:
                 raise LoadError(f"non-integer HEAD {cols[_HEAD]!r}", line=lineno) from None
+            if head < 0:
+                raise LoadError(f"negative HEAD {head}", line=lineno)
             tokens.append(cols[_FORM])
-            heads.append(head - 1 if head > 0 else -1)
+            heads.append(head - 1)
     flush()
     return sentences
 

@@ -23,9 +23,10 @@ pooled vectors, class probabilities) are matrices with one row per example.
 ``make_batch`` builds the batch's index structures once, as arrays, through
 ``build_tree``: one segment record (``tree.segments``: each example's first
 row, its row count, and the example of each row), which the max-pooling, the
-per-example softmax and the tree-based scores read and through whose
-``owner`` each token reaches its example's row, and the aspect spans as row
-groups (``tree.aspects``). The loss terms are summed over the batch's
+per-example softmax and the tree-based scores read and through which
+``spread_rows`` hands each token its example's gate and overall vector, and
+the aspect spans as row groups (``tree.aspects``). The one table lookup is
+``encode``'s ``gather_rows``. The loss terms are summed over the batch's
 examples; the training loss is their mean.
 Every forward pass is such a batch: one example runs as the batch of one,
 so its per-example rows have shape ``(1, ·)``.
@@ -52,6 +53,7 @@ from .data import (
 )
 from .tensor import (
     DimensionError,
+    Segments,
     Tensor,
     add,
     add_n,
@@ -70,6 +72,7 @@ from .tensor import (
     segment_softmax,
     sigmoid,
     softmax_rows,
+    spread_rows,
     sum_all,
     tanh,
 )
@@ -115,12 +118,12 @@ class HyperParams:
 
 @dataclass
 class LossTerms:
-    """Loss terms summed over the examples of a forward pass."""
+    """Loss terms summed over the examples of a forward pass; a term not built counts 0."""
 
-    div: float
-    const: float
-    pred: float
-    total: float
+    div: float = 0.0
+    const: float = 0.0
+    pred: float = 0.0
+    total: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -332,9 +335,9 @@ def compute_gate(aspect_vec: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return sigmoid(linear(aspect_vec, w, b))
 
 
-def regulate(hidden: Tensor, gate: Tensor, owner) -> Tensor:
-    """Multiply every token's hidden vector by its example's gate (row ``owner[i]``)."""
-    return mul(hidden, gather_rows(gate, owner))
+def regulate(hidden: Tensor, gate: Tensor, segments: Segments) -> Tensor:
+    """Multiply every token's hidden vector by its example's gate, spread over the example's rows by ``segments``."""
+    return mul(hidden, spread_rows(gate, segments))
 
 
 def _mean_over_layer_pairs(own: list[Tensor], other) -> Tensor:
@@ -373,10 +376,10 @@ def model_scores(trace: ForwardTrace, params: ModelState) -> Tensor:
     """
     tokens, segments = trace.hidden_layers[-1], trace.batch.tree.segments
     if trace.gates:
-        tokens = regulate(tokens, trace.gates[-1], segments.owner)
+        tokens = regulate(tokens, trace.gates[-1], segments)
     overall_sig = sigmoid(_affine(trace.overall, params, "score_overall"))
     token_sig = sigmoid(_affine(tokens, params, "score_token"))
-    raw = dot(token_sig, gather_rows(overall_sig, segments.owner))
+    raw = dot(token_sig, spread_rows(overall_sig, segments))
     return segment_softmax(raw, segments)
 
 

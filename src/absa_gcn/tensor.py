@@ -6,12 +6,12 @@ reachable from a root into an order where inputs always precede the
 operations consuming them, and ``backward`` walks that tape once in reverse,
 accumulating gradients into trainable leaves.
 
-One operation writes into a leaf's gradient itself: ``gather_rows`` on a
-leaf adds the gradient of the rows it gathered straight into that leaf's
-``grad`` (nothing for a frozen leaf) and hands the tape nothing to add, so a
-lookup into a large embedding table costs work in proportion to the rows it
-touched, not to the table. Every other operation, including ``gather_rows``
-on an operation's output, returns dense gradients for the tape to add.
+One operation writes into a leaf's gradient itself: ``gather_rows``, the
+table lookup, takes rows of a leaf only, adds their gradient straight into
+the leaf's ``grad`` (nothing for a frozen leaf) and hands the tape nothing,
+so a lookup into a large embedding table costs work in proportion to the
+rows it touched, not to the table. Every other operation returns dense
+gradients for the tape to add.
 
 Each tensor records the gradient rows written since its last ``zero_grad``
 in ``Tensor.grad_rows``: ``gather_rows`` marks the rows it wrote, and the
@@ -33,17 +33,22 @@ contiguous segments, one per sentence, recorded once per batch in a
 ``Segments`` record: each segment's first row and row count, and the segment
 of each row. The segment operations take that record and reduce within each
 segment: ``maxpool_rows`` (column-wise maximum) and ``segment_softmax``
-(softmax of a vector's entries). They only check that it covers their rows;
-``Segments.of`` checks starts given from outside. ``dot`` and ``concat``
-work along the last axis, so on matrices they act row by row;
-``softmax_rows`` normalises each row and ``pick`` takes one entry per row,
-such as each example's gold-class probability.
+(softmax of a vector's entries); ``spread_rows`` copies row ``e`` of a
+matrix to every row of segment ``e``, such as a sentence's gate to its
+tokens. They only check that the record fits their rows; ``Segments.of``
+checks starts given from outside. ``dot`` and ``concat`` work along the
+last axis, so on matrices they act row by row; ``softmax_rows`` normalises
+each row and ``pick`` takes one entry per row, such as each example's
+gold-class probability.
 
 ``segment_mean_rows`` averages the row groups of a ``RowGroups`` (the GCN's
 tree neighbourhoods, the aspect spans) by one row gather per neighbour
 position. Its backward pass is the same gather over the transposed groups;
 a tree's neighbourhoods are symmetric, their own transpose, so there it
-needs no scatter and no sort.
+needs no scatter and no sort. The backward pass sums rows by group in two
+ways: scattered groups (a neighbourhood, an aspect span, the positions that
+read one table row) through ``RowGroups.sums``, contiguous ones (a
+sentence's rows) by one ``np.add.reduceat`` over the segment starts.
 """
 
 from __future__ import annotations
@@ -147,8 +152,8 @@ class Tape:
     in reverse. A backward closure returns one gradient per parent, or
     ``None`` for a parent it has nothing to add to: the tape adds a returned
     gradient into a pending buffer (operation outputs) or into ``grad``
-    (trainable leaves). ``gather_rows`` on a leaf returns ``None`` because it
-    has already added its rows into the leaf's ``grad`` itself.
+    (trainable leaves). ``gather_rows``, whose input is a leaf, returns
+    ``None``: it has already added its rows into the leaf's ``grad`` itself.
     """
 
     def __init__(self, entries: list[Tensor]):
@@ -426,26 +431,19 @@ def pick(a: Tensor, index) -> Tensor:
     return _record(np.take_along_axis(a.data, at, axis=-1)[..., 0], "pick", (a,), back)
 
 
-def _scatter_sums(idx: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``idx`` and, for each, the sum of the rows of ``g`` it indexes."""
-    order = np.argsort(idx, kind="stable")
-    ranked = idx[order]
-    firsts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-    return ranked[firsts], np.add.reduceat(g[order], firsts, axis=0)
-
-
 def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
-    """Select rows of a matrix; gradients scatter-add back to the source.
+    """Rows ``indices`` of a leaf matrix: the table lookup. An operation's output raises ``ValueError``.
 
-    On a leaf the backward pass sums the gradients of repeated indices into
-    one row each, adds those rows into ``a.grad`` and marks them in
-    ``a.grad_rows`` (and does nothing for a frozen leaf), and returns no
-    gradient for the tape. The sums run in index order, as a dense
-    ``np.add.at`` would, so ``a.grad`` ends up bit-identical to adding a
-    dense scatter of the whole table (but for the sign of a zero in an
-    untouched row, which adding ``+0.0`` would clear).
-    On an operation's output it returns that dense scatter.
+    The backward pass sums the gradient rows of each distinct index through
+    the lookup's transpose, a ``RowGroups`` listing the positions that read
+    each row in order, as a dense scatter-add from zeros sums them. It adds
+    the sums into ``a.grad``, marks their rows in ``a.grad_rows`` and returns
+    no gradient for the tape; a frozen leaf gets nothing. So ``a.grad`` ends
+    up bit-identical to adding a dense scatter of the whole table (but for
+    the sign of a zero in an untouched row, which adding ``+0.0`` would clear).
     """
+    if a.op is not None:
+        raise ValueError(f"gather_rows looks rows up in a leaf, not in the output of {a.op}")
     if a.data.ndim != 2:
         raise DimensionError(f"gather_rows needs a matrix, got shape {a.shape}")
     idx = np.asarray(indices, dtype=np.intp)
@@ -455,29 +453,25 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     if outside.any():
         raise ValueError(f"row index {idx[outside][0]} out of range for {a.shape[0]} rows")
 
-    if a.op is None:
-
-        def back(g):
-            if a.trainable:
-                slot: dict[int, int] = {}
-                inverse = [slot.setdefault(i, len(slot)) for i in idx.tolist()]
-                rows = list(slot)
-                summed = np.zeros((len(rows), g.shape[1]))
-                np.add.at(summed, inverse, g)
-                a.grad[rows] += summed
-                if a.grad_rows is not None:
-                    a.grad_rows[rows] = True
-            return (None,)
-
-    else:
-
-        def back(g):
-            grad = np.zeros_like(a.data)
-            rows, sums = _scatter_sums(idx, g)
-            grad[rows] = sums
-            return (grad,)
+    def back(g):
+        if a.trainable:
+            rows, counts = np.unique(idx, return_counts=True)
+            summed = RowGroups(counts, np.argsort(idx, kind="stable"), idx.size).sums(g)
+            summed += 0.0  # a scatter-add starts from +0.0: a group of -0.0s alone sums to +0.0
+            a.grad[rows] += summed
+            if a.grad_rows is not None:
+                a.grad_rows[rows] = True
+        return (None,)
 
     return _record(a.data[idx], "gather_rows", (a,), back)
+
+
+def spread_rows(a: Tensor, segments: Segments) -> Tensor:
+    """Row ``e`` of a matrix copied to every row of segment ``e``; the backward pass sums each segment's rows."""
+    if a.data.ndim != 2 or a.shape[0] != segments.sizes.size:
+        raise DimensionError(f"spread_rows needs one row for each of {segments.sizes.size} segments, got {a.shape}")
+    back = lambda g: (np.add.reduceat(g, segments.starts, axis=0),)
+    return _record(a.data[segments.owner], "spread_rows", (a,), back)
 
 
 class RowGroups:

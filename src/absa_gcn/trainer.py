@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
 # build_random_table is looked up on ``data`` at each call, so a wrapper set there (perfbench's tracer) sees it.
 from . import data
 from .data import LABELS, EmbeddingTable, Example
-from .model import HyperParams, ModelState, total_loss
+from .model import HyperParams, LossTerms, ModelState, total_loss
 from .optim import AdamState, adam_step, as_rows
 from .tensor import backward
 
@@ -58,10 +58,10 @@ class Metrics:
         return {k: v for k, v in asdict(self).items() if k != "per_class"}
 
 
-def compute_metrics(golds: list[int], preds: list[int], losses=None) -> Metrics:
-    """Accuracy plus unweighted mean of per-class F1 over the three polarities.
+def compute_metrics(golds: list[int], preds: list[int], losses: LossTerms | None = None) -> Metrics:
+    """Accuracy plus unweighted mean of per-class F1 over the three polarities, and the loss terms given.
 
-    A class absent from both gold and predictions contributes F1 = 0.
+    A class absent from both gold and predictions contributes F1 = 0; loss terms not given are 0.
     """
     if len(golds) != len(preds) or not golds:
         raise ValueError("need equal, non-empty gold/prediction lists")
@@ -77,39 +77,36 @@ def compute_metrics(golds: list[int], preds: list[int], losses=None) -> Metrics:
         per_class[name] = {"precision": precision, "recall": recall, "f1": f1}
         f1_sum += f1
     accuracy = sum(1 for g, p in zip(golds, preds) if g == p) / len(golds)
-    loss_means = losses or {"div": 0.0, "const": 0.0, "pred": 0.0, "total": 0.0}
-    return Metrics(
-        accuracy=accuracy,
-        macro_f1=f1_sum / len(LABELS),
-        per_class=per_class,
-        loss_div=loss_means["div"],
-        loss_const=loss_means["const"],
-        loss_pred=loss_means["pred"],
-        loss_total=loss_means["total"],
-    )
+    terms = {f"loss_{name}": value for name, value in asdict(losses or LossTerms()).items()}
+    return Metrics(accuracy=accuracy, macro_f1=f1_sum / len(LABELS), per_class=per_class, **terms)
 
 
-def _tally(trace, golds: list[int], preds: list[int], sums: dict[str, float]) -> None:
-    """Add one forward pass's gold labels, argmax predictions and loss sums."""
-    golds.extend(ex.label_index for ex in trace.batch.examples)
-    preds.extend(np.argmax(trace.class_probs.data, axis=1).tolist())
-    sums["div"] += trace.losses.div
-    sums["const"] += trace.losses.const
-    sums["pred"] += trace.losses.pred
-    sums["total"] += trace.losses.total
+class _Tally:
+    """A split's running record of forward passes: gold labels, argmax predictions and loss sums."""
+
+    def __init__(self):
+        self.golds, self.preds, self.sums = [], [], astuple(LossTerms())
+
+    def add(self, trace) -> None:
+        """Add one forward pass's examples and its ``LossTerms``, term by term."""
+        self.golds.extend(ex.label_index for ex in trace.batch.examples)
+        self.preds.extend(np.argmax(trace.class_probs.data, axis=1).tolist())
+        self.sums = tuple(total + term for total, term in zip(self.sums, astuple(trace.losses)))
+
+    def metrics(self) -> Metrics:
+        """The metrics of every example added, with each loss term's mean over them."""
+        return compute_metrics(self.golds, self.preds, LossTerms(*(s / len(self.golds) for s in self.sums)))
 
 
 def evaluate(model: ModelState, data: list[Example]) -> Metrics:
     """Pure function of (model, data): argmax predictions plus mean loss terms."""
     if not data:
         raise ValueError("cannot evaluate on an empty dataset")
-    golds, preds = [], []
-    sums = {"div": 0.0, "const": 0.0, "pred": 0.0, "total": 0.0}
+    tally = _Tally()
     for start in range(0, len(data), EVAL_CHUNK):
         # No name keeps a pass's trace, so its tape is freed before the next pass.
-        _tally(total_loss(data[start : start + EVAL_CHUNK], model)[1], golds, preds, sums)
-    means = {k: v / len(data) for k, v in sums.items()}
-    return compute_metrics(golds, preds, means)
+        tally.add(total_loss(data[start : start + EVAL_CHUNK], model)[1])
+    return tally.metrics()
 
 
 def _check_finite(loss: float, where: str) -> None:
@@ -213,18 +210,16 @@ def train(
     for epoch in range(1, config.epochs + 1):
         if config.shuffle:
             shuffle_rng.shuffle(order)
-        golds, preds = [], []
-        sums = {"div": 0.0, "const": 0.0, "pred": 0.0, "total": 0.0}
+        tally = _Tally()
         for start in range(0, len(order), config.batch_size):
             batch = [train_set[i] for i in order[start : start + config.batch_size]]
             model.zero_grads()
             loss, trace = total_loss(batch, model)
             _check_finite(trace.losses.total, f"in epoch {epoch}")
-            _tally(trace, golds, preds, sums)
+            tally.add(trace)
             backward(loss)
             adam_step(model.parameters(), adam)
-        means = {k: v / len(order) for k, v in sums.items()}
-        log.append(_log_entry(epoch, "train", compute_metrics(golds, preds, means)))
+        log.append(_log_entry(epoch, "train", tally.metrics()))
         if dev_set:
             dev_metrics = evaluate(model, dev_set)
             log.append(_log_entry(epoch, "dev", dev_metrics))

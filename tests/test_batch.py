@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from absa_gcn.data import LABELS, EmbeddingTable, Example, build_random_table, build_tree, syntax_scores
-from absa_gcn.model import HyperParams, ModelState, make_batch, model_scores, total_loss
+from absa_gcn.model import HyperParams, LossTerms, ModelState, make_batch, model_scores, total_loss
 from absa_gcn.tensor import RowGroups, Segments, Tensor, backward, mul, segment_mean_rows, sum_all
 from absa_gcn.trainer import compute_metrics, evaluate
 from conftest import dense_adjacency, floyd_warshall_distances, neighbor_sets, oracle_losses
@@ -143,7 +143,7 @@ def test_evaluate_agrees_with_the_oracle_across_chunk_edges(count, data, hp, see
     want = compute_metrics(
         [ex.label_index for ex in corpus],
         [int(np.argmax(e["probs"])) for e in expected],
-        {term: float(np.mean([e[term] for e in expected])) for term in TERMS},
+        LossTerms(*(float(np.mean([e[term] for e in expected])) for term in TERMS)),
     )
     got = evaluate(state, corpus)
     assert (got.accuracy, got.macro_f1, got.per_class) == (want.accuracy, want.macro_f1, want.per_class)

@@ -793,6 +793,19 @@ def test_convert_with_an_empty_sidecar_is_exit_3_and_writes_nothing(tmp_path, ca
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("1\tde\t_\t_\t_\t_\t-3\t_\t_\t_\n2\tel\t_\t_\t_\t_\t0\t_\t_\t_\n", "line 1: negative HEAD -3"),
+    ("2\tel\t_\t_\t_\t_\t0\t_\t_\t_\n1\tde\t_\t_\t_\t_\t2\t_\t_\t_\n", "line 1: ID '2' where the sentence's next ID is 1"),
+])
+def test_convert_with_a_negative_head_or_ids_out_of_order_is_exit_3(tmp_path, capsys, rows, message):
+    conllu = _write_bytes(tmp_path / "s.conllu", rows.encode())
+    aspects = _write_bytes(tmp_path / "a.json", b'[{"sentence_index": 0, "from": 0, "to": 1, "label": "neutral"}]')
+    assert main(["convert", "--conllu", conllu, "--aspects", aspects, "--out", str(tmp_path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"data error: {message}\n")
+    assert not (tmp_path / "converted.jsonl").exists()
+
+
 def test_convert_missing_sidecar_is_config_error(tmp_path):
     code = main(["convert", "--conllu", str(ASSETS / "sample.conllu")])
     assert code == EXIT_CONFIG

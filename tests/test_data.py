@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import re
 import time
 import warnings
 from unittest import mock
@@ -775,6 +776,30 @@ def test_conllu_malformed_line_reports_number(tmp_path):
     path = tmp_path / "s.conllu"
     path.write_text("1\tonly\tthree\n")
     with pytest.raises(LoadError, match="line 1"):
+        read_conllu_sentences(path)
+
+
+def _conllu(*rows) -> str:
+    """CoNLL-U text of ``(ID, FORM, HEAD)`` rows, a blank line for ``None``."""
+    return "".join("\n" if r is None else f"{r[0]}\t{r[1]}\t_\t_\t_\t_\t{r[2]}\t_\t_\t_\n" for r in rows)
+
+
+# (the rows, the line at fault, its message)
+_BAD_IDS_AND_HEADS = [
+    (((1, "de", -3), (2, "el", 0)), 1, "negative HEAD -3"),
+    (((2, "el", 0), (1, "de", 2)), 1, "ID '2' where the sentence's next ID is 1"),
+    (((1, "de", 3), (3, "el", 0)), 2, "ID '3' where the sentence's next ID is 2"),
+    (((1, "de", 0), (1, "el", 1)), 2, "ID '1' where the sentence's next ID is 2"),
+    # a new sentence starts again at 1, and neither a range nor an empty node counts
+    (((1, "a", 0), None, ("1-2", "del", "_"), ("1.1", "b", 0), (2, "c", 0)), 5, "ID '2' where the sentence's next ID is 1"),
+]
+
+
+@pytest.mark.parametrize("rows, line, message", _BAD_IDS_AND_HEADS)
+def test_conllu_rejects_a_negative_head_or_an_id_out_of_order(tmp_path, rows, line, message):
+    path = tmp_path / "s.conllu"
+    path.write_text(_conllu(*rows))
+    with pytest.raises(LoadError, match=f"^line {line}: {re.escape(message)}$"):
         read_conllu_sentences(path)
 
 

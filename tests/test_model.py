@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import inspect
 import json
 import math
 import os
@@ -154,10 +156,10 @@ def test_gate_zero_input_depends_only_on_bias():
 
 def test_regulate_identity_and_annihilator_and_mask():
     h = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    owner = [0, 0]
-    npt.assert_array_equal(regulate(h, Tensor([[1.0, 1.0]]), owner).data, h.data)
-    npt.assert_array_equal(regulate(h, Tensor([[0.0, 0.0]]), owner).data, np.zeros((2, 2)))
-    masked = regulate(h, Tensor([[0.0, 1.0]]), owner).data
+    one = Segments.of([0], 2)
+    npt.assert_array_equal(regulate(h, Tensor([[1.0, 1.0]]), one).data, h.data)
+    npt.assert_array_equal(regulate(h, Tensor([[0.0, 0.0]]), one).data, np.zeros((2, 2)))
+    masked = regulate(h, Tensor([[0.0, 1.0]]), one).data
     npt.assert_array_equal(masked, [[0.0, 2.0], [0.0, 4.0]])
 
 
@@ -179,7 +181,7 @@ def test_gating_a_pooled_layer_is_byte_equal_to_pooling_its_gated_rows(data):
     g = data.draw(hnp.arrays(np.float64, (len(lengths), width), elements=_GATE_VALUES))
     segments = Segments(np.array(lengths, dtype=np.intp))
     gated_after = mul(maxpool_rows(Tensor(h), segments), Tensor(g)).data
-    gated_before = maxpool_rows(regulate(Tensor(h), Tensor(g), segments.owner), segments).data
+    gated_before = maxpool_rows(regulate(Tensor(h), Tensor(g), segments), segments).data
     assert gated_after.tobytes() == gated_before.tobytes()
 
 
@@ -524,8 +526,10 @@ def test_a_batch_tape_has_one_linear_node_per_affine_map():
     # sentence, two GCN layers, two gates, two importance scores, two classifier maps
     assert ops.count("linear") == 9
     assert len(ops) == 55
-    # the embeddings and each layer are pooled once; only the last layer's token rows are gated (one gather)
-    assert (ops.count("maxpool_rows"), ops.count("gather_rows"), ops.count("mul")) == (3, 3, 5)
+    # the embeddings and each layer are pooled once; one table lookup; only the last layer's token rows
+    # are gated (one spread), and the overall vectors are spread over the tokens once for the scores
+    assert (ops.count("maxpool_rows"), ops.count("gather_rows"), ops.count("spread_rows")) == (3, 1, 2)
+    assert ops.count("mul") == 5
 
 
 def test_a_three_layer_tape_pools_each_layer_once():
@@ -587,6 +591,23 @@ def test_the_model_calls_every_op_of_the_tensor_library():
         recorded.update(_tape_ops(HyperParams(hidden=8, layers=2, **variant), examples))
     assert public_ops - recorded == set()
     assert recorded <= public_ops
+
+
+def test_the_ops_the_tensor_library_records_are_the_ops_on_the_variants_tapes():
+    """The op names ``tensor.py`` passes to ``_record`` equal those on the tapes of every variant at 1, 2 and 3 layers."""
+    calls = [
+        node for node in ast.walk(ast.parse(inspect.getsource(tensor_module)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_record"
+    ]
+    assert all(isinstance(call.args[1], ast.Constant) for call in calls)  # a computed name would go unread
+    recordable = {call.args[1].value for call in calls}
+    rng = np.random.default_rng(9)
+    examples = [random_example(rng) for _ in range(4)]
+    on_tapes = set()
+    for variant in ABLATION_VARIANTS.values():
+        for layers in (1, 2, 3):
+            on_tapes.update(_tape_ops(HyperParams(hidden=8, layers=layers, **variant), examples))
+    assert recordable == on_tapes
 
 
 # ---------------------------------------------------------------------------
