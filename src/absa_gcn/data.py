@@ -8,16 +8,21 @@ The corpus wire format is UTF-8 JSON Lines, one object per line::
 ``heads[i]`` is the 0-based parent of token ``i`` and exactly one token
 carries ``-1`` as the root. ``aspect_from``/``aspect_to`` delimit a
 half-open token span. A malformed line aborts the whole load with its line
-number; silently dropping lines would corrupt dataset-count checks.
+number; silently dropping lines would corrupt dataset-count checks. A valid
+file is checked whole, as arrays; a file that fails those checks is judged
+line by line, which names the first bad line.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import itertools
 import json
+import operator
 import os
+import re
 import stat
 import warnings
 import zlib
@@ -60,6 +65,22 @@ class Example:
         object.__setattr__(self, "heads", tuple(int(h) for h in heads))
         _check_example(self.tokens, self.heads, self.aspect_from, self.aspect_to, self.label)
 
+    @classmethod
+    def _checked(cls, tokens: tuple, heads: tuple, aspect_from: int, aspect_to: int, label: str) -> "Example":
+        """An example whose fields ``_accept_corpus`` has already checked, built without checking them again.
+
+        Each field is set as ``__init__`` sets it: reading ``__dict__`` would
+        give every example a dictionary of its own, about 128 bytes more.
+        """
+        ex = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(ex, "tokens", tokens)
+        setattr_(ex, "heads", heads)
+        setattr_(ex, "aspect_from", aspect_from)
+        setattr_(ex, "aspect_to", aspect_to)
+        setattr_(ex, "label", label)
+        return ex
+
     @property
     def n(self) -> int:
         return len(self.tokens)
@@ -70,6 +91,8 @@ class Example:
 
 
 def _check_example(tokens, heads, aspect_from, aspect_to, label) -> None:
+    # _accept_corpus tests these conditions, and the type checks of __post_init__, over a whole
+    # corpus file at once: a condition changed here is changed there.
     if len(tokens) == 0:
         raise ValueError("tokens must be non-empty")
     if any(not isinstance(t, str) for t in tokens):
@@ -106,6 +129,7 @@ def _check_example(tokens, heads, aspect_from, aspect_to, label) -> None:
 
 
 _REQUIRED_FIELDS = ("tokens", "heads", "aspect_from", "aspect_to", "label")
+_RECORD_FIELDS = operator.itemgetter(*_REQUIRED_FIELDS)
 
 
 def _utf8_lines(fh, digest=None):
@@ -127,10 +151,24 @@ def parse_corpus(path) -> list[Example]:
     """Load a JSON Lines corpus, failing on the first malformed line.
 
     A file without a single line fails too: no command can train on or
-    evaluate an empty corpus.
+    evaluate an empty corpus. The file is read once and its bytes checked
+    whole, as arrays (``_accept_corpus``); bytes those checks refuse are
+    judged line by line (``_parse_corpus_lines``), which raises the error of
+    their first bad line.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    examples = _accept_corpus(raw)
+    return _parse_corpus_lines(raw) if examples is None else examples
+
+
+def _parse_corpus_lines(raw: bytes) -> list[Example]:
+    """A corpus file's bytes parsed and checked line by line: the judge of every file ``_accept_corpus`` refuses.
+
+    It alone raises a corpus ``LoadError``, with each message and line number.
     """
     examples = []
-    with open(path, "rb") as fh:
+    with io.BytesIO(raw) as fh:
         for lineno, line in _utf8_lines(fh):
             if not line.strip():
                 raise LoadError("empty line", line=lineno)
@@ -163,6 +201,63 @@ def parse_corpus(path) -> list[Example]:
     if not examples:
         raise LoadError("no examples")
     return examples
+
+
+def _accept_corpus(raw: bytes) -> list[Example] | None:
+    """The examples of a corpus file's bytes if every line is valid, else None.
+
+    It accepts exactly the files ``_parse_corpus_lines`` accepts, with the
+    same examples: each line a JSON object with the five fields, and each
+    record passing the conditions of ``Example.__post_init__`` and
+    ``_check_example``, tested here for all records at once over their
+    concatenated heads. A cycle is found by pointer doubling: after ``k``
+    rounds every token points ``2**k`` steps up its tree or at its root, so
+    a token that points at no root after enough rounds for the deepest tree
+    lies on a cycle or below one. A token that is its own head is such a
+    cycle, of one token.
+    """
+    try:
+        records = [json.loads(line) for line in raw.decode("utf-8").removesuffix("\n").split("\n")]
+        if set(map(type, records)) != {dict}:
+            return None
+        tokens, heads, aspect_from, aspect_to, labels = zip(*map(_RECORD_FIELDS, records))
+        if set(map(type, tokens + heads)) != {list}:
+            return None
+        flat_tokens = list(itertools.chain.from_iterable(tokens))
+        flat_heads = list(itertools.chain.from_iterable(heads))
+        if (
+            set(map(type, flat_tokens)) != {str}
+            or set(map(type, flat_heads)) != {int}
+            or set(map(type, aspect_from + aspect_to)) != {int}
+            or not all(map(LABELS.__contains__, labels))
+        ):
+            return None
+        count = len(records)
+        sizes = np.fromiter(map(len, tokens), dtype=np.intp, count=count)
+        if not (sizes.all() and np.array_equal(sizes, np.fromiter(map(len, heads), dtype=np.intp, count=count))):
+            return None
+        head = np.fromiter(flat_heads, dtype=np.intp, count=len(flat_heads))
+        first = np.fromiter(aspect_from, dtype=np.intp, count=count)
+        end = np.fromiter(aspect_to, dtype=np.intp, count=count)
+    except (ValueError, RecursionError, KeyError, OverflowError):  # not UTF-8 or JSON, a missing field, an int past intp
+        return None
+    segments = Segments(sizes)
+    root = head == -1
+    if not (
+        (np.bincount(segments.owner[root], minlength=count) == 1).all()
+        and ((head >= -1) & (head < sizes[segments.owner])).all()
+        and ((0 <= first) & (first < end) & (end <= sizes)).all()
+    ):
+        return None
+    up = np.where(root, np.arange(head.size), head + segments.starts[segments.owner])
+    for _ in range(int(sizes.max() - 1).bit_length()):
+        up = up[up]
+    if not root[up].all():
+        return None
+    return [
+        Example._checked(tuple(t), tuple(h), f, e, label)
+        for t, h, f, e, label in zip(tokens, heads, aspect_from, aspect_to, labels)
+    ]
 
 
 @contextlib.contextmanager
@@ -683,6 +778,7 @@ def build_random_table(examples, dim: int, seed, trainable: bool = True) -> Embe
 
 _CONLLU_COLUMNS = 10
 _ID, _FORM, _HEAD = 0, 1, 6
+_SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")  # a multiword range N-M or an empty node N.M
 
 
 def read_conllu_sentences(path) -> list[tuple[list[str], list[int]]]:
@@ -690,7 +786,8 @@ def read_conllu_sentences(path) -> list[tuple[list[str], list[int]]]:
 
     Comment lines, multiword ranges (``1-2``) and empty nodes (``1.1``) are
     skipped; every remaining line must carry the full 10 columns, the
-    sentence's next ID (1, 2, ...) and a HEAD of 0 (the root) or more.
+    sentence's next ID (1, 2, ...) and a HEAD of 0 (the root) or more. Any
+    other ID, such as ``-1`` or ``1.x``, fails with its line.
     """
     sentences: list[tuple[list[str], list[int]]] = []
     tokens: list[str] = []
@@ -713,7 +810,7 @@ def read_conllu_sentences(path) -> list[tuple[list[str], list[int]]]:
             cols = line.split("\t")
             if len(cols) != _CONLLU_COLUMNS:
                 raise LoadError(f"expected {_CONLLU_COLUMNS} columns, got {len(cols)}", line=lineno)
-            if "-" in cols[_ID] or "." in cols[_ID]:
+            if _SKIPPED_ID.fullmatch(cols[_ID]):
                 continue
             if cols[_ID] != str(len(tokens) + 1):
                 raise LoadError(f"ID {cols[_ID]!r} where the sentence's next ID is {len(tokens) + 1}", line=lineno)

@@ -796,6 +796,8 @@ def test_convert_with_an_empty_sidecar_is_exit_3_and_writes_nothing(tmp_path, ca
 @pytest.mark.parametrize("rows, message", [
     ("1\tde\t_\t_\t_\t_\t-3\t_\t_\t_\n2\tel\t_\t_\t_\t_\t0\t_\t_\t_\n", "line 1: negative HEAD -3"),
     ("2\tel\t_\t_\t_\t_\t0\t_\t_\t_\n1\tde\t_\t_\t_\t_\t2\t_\t_\t_\n", "line 1: ID '2' where the sentence's next ID is 1"),
+    ("-1\tfoo\t_\t_\t_\t_\t0\t_\t_\t_\n1\tbar\t_\t_\t_\t_\t0\t_\t_\t_\n", "line 1: ID '-1' where the sentence's next ID is 1"),
+    ("1\tde\t_\t_\t_\t_\t0\t_\t_\t_\n1.x\tel\t_\t_\t_\t_\t1\t_\t_\t_\n", "line 2: ID '1.x' where the sentence's next ID is 2"),
 ])
 def test_convert_with_a_negative_head_or_ids_out_of_order_is_exit_3(tmp_path, capsys, rows, message):
     conllu = _write_bytes(tmp_path / "s.conllu", rows.encode())

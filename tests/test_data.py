@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import json
 import os
 import re
+import threading
 import time
 import warnings
 from unittest import mock
@@ -160,6 +162,194 @@ def test_parse_errors_fail_whole_load(tmp_path, line, fragment):
         parse_corpus(path)
     assert fragment in str(err.value)
     assert err.value.line == 2
+
+
+_GOOD_LINE = b'{"tokens":["ok"],"heads":[-1],"aspect_from":0,"aspect_to":1,"label":"neutral"}'
+_CYCLIC_LINE = b'{"tokens":["a","b"],"heads":[1,0],"aspect_from":0,"aspect_to":1,"label":"positive"}'
+
+
+def _line(rec, **fields):
+    """The corpus line of ``rec`` with ``fields`` in place of its own."""
+    return json.dumps({**rec, **fields}).encode("utf-8")
+
+
+def _with(values, i, value):
+    return [*values[:i], value, *values[i + 1:]]
+
+
+def _any_token(draw, rec):
+    return draw(st.integers(0, len(rec["tokens"]) - 1))
+
+
+# Each fault yields lines that put faults into the drawn record ``rec``, one line for each of a
+# fixed set of values, so that every value is tried; a value that keeps the record valid is no harm.
+
+
+def _fault_head_type(draw, rec):
+    i = _any_token(draw, rec)
+    for value in (True, False, 1.0, "0", None, 10**30, -(10**30), 2**63):
+        yield _line(rec, heads=_with(rec["heads"], i, value))
+
+
+def _fault_head_value(draw, rec):
+    # out of range, a self-head, a second root or a cycle alike
+    i, n = _any_token(draw, rec), len(rec["heads"])
+    for value in range(-3, n + 2):
+        yield _line(rec, heads=_with(rec["heads"], i, value))
+
+
+def _fault_two_cycle(draw, rec):
+    heads, free = rec["heads"], [i for i, h in enumerate(rec["heads"]) if h != -1]
+    if len(free) >= 2:
+        i, j = draw(st.permutations(free))[:2]
+        yield _line(rec, heads=_with(_with(heads, i, j), j, i))
+
+
+def _fault_length(draw, rec):
+    heads = rec["heads"]
+    yield from (_line(rec, heads=[*heads, -1]), _line(rec, heads=[*heads, 0]), _line(rec, heads=heads[:-1]))
+
+
+def _fault_token(draw, rec):
+    i = _any_token(draw, rec)
+    for value in (1, None, ["a"], 1.5, True, {"a": 1}):
+        yield _line(rec, tokens=_with(rec["tokens"], i, value))
+
+
+def _fault_no_tokens(draw, rec):
+    yield from (_line(rec, tokens=[], heads=[]), _line(rec, tokens=[]))
+
+
+def _fault_bound(draw, rec):
+    n, start, end = len(rec["tokens"]), rec["aspect_from"], rec["aspect_to"]
+    for value in (True, False, 0.0, 1.0, "0", None, 10**30, -(10**30), -1, end, end + 1, n):
+        yield _line(rec, aspect_from=value)
+    for value in (True, False, 1.0, float(end), "1", None, 10**30, start, start - 1, n + 1, 0):
+        yield _line(rec, aspect_to=value)
+
+
+def _fault_label(draw, rec):
+    for value in (["positive"], {"positive": 1}, "meh", "Positive", None, 0):
+        yield _line(rec, label=value)
+
+
+def _fault_shape(draw, rec):
+    for name in data._REQUIRED_FIELDS:
+        yield json.dumps({k: v for k, v in rec.items() if k != name}).encode("utf-8")
+    for name in ("tokens", "heads"):
+        # a string or an object of as many items as the list it replaces
+        yield _line(rec, **{name: "x" * len(rec[name])})
+        yield _line(rec, **{name: {str(i): v for i, v in enumerate(rec[name])}})
+
+
+def _fault_line(draw, rec):
+    # lines that the JSON reader refuses, or that hold no object
+    yield from (
+        b"", b"  \t", b"{not json", b"[1, 2]", b'"text"', b"\xff\xfe", b"[" * 3000,
+        b'{"heads": ' + b"1" * 5000 + b"}", _line(rec) + b" x", b"\xef\xbb\xbf" + _line(rec),
+    )
+
+
+_FAULTS = (
+    _fault_head_type, _fault_head_value, _fault_two_cycle, _fault_length, _fault_token, _fault_no_tokens,
+    _fault_bound, _fault_label, _fault_shape, _fault_line,
+)
+
+
+@st.composite
+def _records(draw):
+    """A valid corpus record of 1 to 7 tokens: any tree shape, any aspect span."""
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    heads = [-1] * n
+    for k in range(1, n):
+        heads[order[k]] = order[draw(st.integers(0, k - 1))]
+    start = draw(st.integers(0, n - 1))
+    return dict(
+        tokens=draw(st.lists(st.sampled_from(["a", "B", "é", "", " "]), min_size=n, max_size=n)),
+        heads=heads,
+        aspect_from=start,
+        aspect_to=draw(st.integers(start + 1, n)),
+        label=draw(st.sampled_from(data.LABELS)),
+    )
+
+
+@st.composite
+def _corpus_files(draw, fault):
+    """Files of 2 to 4 drawn records: one for each line ``fault`` yields for one of the records, and
+    one with a line of any fault after one of those lines.
+
+    With two records or more, a head out of its own tree's range can lead into a tree beside it.
+    """
+    records = draw(st.lists(_records(), min_size=2, max_size=4))
+    lines = [_line(rec) for rec in records]
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    last = draw(st.sampled_from([end, b""]))
+    if fault is None:
+        return [end.join(lines) + last]
+    at = draw(st.integers(0, len(lines) - 1))
+    bad = list(fault(draw, records[at]))
+    files = [end.join(_with(lines, at, line)) + last for line in bad]
+    if bad and at + 1 < len(lines):
+        later = draw(st.integers(at + 1, len(lines) - 1))
+        later_bad = list(draw(st.sampled_from(_FAULTS))(draw, records[later])) or [b""]
+        lines = _with(_with(lines, at, draw(st.sampled_from(bad))), later, draw(st.sampled_from(later_bad)))
+        files.append(end.join(lines) + last)
+    return files
+
+
+def _corpus_outcome(parse, source):
+    """What a parse returns, each example as the repr of its fields, or its error and line."""
+    try:
+        return [repr(dataclasses.astuple(ex)) for ex in parse(source)]
+    except LoadError as err:
+        return str(err), err.line
+
+
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus") / "c.jsonl"
+
+
+@pytest.mark.parametrize("fault", [None, *_FAULTS], ids=lambda fault: fault.__name__ if fault else "valid")
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(drawn=st.data())
+def test_the_array_checks_agree_with_the_line_parser_on_drawn_files(corpus_path, fault, drawn):
+    # Every file parse_corpus accepts, the line parser accepts with the same examples; every other
+    # file fails with the line parser's error, that of its first bad line.
+    for text in drawn.draw(_corpus_files(fault)):
+        corpus_path.write_bytes(text)
+        assert _corpus_outcome(parse_corpus, corpus_path) == _corpus_outcome(data._parse_corpus_lines, text)
+
+
+def test_valid_corpora_never_reach_the_line_parser(tmp_path, monkeypatch):
+    n = 50_000
+    chain = tmp_path / "chain.jsonl"
+    chain.write_text(json.dumps(dict(tokens=["a"] * n, heads=[*range(1, n), -1], aspect_from=0, aspect_to=1, label="positive")))
+    paths = [ASSETS / "sample_corpus.jsonl", chain]
+    expected = [data._parse_corpus_lines(path.read_bytes()) for path in paths]
+    judge, judged = data._parse_corpus_lines, []
+    monkeypatch.setattr(data, "_parse_corpus_lines", lambda raw: judged.append(raw) or judge(raw))
+    assert [parse_corpus(path) for path in paths] == expected
+    assert judged == []
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(_GOOD_LINE + b"\n" + _CYCLIC_LINE + b"\n")
+    with pytest.raises(LoadError, match="^line 2: no root$"):
+        parse_corpus(bad)
+    assert judged == [bad.read_bytes()]
+
+
+def test_a_corpus_through_a_pipe_is_judged_on_the_bytes_read(tmp_path):
+    # The line parser judges the bytes the array checks refused; opening a pipe again would wait for another writer.
+    path = tmp_path / "corpus.fifo"
+    os.mkfifo(path)
+    threading.Thread(target=path.write_bytes, args=(_GOOD_LINE + b"\n" + _CYCLIC_LINE + b"\n",), daemon=True).start()
+    outcome = []
+    reader = threading.Thread(target=lambda: outcome.append(_corpus_outcome(parse_corpus, path)), daemon=True)
+    reader.start()
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert outcome == [("line 2: no root", 2)]
 
 
 def test_bundled_sample_counts_match_manifest_and_raw_scan():
@@ -792,6 +982,10 @@ _BAD_IDS_AND_HEADS = [
     (((1, "de", 0), (1, "el", 1)), 2, "ID '1' where the sentence's next ID is 2"),
     # a new sentence starts again at 1, and neither a range nor an empty node counts
     (((1, "a", 0), None, ("1-2", "del", "_"), ("1.1", "b", 0), (2, "c", 0)), 5, "ID '2' where the sentence's next ID is 1"),
+    # only N-M and N.M of integers are skipped: any other ID with a '-' or '.' is an ID out of order
+    ((("-1", "foo", 0), (1, "bar", 0), (2, "baz", 1)), 1, "ID '-1' where the sentence's next ID is 1"),
+    (((1, "de", 0), ("a-b", "del", "_")), 2, "ID 'a-b' where the sentence's next ID is 2"),
+    (((1, "de", 0), ("1.x", "ghost", 0)), 2, "ID '1.x' where the sentence's next ID is 2"),
 ]
 
 
